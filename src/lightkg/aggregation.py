@@ -20,7 +20,6 @@ from .graph import (
     Node,
     UnknownNodeError,
     edge_key,
-    empty_graph,
 )
 
 DEFAULT_BASE_CONFIDENCE = 0.5
@@ -94,25 +93,41 @@ def add_triple(
     context and appending provenance. Raises :class:`EmptyLabelError` when
     any label normalizes to nothing; the graph is left unchanged.
     """
+    nodes = dict(g.nodes)
+    edges = dict(g.edges)
+    _fold_triple(nodes, edges, triple, policy, base_confidence)
+    return KnowledgeGraph(nodes, edges)
+
+
+def _fold_triple(
+    nodes: dict[str, Node],
+    edges: dict[str, Edge],
+    triple: ContextTriple,
+    policy: NormalizationPolicy,
+    base_confidence: float,
+) -> None:
+    """Fold ``triple`` into ``nodes`` and ``edges`` in place, as
+    :func:`add_triple` describes; labels are normalized before anything is
+    changed, so an :class:`EmptyLabelError` leaves both dicts as they were."""
     subject = normalize_label(triple.subject, policy)
     predicate = normalize_label(triple.predicate, policy)
     obj = normalize_label(triple.object, policy)
     context = _normalize_context(triple.context, policy)
 
-    nodes = dict(g.nodes)
-    nodes.setdefault(subject, Node(subject))
-    nodes.setdefault(obj, Node(obj))
+    for label in (subject, obj):
+        if label not in nodes:
+            nodes[label] = Node(label)
 
     eid = edge_key(subject, predicate, obj)
-    existing = g.edges.get(eid)
+    existing = edges.get(eid)
     if existing is not None:
-        edge = replace(
+        edges[eid] = replace(
             existing,
             context=existing.context.union(context),
             provenance=existing.provenance + (triple.provenance,),
         )
     else:
-        edge = Edge(
+        edges[eid] = Edge(
             source=subject,
             target=obj,
             predicate=predicate,
@@ -120,9 +135,6 @@ def add_triple(
             confidence=base_confidence,
             provenance=(triple.provenance,),
         )
-    edges = dict(g.edges)
-    edges[eid] = edge
-    return KnowledgeGraph(nodes, edges)
 
 
 def merge_attribute(
@@ -189,20 +201,22 @@ def aggregate_triples(
 ) -> AggregationResult:
     """Left-fold of :func:`add_triple` over triples ordered by
     (source_id, chunk_index, position). Triples whose labels normalize to
-    nothing are dropped and reported, never fatal."""
+    nothing are dropped and reported, never fatal. The fold runs over plain
+    dicts; the graph is built and validated once, at the end."""
     keyed = [
         ((t.provenance.source_id, t.provenance.chunk_index, position), t)
         for position, t in enumerate(triples)
     ]
     keyed.sort(key=lambda kv: kv[0])
-    graph = empty_graph()
+    nodes: dict[str, Node] = {}
+    edges: dict[str, Edge] = {}
     rejected: list[tuple[ContextTriple, str]] = []
     for _, triple in keyed:
         try:
-            graph = add_triple(graph, triple, policy, base_confidence)
+            _fold_triple(nodes, edges, triple, policy, base_confidence)
         except EmptyLabelError as exc:
             rejected.append((triple, str(exc)))
-    return AggregationResult(graph, rejected)
+    return AggregationResult(KnowledgeGraph(nodes, edges), rejected)
 
 
 def aggregate(

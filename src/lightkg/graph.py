@@ -238,18 +238,6 @@ class KnowledgeGraph:
             raise UnknownNodeError(node_id)
         return node
 
-    def out_edges(self, node_id: str) -> list[Edge]:
-        return sorted(
-            (e for e in self.edges.values() if e.source == node_id),
-            key=lambda e: e.edge_id,
-        )
-
-    def in_edges(self, node_id: str) -> list[Edge]:
-        return sorted(
-            (e for e in self.edges.values() if e.target == node_id),
-            key=lambda e: e.edge_id,
-        )
-
     def degree(self, node_id: str) -> int:
         """Incident edge count; each edge counts once per incidence, so a
         self-loop contributes 2."""

@@ -24,6 +24,7 @@ from .aggregation import (
     aggregate,
 )
 from .client import ENV_MODEL, CompletionParams, HttpChatClient, MockChatClient
+from .evaluation import RELATION_POLICIES
 from .extraction import (
     DEFAULT_MAX_CHUNK_CHARS,
     ExtractionResult,
@@ -91,6 +92,16 @@ class PipelineConfig:
             raise ConfigError("confidence_threshold must be in [0, 1]")
         if self.worker_count < 1:
             raise ConfigError("worker_count must be >= 1")
+        if self.eval_policy not in RELATION_POLICIES:
+            raise ConfigError(
+                f"eval_policy must be one of {RELATION_POLICIES}, got {self.eval_policy!r}"
+            )
+        if self.max_chunk_chars < 1:
+            raise ConfigError("max_chunk_chars must be >= 1")
+        if self.retry_count < 0:
+            raise ConfigError("retry_count must be >= 0")
+        if not 0.0 <= self.base_confidence <= 1.0:
+            raise ConfigError("base_confidence must be in [0, 1]")
         if self.extractor == "fixture" and not self.fixtures_path:
             raise ConfigError("fixture extractor requires fixtures_path")
 

@@ -13,6 +13,15 @@ Three capabilities, all pure graph-in/graph-out:
 Path search is a bidirectional breadth-first search (frontiers expanded from
 both endpoints, meeting in the middle), followed by a deterministic
 lexicographic reconstruction so equal graphs always yield equal paths.
+
+All searches over one graph share one :class:`AdjacencyIndex`, built once per
+``reinforce_confidence`` or sense-attachment call: node -> neighbor -> sorted
+ids of the edges between them. Edges are excluded from a search (the scored
+edge itself, and the edges of supports already found) by a check against the
+``used`` id set during neighbor expansion and hop-edge choice, never by
+rebuilding the index; nodes no used edge touches keep their neighbor maps
+as they are. The index lives only for the call that built it, since
+:class:`~lightkg.graph.KnowledgeGraph` is a mutable dataclass.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .graph import (
     ContextMap,
@@ -129,27 +138,34 @@ class SenseSignature:
 # --- path search ----------------------------------------------------------------
 
 
-def _neighbor_maps(
-    g: KnowledgeGraph, exclude: frozenset[str]
-) -> tuple[dict[str, set[str]], dict[str, set[str]], dict[tuple[str, str], list[str]]]:
-    succ: dict[str, set[str]] = {}
-    pred: dict[str, set[str]] = {}
-    pair_edges: dict[tuple[str, str], list[str]] = {}
+class AdjacencyIndex(NamedTuple):
+    """Neighbor maps of one graph for one search direction mode.
+
+    ``forward[u][v]`` lists, sorted, the ids of the edges a search may walk
+    from u to v; ``backward`` is the same for walks toward the target. In
+    undirected mode both are one map that ignores edge direction.
+    """
+
+    forward: dict[str, dict[str, list[str]]]
+    backward: dict[str, dict[str, list[str]]]
+
+
+def _adjacency_index(g: KnowledgeGraph, undirected: bool) -> AdjacencyIndex:
+    succ: dict[str, dict[str, list[str]]] = {}
+    pred: dict[str, dict[str, list[str]]] = succ if undirected else {}
     for eid in sorted(g.edges):
-        if eid in exclude:
-            continue
         edge = g.edges[eid]
-        succ.setdefault(edge.source, set()).add(edge.target)
-        pred.setdefault(edge.target, set()).add(edge.source)
-        pair_edges.setdefault((edge.source, edge.target), []).append(eid)
-    return succ, pred, pair_edges
+        succ.setdefault(edge.source, {}).setdefault(edge.target, []).append(eid)
+        if edge.source != edge.target or not undirected:
+            pred.setdefault(edge.target, {}).setdefault(edge.source, []).append(eid)
+    return AdjacencyIndex(succ, pred)
 
 
 def _bidirectional_distance(
     source: str,
     target: str,
-    forward: Callable[[str], frozenset[str] | set[str]],
-    backward: Callable[[str], frozenset[str] | set[str]],
+    forward: Callable[[str], Iterable[str]],
+    backward: Callable[[str], Iterable[str]],
     max_len: int,
 ) -> int | None:
     """Shortest source-to-target distance not exceeding ``max_len``, found by
@@ -188,7 +204,7 @@ def _bidirectional_distance(
 
 
 def _bounded_distances(
-    start: str, step: Callable[[str], frozenset[str] | set[str]], limit: int
+    start: str, step: Callable[[str], Iterable[str]], limit: int
 ) -> dict[str, int]:
     dist = {start: 0}
     frontier = [start]
@@ -211,28 +227,37 @@ def _shortest_path(
     target: str,
     max_len: int,
     undirected: bool,
-    exclude: frozenset[str],
+    exclude: set[str] | frozenset[str],
+    index: AdjacencyIndex | None = None,
 ) -> PathEvidence | None:
-    succ, pred, pair_edges = _neighbor_maps(g, exclude)
-    empty: frozenset[str] = frozenset()
-    if undirected:
+    if index is None:
+        index = _adjacency_index(g, undirected)
+    # Only nodes that an excluded edge touches need their neighbors filtered;
+    # every other node walks its precomputed neighbor map as it is.
+    touched = set()
+    for eid in exclude:
+        edge = g.edges.get(eid)
+        if edge is not None:
+            touched.add(edge.source)
+            touched.add(edge.target)
+    empty: dict[str, list[str]] = {}
 
-        def forward(n: str):
-            return succ.get(n, empty) | pred.get(n, empty)
+    def stepper(adjacency: dict[str, dict[str, list[str]]]):
+        def step(n: str):
+            links = adjacency.get(n, empty)
+            if n not in touched:
+                return links
+            return [v for v, ids in links.items() if not exclude.issuperset(ids)]
 
-        backward = forward
-    else:
+        return step
 
-        def forward(n: str):
-            return succ.get(n, empty)
-
-        def backward(n: str):
-            return pred.get(n, empty)
+    forward, backward = stepper(index.forward), stepper(index.backward)
 
     length = _bidirectional_distance(source, target, forward, backward, max_len)
     if length is None:
         return None
-    dist_t = _bounded_distances(target, backward, length)
+    # Reconstruction only asks for remaining distances 0..length-1.
+    dist_t = _bounded_distances(target, backward, length - 1)
     # Greedy reconstruction: at position i pick the smallest neighbor that can
     # still finish in length - i - 1 hops. This yields the lexicographically
     # smallest node sequence among all shortest paths, and since the remaining
@@ -248,13 +273,11 @@ def _shortest_path(
             )
         current = min(candidates)
         nodes.append(current)
-    edge_ids = []
-    for u, v in zip(nodes, nodes[1:]):
-        ids = list(pair_edges.get((u, v), []))
-        if undirected:
-            ids += pair_edges.get((v, u), [])
-        edge_ids.append(min(ids))
-    return PathEvidence(tuple(nodes), tuple(edge_ids))
+    edge_ids = tuple(
+        next(eid for eid in index.forward[u][v] if eid not in exclude)
+        for u, v in zip(nodes, nodes[1:])
+    )
+    return PathEvidence(tuple(nodes), edge_ids)
 
 
 def bidirectional_bfs(
@@ -285,19 +308,25 @@ def edge_disjoint_paths(
     max_paths: int | None = None,
     undirected: bool = True,
     exclude_edges: Iterable[str] = (),
+    index: AdjacencyIndex | None = None,
 ) -> list[PathEvidence]:
     """Greedy edge-disjoint paths: repeatedly take a shortest path and remove
     its edges. Returned paths share no edge id; sorted by length, then by
     node sequence. Not guaranteed maximum (this is evidence counting, not
-    max-flow)."""
+    max-flow).
+
+    ``index`` is ``g``'s :class:`AdjacencyIndex` for the same ``undirected``
+    mode; callers searching many pairs pass one to avoid rebuilding it."""
     g.require_node(source)
     g.require_node(target)
     if source == target:
         raise ValueError("source and target must differ")
+    if index is None:
+        index = _adjacency_index(g, undirected)
     used = set(exclude_edges)
     found: list[PathEvidence] = []
     while max_paths is None or len(found) < max_paths:
-        path = _shortest_path(g, source, target, max_len, undirected, frozenset(used))
+        path = _shortest_path(g, source, target, max_len, undirected, used, index)
         if path is None:
             break
         found.append(path)
@@ -333,6 +362,7 @@ def reinforce_confidence(
     ``direct_edge_weight``. Adding an edge-disjoint support never lowers a
     score. Inferred edges are left untouched.
     """
+    index = _adjacency_index(g, config.undirected_paths)
     rescored: dict[str, Edge] = {}
     for eid in sorted(g.edges):
         edge = g.edges[eid]
@@ -349,6 +379,7 @@ def reinforce_confidence(
                 max_len=config.max_path_length,
                 undirected=config.undirected_paths,
                 exclude_edges=(eid,),
+                index=index,
             )
         miss = 1.0
         for path in supports:
@@ -366,25 +397,28 @@ def disambiguate_entity(
     node_id: str,
     senses: Sequence[SenseSignature],
     radius: int = 1,
+    index: AdjacencyIndex | None = None,
 ) -> list[tuple[str, float]]:
     """Rank candidate senses by cue coverage in the node's neighborhood.
 
     score(sense) = |cues seen within radius| / |cues|; descending, with ties
-    broken by input order.
+    broken by input order. ``index``, when given, is ``g``'s undirected
+    :class:`AdjacencyIndex`.
     """
     g.require_node(node_id)
     if not senses:
         raise ValueError("senses must be non-empty")
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    succ, pred, _ = _neighbor_maps(g, frozenset())
-    empty: frozenset[str] = frozenset()
+    if index is None:
+        index = _adjacency_index(g, undirected=True)
+    empty: dict[str, list[str]] = {}
     seen = {node_id}
     frontier = [node_id]
     for _ in range(radius):
         next_frontier = []
         for u in frontier:
-            for v in succ.get(u, empty) | pred.get(u, empty):
+            for v in index.forward.get(u, empty):
                 if v not in seen:
                     seen.add(v)
                     next_frontier.append(v)
@@ -571,11 +605,12 @@ def _attach_senses(
     g: KnowledgeGraph, senses_by_node: Mapping[str, Sequence[SenseSignature]]
 ) -> KnowledgeGraph:
     nodes = dict(g.nodes)
+    index = _adjacency_index(g, undirected=True)
     for label in sorted(senses_by_node):
         senses = senses_by_node[label]
         if label not in nodes or not senses:
             continue
-        top_label, top_score = disambiguate_entity(g, label, senses)[0]
+        top_label, top_score = disambiguate_entity(g, label, senses, index=index)[0]
         if top_score > 0:
             node = nodes[label]
             nodes[label] = replace(

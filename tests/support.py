@@ -14,7 +14,7 @@ from collections import deque
 
 from hypothesis import strategies as st
 
-from lightkg.aggregation import add_triple
+from lightkg.aggregation import EmptyLabelError, add_triple
 from lightkg.graph import (
     ContextMap,
     ContextTriple,
@@ -25,6 +25,7 @@ from lightkg.graph import (
     Provenance,
     empty_graph,
 )
+from lightkg.topology import PathEvidence
 
 PROV = Provenance("fixture", 0, Extractor.PATTERN)
 
@@ -139,6 +140,115 @@ def max_edge_disjoint_count(edge_sets: list[frozenset[str]]) -> int:
             if len(union) == total:
                 return size
     return best
+
+
+def reference_neighbor_maps(
+    g: KnowledgeGraph, exclude: frozenset[str]
+) -> tuple[dict[str, set[str]], dict[str, set[str]], dict[tuple[str, str], list[str]]]:
+    """Successors, predecessors and per-pair sorted edge ids of ``g`` without
+    the excluded edges, rebuilt from scratch on every call."""
+    succ: dict[str, set[str]] = {}
+    pred: dict[str, set[str]] = {}
+    pair_edges: dict[tuple[str, str], list[str]] = {}
+    for eid in sorted(g.edges):
+        if eid in exclude:
+            continue
+        edge = g.edges[eid]
+        succ.setdefault(edge.source, set()).add(edge.target)
+        pred.setdefault(edge.target, set()).add(edge.source)
+        pair_edges.setdefault((edge.source, edge.target), []).append(eid)
+    return succ, pred, pair_edges
+
+
+def reference_shortest_path(
+    g: KnowledgeGraph,
+    source: str,
+    target: str,
+    max_len: int,
+    undirected: bool,
+    exclude,
+    index=None,
+) -> PathEvidence | None:
+    """Shortest path with the library's tie-breaks (lexicographically smallest
+    node sequence, then smallest edge id per hop), searched over neighbor maps
+    rebuilt without the excluded edges for every search, with a plain
+    unidirectional BFS for distances. ``index`` is ignored, so this can stand
+    in for ``lightkg.topology._shortest_path``."""
+    succ, pred, pair_edges = reference_neighbor_maps(g, frozenset(exclude))
+    if undirected:
+
+        def forward(n: str) -> set[str]:
+            return succ.get(n, set()) | pred.get(n, set())
+
+        backward = forward
+    else:
+
+        def forward(n: str) -> set[str]:
+            return succ.get(n, set())
+
+        def backward(n: str) -> set[str]:
+            return pred.get(n, set())
+
+    dist_t = {target: 0}
+    queue = deque([target])
+    while queue:
+        node = queue.popleft()
+        for neighbor in backward(node):
+            if neighbor not in dist_t:
+                dist_t[neighbor] = dist_t[node] + 1
+                queue.append(neighbor)
+    length = dist_t.get(source)
+    if length is None or length > max_len:
+        return None
+    nodes = [source]
+    for step_index in range(length):
+        needed = length - step_index - 1
+        nodes.append(min(v for v in forward(nodes[-1]) if dist_t.get(v) == needed))
+    edge_ids = []
+    for u, v in zip(nodes, nodes[1:]):
+        ids = list(pair_edges.get((u, v), []))
+        if undirected:
+            ids += pair_edges.get((v, u), [])
+        edge_ids.append(min(ids))
+    return PathEvidence(tuple(nodes), tuple(edge_ids))
+
+
+def reference_edge_disjoint_paths(
+    g: KnowledgeGraph,
+    source: str,
+    target: str,
+    max_len: int,
+    max_paths: int | None,
+    undirected: bool,
+    exclude_edges=(),
+) -> list[PathEvidence]:
+    """Greedy edge-disjoint paths over :func:`reference_shortest_path`."""
+    used = set(exclude_edges)
+    found: list[PathEvidence] = []
+    while max_paths is None or len(found) < max_paths:
+        path = reference_shortest_path(g, source, target, max_len, undirected, used)
+        if path is None:
+            break
+        found.append(path)
+        used.update(path.edges)
+    found.sort(key=lambda p: (p.length, p.nodes))
+    return found
+
+
+def reference_aggregate(
+    triples: list[ContextTriple],
+) -> tuple[KnowledgeGraph, list[tuple[ContextTriple, str]]]:
+    """Left fold of ``add_triple`` in (source_id, chunk_index, input) order,
+    collecting the triples it rejects."""
+    g = empty_graph()
+    rejected = []
+    ordered = sorted(triples, key=lambda t: (t.provenance.source_id, t.provenance.chunk_index))
+    for item in ordered:
+        try:
+            g = add_triple(g, item)
+        except EmptyLabelError as exc:
+            rejected.append((item, str(exc)))
+    return g, rejected
 
 
 def naive_f1(predicted: set, gold: set) -> tuple[float, float, float]:
@@ -274,3 +384,39 @@ def graphs(draw, max_nodes: int = 6, max_edges: int = 10):
         )
         edges[edge.edge_id] = edge
     return KnowledgeGraph(nodes, edges)
+
+
+# Small node and predicate alphabets, so parallel, antiparallel and self-loop
+# edges are common.
+_multigraph_nodes = ["a", "b", "c", "d", "e", "f", "g"]
+
+
+@st.composite
+def multigraphs(draw, max_nodes: int = 7, max_edges: int = 16):
+    node_ids = _multigraph_nodes[: draw(st.integers(2, max_nodes))]
+    edges: dict[str, Edge] = {}
+    for _ in range(draw(st.integers(0, max_edges))):
+        edge = Edge(
+            source=draw(st.sampled_from(node_ids)),
+            target=draw(st.sampled_from(node_ids)),
+            predicate=draw(st.sampled_from(["p", "q", "r"])),
+            inferred=draw(st.booleans()) and draw(st.booleans()),
+        )
+        edges[edge.edge_id] = edge
+    return KnowledgeGraph({n: Node(n) for n in node_ids}, edges)
+
+
+# Surface labels that often merge after normalization, or normalize to nothing.
+raw_labels = st.one_of(
+    labels,
+    st.sampled_from(["a", " A ", "a.", "B", "b", "...", "?!", "- -"]),
+)
+
+raw_triples = st.builds(
+    ContextTriple,
+    subject=raw_labels,
+    predicate=st.sampled_from(["p", "P.", "q", "!!"]),
+    object=raw_labels,
+    context=context_maps,
+    provenance=provenances,
+)

@@ -23,6 +23,7 @@ from lightkg.graph import (
     content_equal,
     empty_graph,
 )
+from lightkg.serialize import serialize_graph
 
 
 class TestNormalizeLabel:
@@ -204,6 +205,30 @@ class TestAggregate:
         for batch in batches:
             merged = merge_graphs(merged, aggregate_triples(batch).graph)
         assert content_equal(folded, merged)
+
+
+class TestFoldMatchesAddTriple:
+    @settings(max_examples=200)
+    @given(triples=st.lists(support.raw_triples, max_size=25))
+    def test_aggregate_equals_left_fold_of_add_triple(self, triples):
+        outcome = aggregate_triples(triples)
+        graph, rejected = support.reference_aggregate(triples)
+        assert content_equal(outcome.graph, graph)
+        assert serialize_graph(outcome.graph) == serialize_graph(graph)
+        assert outcome.rejected == rejected
+
+    def test_rejected_triple_leaves_fold_unchanged(self):
+        triples = [
+            support.triple("a", "p", "b"),
+            support.triple("a", "p", "..."),
+            support.triple("c", "!!", "a"),
+            support.triple(" A ", "P", "b."),
+        ]
+        outcome = aggregate_triples(triples)
+        assert sorted(outcome.graph.nodes) == ["a", "b"]
+        (edge,) = outcome.graph.edges.values()
+        assert len(edge.provenance) == 2
+        assert [t for t, _ in outcome.rejected] == triples[1:3]
 
 
 class TestMonotoneCoexistence:

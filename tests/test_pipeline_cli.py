@@ -218,6 +218,31 @@ class TestRunPipeline:
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict({"extractor": "pattern", "typo_key": 1})
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("eval_policy", "relaxed"),
+            ("max_chunk_chars", 0),
+            ("retry_count", -3),
+            ("base_confidence", 1.7),
+        ],
+    )
+    def test_bad_field_rejected_at_load(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            PipelineConfig.from_dict({"extractor": "pattern", key: value})
+
+    def test_field_bounds_accepted(self):
+        config = PipelineConfig.from_dict(
+            {
+                "eval_policy": "predicate_relaxed",
+                "max_chunk_chars": 1,
+                "retry_count": 0,
+                "base_confidence": 1.0,
+            }
+        )
+        assert config.eval_policy == "predicate_relaxed"
+        assert PipelineConfig(base_confidence=0.0).base_confidence == 0.0
+
 
 class TestCli:
     def test_pipeline_subcommand(self, tmp_path, capsys):
@@ -291,6 +316,17 @@ class TestCli:
         )
         assert code == EXIT_USAGE
         assert "not found" in capsys.readouterr().err
+
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"extractor": "pattern", "eval_policy": "relaxed"}))
+        out_dir = tmp_path / "out"
+        code = main(
+            ["pipeline", str(DATA / "demo_corpus.jsonl"), "-c", str(config), "-o", str(out_dir)]
+        )
+        assert code == EXIT_USAGE
+        assert "eval_policy" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_missing_argument_is_usage_error(self, capsys):
         assert main(["pipeline"]) == EXIT_USAGE

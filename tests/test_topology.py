@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
+import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
+from lightkg import topology
 from lightkg.graph import (
     Edge,
     Extractor,
@@ -17,6 +20,7 @@ from lightkg.graph import (
     UnknownNodeError,
     edge_key,
 )
+from lightkg.serialize import serialize_graph
 from lightkg.topology import (
     DEFAULT_CONFIG,
     InferenceRule,
@@ -553,3 +557,92 @@ class TestConfigValidation:
             InferenceRule("x", ("a", "b"), "y", 0.0)
         with pytest.raises(ValueError):
             SenseSignature("s", frozenset())
+
+
+def random_sparse_graph(rng: random.Random, nodes: int, edges: int) -> KnowledgeGraph:
+    node_ids = [f"n{i:03d}" for i in range(nodes)]
+    edge_map: dict[str, Edge] = {}
+    while len(edge_map) < edges:
+        edge = Edge(rng.choice(node_ids), rng.choice(node_ids), rng.choice("pqr"))
+        edge_map[edge.edge_id] = edge
+    return KnowledgeGraph({n: Node(n) for n in node_ids}, edge_map)
+
+
+class TestSharedIndexMatchesReference:
+    """The shared adjacency index with ``used``-set exclusion finds exactly
+    the paths of a search over neighbor maps rebuilt per search."""
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_edge_disjoint_paths(self, data):
+        g = data.draw(support.multigraphs())
+        source, target = data.draw(
+            st.lists(st.sampled_from(sorted(g.nodes)), min_size=2, max_size=2, unique=True)
+        )
+        undirected = data.draw(st.booleans())
+        max_len = data.draw(st.integers(1, 5))
+        max_paths = data.draw(st.none() | st.integers(1, 3))
+        exclude = data.draw(
+            st.lists(st.sampled_from(sorted(g.edges) + ["not-an-edge"]), max_size=3)
+        )
+        expected = support.reference_edge_disjoint_paths(
+            g, source, target, max_len, max_paths, undirected, exclude
+        )
+        assert edge_disjoint_paths(
+            g, source, target, max_len, max_paths, undirected, exclude
+        ) == expected
+        assert bidirectional_bfs(
+            g, source, target, max_len, undirected
+        ) == support.reference_shortest_path(g, source, target, max_len, undirected, ())
+
+    @settings(max_examples=150)
+    @given(
+        g=support.multigraphs(),
+        undirected=st.booleans(),
+        max_len=st.integers(2, 5),
+    )
+    def test_reinforce_confidence(self, g, undirected, max_len):
+        config = TopologyConfig(max_path_length=max_len, undirected_paths=undirected)
+        with mock.patch.object(topology, "_shortest_path", support.reference_shortest_path):
+            expected = reinforce_confidence(g, config)
+        actual = reinforce_confidence(g, config)
+        assert actual == expected
+        assert serialize_graph(actual) == serialize_graph(expected)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("undirected", [True, False])
+    def test_reinforce_confidence_larger_graphs(self, seed, undirected):
+        g = random_sparse_graph(random.Random(seed), nodes=40, edges=90)
+        config = TopologyConfig(undirected_paths=undirected)
+        with mock.patch.object(topology, "_shortest_path", support.reference_shortest_path):
+            expected = reinforce_confidence(g, config)
+        assert reinforce_confidence(g, config) == expected
+
+
+class TestIndexBuiltOncePerCall:
+    def count_builds(self, monkeypatch) -> list:
+        calls = []
+        build = topology._adjacency_index
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(topology, "_adjacency_index", counting)
+        return calls
+
+    def test_reinforce_confidence(self, monkeypatch):
+        g = random_sparse_graph(random.Random(11), nodes=80, edges=200)
+        calls = self.count_builds(monkeypatch)
+        reinforce_confidence(g)
+        assert len(calls) == 1
+
+    def test_attach_senses(self, monkeypatch):
+        g = random_sparse_graph(random.Random(12), nodes=80, edges=200)
+        senses = {
+            node_id: [SenseSignature("s", frozenset({"n000", "n001"}))]
+            for node_id in sorted(g.nodes)[:20]
+        }
+        calls = self.count_builds(monkeypatch)
+        topology._attach_senses(g, senses)
+        assert len(calls) == 1
