@@ -18,8 +18,9 @@ from .graph import (
     Edge,
     KnowledgeGraph,
     Node,
+    Provenance,
     UnknownNodeError,
-    edge_key,
+    empty_graph,
 )
 
 DEFAULT_BASE_CONFIDENCE = 0.5
@@ -65,21 +66,6 @@ def normalize_label(raw: str, policy: NormalizationPolicy = DEFAULT_POLICY) -> s
     return s
 
 
-def _normalize_context(cm: ContextMap, policy: NormalizationPolicy) -> ContextMap:
-    # Values that normalize to nothing are dropped; keys are already lowercase.
-    entries: dict[str, list[str]] = {}
-    for key, values in cm.items():
-        kept = []
-        for value in values:
-            try:
-                kept.append(normalize_label(value, policy))
-            except EmptyLabelError:
-                continue
-        if kept:
-            entries[key] = kept
-    return ContextMap(entries)
-
-
 def add_triple(
     g: KnowledgeGraph,
     triple: ContextTriple,
@@ -93,48 +79,90 @@ def add_triple(
     context and appending provenance. Raises :class:`EmptyLabelError` when
     any label normalizes to nothing; the graph is left unchanged.
     """
-    nodes = dict(g.nodes)
-    edges = dict(g.edges)
-    _fold_triple(nodes, edges, triple, policy, base_confidence)
-    return KnowledgeGraph(nodes, edges)
+    fold = _Fold(g, policy, base_confidence)
+    fold.add(triple)
+    return fold.graph()
 
 
-def _fold_triple(
-    nodes: dict[str, Node],
-    edges: dict[str, Edge],
-    triple: ContextTriple,
-    policy: NormalizationPolicy,
-    base_confidence: float,
-) -> None:
-    """Fold ``triple`` into ``nodes`` and ``edges`` in place, as
-    :func:`add_triple` describes; labels are normalized before anything is
-    changed, so an :class:`EmptyLabelError` leaves both dicts as they were."""
-    subject = normalize_label(triple.subject, policy)
-    predicate = normalize_label(triple.predicate, policy)
-    obj = normalize_label(triple.object, policy)
-    context = _normalize_context(triple.context, policy)
+class _Fold:
+    """Folds triples into a graph, as :func:`add_triple` describes.
 
-    for label in (subject, obj):
-        if label not in nodes:
-            nodes[label] = Node(label)
+    Each distinct raw label or context value is normalized once. Triples
+    are collected per canonical (source, predicate, target) in plain
+    containers, and :meth:`graph` builds each edge (and its content-hash id)
+    once, in first-seen order; an edge already in the base graph keeps its
+    confidence and ``inferred`` flag.
+    """
 
-    eid = edge_key(subject, predicate, obj)
-    existing = edges.get(eid)
-    if existing is not None:
-        edges[eid] = replace(
-            existing,
-            context=existing.context.union(context),
-            provenance=existing.provenance + (triple.provenance,),
-        )
-    else:
-        edges[eid] = Edge(
-            source=subject,
-            target=obj,
-            predicate=predicate,
-            context=context,
-            confidence=base_confidence,
-            provenance=(triple.provenance,),
-        )
+    def __init__(
+        self, base: KnowledgeGraph, policy: NormalizationPolicy, base_confidence: float
+    ) -> None:
+        self.base = base
+        self.policy = policy
+        self.base_confidence = base_confidence
+        self.nodes = dict(base.nodes)
+        self.labels: dict[str, str | EmptyLabelError] = {}
+        # (source, predicate, target) -> (context key -> values, provenance)
+        self.facts: dict[tuple[str, str, str], tuple[dict[str, set[str]], list[Provenance]]] = {}
+
+    def label(self, raw: str) -> str:
+        canonical = self.labels.get(raw)
+        if canonical is None:
+            try:
+                canonical = normalize_label(raw, self.policy)
+            except EmptyLabelError as exc:
+                canonical = exc
+            self.labels[raw] = canonical
+        if isinstance(canonical, EmptyLabelError):
+            raise canonical.with_traceback(None)
+        return canonical
+
+    def add(self, triple: ContextTriple) -> None:
+        """Fold in one triple; labels are normalized before anything is
+        changed, so an :class:`EmptyLabelError` leaves the fold as it was."""
+        spo = (self.label(triple.subject), self.label(triple.predicate), self.label(triple.object))
+        context: dict[str, list[str]] = {}
+        for key, values in triple.context.items():
+            kept = []
+            for value in values:
+                try:
+                    kept.append(self.label(value))
+                except EmptyLabelError:
+                    continue  # values that normalize to nothing are dropped
+            if kept:
+                context[key] = kept
+
+        for node_id in (spo[0], spo[2]):
+            if node_id not in self.nodes:
+                self.nodes[node_id] = Node(node_id)
+        fact = self.facts.get(spo)
+        if fact is None:
+            fact = self.facts[spo] = ({}, [])
+        fact_context, provenance = fact
+        for key, kept in context.items():
+            fact_context.setdefault(key, set()).update(kept)
+        provenance.append(triple.provenance)
+
+    def graph(self) -> KnowledgeGraph:
+        edges = dict(self.base.edges)
+        for (source, predicate, target), (context, provenance) in self.facts.items():
+            edge = Edge(
+                source=source,
+                target=target,
+                predicate=predicate,
+                context=ContextMap(context),
+                confidence=self.base_confidence,
+                provenance=tuple(provenance),
+            )
+            existing = edges.get(edge.edge_id)
+            if existing is not None:
+                edge = replace(
+                    existing,
+                    context=existing.context.union(edge.context),
+                    provenance=existing.provenance + edge.provenance,
+                )
+            edges[edge.edge_id] = edge
+        return KnowledgeGraph(self.nodes, edges)
 
 
 def merge_attribute(
@@ -202,21 +230,18 @@ def aggregate_triples(
     """Left-fold of :func:`add_triple` over triples ordered by
     (source_id, chunk_index, position). Triples whose labels normalize to
     nothing are dropped and reported, never fatal. The fold runs over plain
-    dicts; the graph is built and validated once, at the end."""
-    keyed = [
-        ((t.provenance.source_id, t.provenance.chunk_index, position), t)
-        for position, t in enumerate(triples)
-    ]
-    keyed.sort(key=lambda kv: kv[0])
-    nodes: dict[str, Node] = {}
-    edges: dict[str, Edge] = {}
+    containers; the graph is built and validated once, at the end."""
+    fold = _Fold(empty_graph(), policy, base_confidence)
     rejected: list[tuple[ContextTriple, str]] = []
-    for _, triple in keyed:
+    # sorted() is stable, so equal keys keep their input position.
+    for triple in sorted(
+        triples, key=lambda t: (t.provenance.source_id, t.provenance.chunk_index)
+    ):
         try:
-            _fold_triple(nodes, edges, triple, policy, base_confidence)
+            fold.add(triple)
         except EmptyLabelError as exc:
             rejected.append((triple, str(exc)))
-    return AggregationResult(KnowledgeGraph(nodes, edges), rejected)
+    return AggregationResult(fold.graph(), rejected)
 
 
 def aggregate(

@@ -326,12 +326,16 @@ def pattern_extract(chunk: TextChunk) -> ExtractionResult:
         body = sentence.strip().rstrip(".!?").strip()
         if not body:
             continue
-        for match in _SUCH_AS.finditer(body):
-            hypernym = match.group(1).strip()
-            for hyponym in _split_conjunction(match.group(2)):
-                triples.append(
-                    ContextTriple(hyponym, "is_a", hypernym, provenance=provenance)
-                )
+        # The scan is quadratic in the sentence, so run it only where it can
+        # match: casefold maps every character that IGNORECASE equates with a
+        # letter of "such" (the long s included) onto that letter.
+        if "such" in body.casefold():
+            for match in _SUCH_AS.finditer(body):
+                hypernym = match.group(1).strip()
+                for hyponym in _split_conjunction(match.group(2)):
+                    triples.append(
+                        ContextTriple(hyponym, "is_a", hypernym, provenance=provenance)
+                    )
         verb_match = _VERB_YEAR.search(body)
         if verb_match:
             subject, verb, obj, year = (part.strip() for part in verb_match.groups())

@@ -122,10 +122,6 @@ class ContextMap:
         """Plain dict with sorted keys and sorted value lists."""
         return {key: sorted(values) for key, values in self.items()}
 
-    @classmethod
-    def from_dict(cls, entries: Mapping[str, Iterable[str]] | None) -> ContextMap:
-        return cls(entries)
-
 
 @dataclass(frozen=True)
 class ContextTriple:

@@ -1,20 +1,24 @@
 """End-to-end driver: corpus in, scored graph plus run summary out.
 
 Stages run as a linear flow (chunk, extract, aggregate, discover, export,
-evaluate) with no shared mutable state; extraction fans out over a bounded
-worker pool and results are re-ordered by (source_id, chunk_index) so
-non-model extractors produce byte-identical artifacts on every run.
-Failures are wrapped in :class:`StageError`; whatever was produced so far
-goes to a quarantine directory, never to the primary output names.
+evaluate) with no shared mutable state. The in-process extractors (pattern,
+fixture) run chunk by chunk on the calling thread; only the model
+extractor, whose time per chunk is spent waiting on HTTP, sends up to
+``worker_count`` requests at once. Results are ordered by
+(source_id, chunk_index), so non-model extractors produce byte-identical
+artifacts on every run. Failures are wrapped in :class:`StageError`;
+whatever was produced so far goes to a quarantine directory, never to the
+primary output names.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -109,14 +113,7 @@ class PipelineConfig:
     def from_dict(cls, payload: dict[str, Any]) -> PipelineConfig:
         if not isinstance(payload, dict):
             raise ConfigError("config must be a json object")
-        known = {
-            "extractor", "include_context", "topology_enabled", "normalization",
-            "topology", "model", "base_confidence", "worker_count",
-            "max_chunk_chars", "retry_count", "rules_path", "senses_path",
-            "gold_path", "fixtures_path", "eval_policy", "export_format",
-            "confidence_threshold",
-        }
-        unknown = set(payload) - known
+        unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(payload)
@@ -151,41 +148,7 @@ class PipelineConfig:
         return config
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "extractor": self.extractor,
-            "include_context": self.include_context,
-            "topology_enabled": self.topology_enabled,
-            "normalization": {
-                "lowercase": self.normalization.lowercase,
-                "collapse_whitespace": self.normalization.collapse_whitespace,
-                "strip_punctuation_edges": self.normalization.strip_punctuation_edges,
-            },
-            "topology": {
-                "max_path_length": self.topology.max_path_length,
-                "base_path_weight": self.topology.base_path_weight,
-                "direct_edge_weight": self.topology.direct_edge_weight,
-                "undirected_paths": self.topology.undirected_paths,
-                "confidence_floor": self.topology.confidence_floor,
-                "confidence_ceiling": self.topology.confidence_ceiling,
-            },
-            "model": {
-                "model_name": self.model.model_name,
-                "temperature": self.model.temperature,
-                "max_tokens": self.model.max_tokens,
-                "timeout": self.model.timeout,
-            },
-            "base_confidence": self.base_confidence,
-            "worker_count": self.worker_count,
-            "max_chunk_chars": self.max_chunk_chars,
-            "retry_count": self.retry_count,
-            "rules_path": self.rules_path,
-            "senses_path": self.senses_path,
-            "gold_path": self.gold_path,
-            "fixtures_path": self.fixtures_path,
-            "eval_policy": self.eval_policy,
-            "export_format": self.export_format,
-            "confidence_threshold": self.confidence_threshold,
-        }
+        return asdict(self)
 
     def referenced_paths(self) -> list[str]:
         return [
@@ -242,8 +205,12 @@ def build_extract_runner(config: PipelineConfig) -> Callable[[TextChunk], Extrac
 def extract_corpus(
     config: PipelineConfig, documents
 ) -> tuple[list[TextChunk], list[ExtractionResult]]:
-    """Chunk all documents and extract every chunk over a bounded pool,
-    returning results ordered by (source_id, chunk_index)."""
+    """Chunk all documents and extract every chunk, returning results
+    ordered by (source_id, chunk_index).
+
+    The pattern and fixture extractors run chunk by chunk on the calling
+    thread. The model extractor runs on a pool of ``worker_count`` threads,
+    so up to that many requests are in flight at once."""
     chunks: list[TextChunk] = []
     for document in documents:
         chunks.extend(
@@ -253,6 +220,8 @@ def extract_corpus(
     if not chunks:
         return [], []
     runner = build_extract_runner(config)
+    if config.extractor != "model":
+        return chunks, [runner(chunk) for chunk in chunks]
     with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
         results = list(pool.map(runner, chunks))
     return chunks, results
@@ -280,9 +249,18 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
     started = time.perf_counter()
     timings: dict[str, float] = {}
     partial: dict[str, bytes] = {}
+    aggregated: KnowledgeGraph | None = None
     stage = "configure"
 
     def quarantine() -> None:
+        if aggregated is not None:
+            try:
+                partial["graph_aggregated.json"] = serialize_graph(aggregated, "json")
+            except Exception:
+                # Report it, but raise the stage's own error, not this one.
+                logging.getLogger(__name__).warning(
+                    "could not serialize the aggregated graph for quarantine", exc_info=True
+                )
         if not partial:
             return
         qdir = out / "quarantine"
@@ -311,8 +289,7 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
         tick = time.perf_counter()
         outcome = aggregate(results, config.normalization, config.base_confidence)
         timings["aggregate_s"] = time.perf_counter() - tick
-        graph = outcome.graph
-        partial["graph_aggregated.json"] = serialize_graph(graph, "json")
+        graph = aggregated = outcome.graph
 
         stage = "discover"
         tick = time.perf_counter()

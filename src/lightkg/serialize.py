@@ -98,7 +98,7 @@ def graph_from_dict(payload: Any) -> KnowledgeGraph:
         if node_id in nodes:
             raise GraphParseError(f"duplicate node id {node_id!r}")
         try:
-            attributes = ContextMap.from_dict(entry.get("attributes") or {})
+            attributes = ContextMap(entry.get("attributes"))
         except ValueError as exc:
             raise GraphParseError(f"node {node_id!r}: {exc}") from exc
         nodes[node_id] = Node(node_id, attributes)
@@ -127,7 +127,7 @@ def graph_from_dict(payload: Any) -> KnowledgeGraph:
                     f"edge {stored!r} references missing node {endpoint!r}"
                 )
         try:
-            context = ContextMap.from_dict(entry.get("context") or {})
+            context = ContextMap(entry.get("context"))
             confidence = float(entry.get("confidence", 0.5))
             provenance = tuple(
                 _provenance_from_dict(p) for p in entry.get("provenance", [])
@@ -406,7 +406,7 @@ def triple_from_dict(d: dict[str, Any]) -> ContextTriple:
             subject=str(d["subject"]),
             predicate=str(d["predicate"]),
             object=str(d["object"]),
-            context=ContextMap.from_dict(d.get("context") or {}),
+            context=ContextMap(d.get("context")),
             provenance=_provenance_from_dict(d.get("provenance") or {}),
         )
     except KeyError as exc:

@@ -488,9 +488,7 @@ def witness_is_valid(g: KnowledgeGraph, edge: Edge, rule: InferenceRule) -> bool
 
 
 def infer_implicit_relations(
-    g: KnowledgeGraph,
-    rules: Sequence[InferenceRule],
-    config: TopologyConfig = DEFAULT_CONFIG,
+    g: KnowledgeGraph, rules: Sequence[InferenceRule]
 ) -> KnowledgeGraph:
     """Add an inferred edge for every simple path whose predicate sequence
     matches a rule pattern (following edge direction).
@@ -597,7 +595,7 @@ def discover(
     if senses_by_node:
         result = _attach_senses(result, senses_by_node)
     if rules:
-        result = infer_implicit_relations(result, rules, config)
+        result = infer_implicit_relations(result, rules)
     return result
 
 

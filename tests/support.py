@@ -14,6 +14,7 @@ from collections import deque
 
 from hypothesis import strategies as st
 
+from lightkg import extraction
 from lightkg.aggregation import EmptyLabelError, add_triple
 from lightkg.graph import (
     ContextMap,
@@ -251,6 +252,41 @@ def reference_aggregate(
     return g, rejected
 
 
+def reference_pattern_extract(chunk: extraction.TextChunk) -> extraction.ExtractionResult:
+    """The pattern extractor with its ``such as`` scan run on every sentence,
+    with no gate in front of it; the rules are the library's own."""
+    provenance = Provenance(chunk.source_id, chunk.chunk_index, Extractor.PATTERN)
+    triples: list[ContextTriple] = []
+    for sentence in extraction.split_sentences(chunk.text):
+        body = sentence.strip().rstrip(".!?").strip()
+        if not body:
+            continue
+        for match in extraction._SUCH_AS.finditer(body):
+            hypernym = match.group(1).strip()
+            for hyponym in extraction._split_conjunction(match.group(2)):
+                triples.append(ContextTriple(hyponym, "is_a", hypernym, provenance=provenance))
+        verb_match = extraction._VERB_YEAR.search(body)
+        if verb_match:
+            subject, verb, obj, year = (part.strip() for part in verb_match.groups())
+            triples.append(
+                ContextTriple(
+                    subject, verb, obj, context=ContextMap({"year": [year]}), provenance=provenance
+                )
+            )
+            continue
+        is_a_match = extraction._IS_A.match(body)
+        if is_a_match:
+            triples.append(
+                ContextTriple(
+                    is_a_match.group(1).strip(),
+                    "is_a",
+                    is_a_match.group(2).strip(),
+                    provenance=provenance,
+                )
+            )
+    return extraction.ExtractionResult(triples=triples)
+
+
 def naive_f1(predicted: set, gold: set) -> tuple[float, float, float]:
     """Set-comparison precision/recall/F1 with zero conventions."""
     matched = len(predicted & gold)
@@ -411,6 +447,28 @@ raw_labels = st.one_of(
     labels,
     st.sampled_from(["a", " A ", "a.", "B", "b", "...", "?!", "- -"]),
 )
+
+# Sentences for the pattern extractor: "X, such as Y" phrases with case
+# variants of "such" and "as" (the long s among them), near misses, item
+# lists joined by commas, "and" and "or", and words that feed the other rules.
+_pattern_words = st.sampled_from(
+    ["metals", "Radium", "Curie", "discovered", "wrote", "in", "1898", "is", "a", "the"]
+)
+_pattern_phrases = st.builds(
+    "{}{}{} {} {}".format,
+    st.lists(_pattern_words, min_size=0, max_size=3).map(" ".join),
+    st.sampled_from([", ", ",  ", ",", " ", "; "]),
+    st.sampled_from(["such", "SUCH", "Such", "\u017fuch", "sUcH", "suc", "much"]),
+    st.sampled_from(["as", "AS", "As", "at"]),
+    st.lists(_pattern_words, min_size=1, max_size=4).map(
+        lambda items: " and ".join(items).replace(" and ", " or ", 1)
+    ),
+)
+pattern_texts = st.lists(
+    st.one_of(_pattern_phrases, _pattern_words, st.sampled_from([".", ",", "and", "or", "!"])),
+    min_size=1,
+    max_size=8,
+).map(" ".join)
 
 raw_triples = st.builds(
     ContextTriple,

@@ -17,8 +17,12 @@ from lightkg.aggregation import (
     merge_graphs,
     normalize_label,
 )
+from lightkg import aggregation
 from lightkg.extraction import ExtractionResult
 from lightkg.graph import (
+    Edge,
+    KnowledgeGraph,
+    Node,
     UnknownNodeError,
     content_equal,
     empty_graph,
@@ -229,6 +233,71 @@ class TestFoldMatchesAddTriple:
         (edge,) = outcome.graph.edges.values()
         assert len(edge.provenance) == 2
         assert [t for t, _ in outcome.rejected] == triples[1:3]
+
+
+class TestFoldWork:
+    """Call counts, not timings: the fold builds each edge once and
+    normalizes each distinct raw string once."""
+
+    @staticmethod
+    def repeated_facts() -> list:
+        # 40 facts, each asserted 15 times under three surface forms and
+        # five years, spread over five documents.
+        triples = []
+        for repeat in range(15):
+            for fact in range(40):
+                subject = ["Author %d", " author  %d", "AUTHOR %d."][repeat % 3] % fact
+                triples.append(
+                    support.triple(
+                        subject,
+                        "Wrote",
+                        f"Book {fact % 13}",
+                        {"year": [str(1900 + repeat % 5)], "place": [" Paris "]},
+                        prov=support.Provenance(f"doc-{repeat % 5}", repeat),
+                    )
+                )
+        return triples
+
+    def test_each_edge_built_once(self, monkeypatch):
+        built = []
+        post_init = Edge.__post_init__
+
+        def counting(edge):
+            built.append((edge.source, edge.predicate, edge.target))
+            post_init(edge)
+
+        monkeypatch.setattr(Edge, "__post_init__", counting)
+        outcome = aggregate_triples(self.repeated_facts())
+        assert outcome.graph.edge_count == 40
+        assert len(built) == 40
+        assert all(len(e.provenance) == 15 for e in outcome.graph.edges.values())
+
+    def test_each_raw_string_normalized_once(self, monkeypatch):
+        calls = []
+        normalize = aggregation.normalize_label
+
+        def counting(raw, policy=aggregation.DEFAULT_POLICY):
+            calls.append(raw)
+            return normalize(raw, policy)
+
+        monkeypatch.setattr(aggregation, "normalize_label", counting)
+        triples = self.repeated_facts() + [support.triple("Author 1", "Wrote", "...")] * 2
+        outcome = aggregate_triples(triples)
+        distinct = {raw for t in triples for raw in (t.subject, t.predicate, t.object)}
+        distinct |= {value for t in triples for _, values in t.context.items() for value in values}
+        assert sorted(calls) == sorted(distinct)
+        assert [reason for _, reason in outcome.rejected] == [
+            "label '...' is empty after normalization"
+        ] * 2
+
+    def test_add_triple_keeps_confidence_and_inferred(self):
+        edge = Edge("a", "b", "p", confidence=0.9, inferred=True)
+        g = KnowledgeGraph({"a": Node("a"), "b": Node("b")}, {edge.edge_id: edge})
+        (merged,) = add_triple(g, support.triple("A", "p", "b", {"year": ["1898"]})).edges.values()
+        assert merged.confidence == 0.9
+        assert merged.inferred is True
+        assert merged.provenance == (support.PROV,)
+        assert merged.context.get("year") == frozenset({"1898"})
 
 
 class TestMonotoneCoexistence:

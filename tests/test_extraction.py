@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import support
 from lightkg.client import CompletionParams, MockChatClient
 from lightkg.extraction import (
     CorpusFormatError,
@@ -238,6 +239,60 @@ class TestPatternExtract:
         result = pattern_extract(TextChunk("src", 3, text))
         for t in result.triples:
             assert t.provenance == Provenance("src", 3, Extractor.PATTERN)
+
+
+def spo(result) -> list[tuple[str, str, str]]:
+    return [(t.subject, t.predicate, t.object) for t in result.triples]
+
+
+class TestSuchAsGate:
+    """The ``such as`` scan runs only on sentences that casefold to contain
+    "such"; it must find exactly what the ungated scan finds."""
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("Metals, SUCH AS radium", [("radium", "is_a", "Metals")]),
+            ("Metals, \u017fuch as radium", [("radium", "is_a", "Metals")]),
+            ("Metals, sUcH As radium", [("radium", "is_a", "Metals")]),
+            (
+                "Gases, such as neon and argon OR xenon",
+                [(item, "is_a", "Gases") for item in ("neon", "argon", "xenon")],
+            ),
+            # The listed items end at the first comma, gated or not.
+            ("Gases, such as neon, argon and xenon", [("neon", "is_a", "Gases")]),
+            ("Radium is a metal", [("Radium", "is_a", "metal")]),
+            ("The sky was blue and the sea was calm", []),
+            ("Metals, as such, glow", []),
+        ],
+    )
+    def test_explicit_cases(self, text, expected):
+        result = pattern_extract(chunk(text))
+        assert spo(result) == expected
+        assert result.triples == support.reference_pattern_extract(chunk(text)).triples
+
+    def test_sentences_without_such_skip_the_scan(self, monkeypatch):
+        from lightkg import extraction
+
+        class NoScan:
+            def finditer(self, body):
+                raise AssertionError(f"scanned {body!r}")
+
+        monkeypatch.setattr(extraction, "_SUCH_AS", NoScan())
+        result = pattern_extract(chunk(MARIE + " Radium is a metal. Salt, as a rule, dissolves."))
+        assert len(result.triples) == 2
+
+    @settings(max_examples=300)
+    @given(text=support.pattern_texts)
+    def test_equals_ungated_extractor(self, text):
+        def outcome(extract):
+            # A rule that captures only blanks makes both raise; compare that too.
+            try:
+                return extract(TextChunk("src", 1, text)).triples
+            except ValueError as exc:
+                return repr(exc)
+
+        assert outcome(pattern_extract) == outcome(support.reference_pattern_extract)
 
 
 class TestCorpus:

@@ -51,7 +51,7 @@ class TestContextMap:
 
     def test_round_trip(self):
         cm = ContextMap({"year": ["1898", "1902"], "place": ["paris"]})
-        assert ContextMap.from_dict(cm.to_dict()) == cm
+        assert ContextMap(cm.to_dict()) == cm
 
     @given(a=support.context_maps, b=support.context_maps)
     def test_union_never_drops_a_value(self, a, b):

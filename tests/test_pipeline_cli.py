@@ -3,12 +3,21 @@
 from __future__ import annotations
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+from lightkg import pipeline
 from lightkg.cli import EXIT_ENDPOINT, EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
-from lightkg.pipeline import ConfigError, PipelineConfig, StageError, run_pipeline
+from lightkg.extraction import CorpusDocument, read_corpus
+from lightkg.pipeline import (
+    ConfigError,
+    PipelineConfig,
+    StageError,
+    extract_corpus,
+    run_pipeline,
+)
 from lightkg.serialize import deserialize_graph
 
 DATA = Path(__file__).parent / "data"
@@ -158,6 +167,35 @@ class TestRunPipeline:
         assert (quarantine / "graph_aggregated.json").exists()
         assert not (tmp_path / "out" / "graph.json").exists()
 
+    def test_quarantine_serialization_error_keeps_stage_error(self, tmp_path, monkeypatch, caplog):
+        def broken(*args, **kwargs):
+            raise RuntimeError("serializer broke")
+
+        monkeypatch.setattr(pipeline, "serialize_graph", broken)
+        bad_rules = tmp_path / "rules.json"
+        bad_rules.write_text("{broken json")
+        config = pattern_config(rules_path=str(bad_rules), senses_path=None, gold_path=None)
+        with pytest.raises(StageError) as err:
+            run_pipeline(config, DATA / "demo_corpus.jsonl", tmp_path / "out")
+        assert err.value.stage == "discover"
+        quarantine = tmp_path / "out" / "quarantine"
+        assert (quarantine / "triples.jsonl").exists()
+        assert not (quarantine / "graph_aggregated.json").exists()
+        assert "serializer broke" in caplog.text
+
+    def test_successful_run_serializes_only_the_export(self, tmp_path, monkeypatch):
+        formats = []
+        serialize = pipeline.serialize_graph
+
+        def recording(g, fmt="json"):
+            formats.append(fmt)
+            return serialize(g, fmt)
+
+        monkeypatch.setattr(pipeline, "serialize_graph", recording)
+        run_pipeline(pattern_config(), DATA / "demo_corpus.jsonl", tmp_path / "out")
+        assert formats == ["json"]
+        assert not (tmp_path / "out" / "quarantine").exists()
+
     def test_model_extractor_against_loopback_server(self, tmp_path, monkeypatch):
         import threading
         from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -231,6 +269,32 @@ class TestRunPipeline:
         with pytest.raises(ConfigError, match=key):
             PipelineConfig.from_dict({"extractor": "pattern", key: value})
 
+    def test_config_round_trips_through_dict_and_json(self):
+        config = PipelineConfig.from_dict(
+            {
+                "extractor": "fixture",
+                "fixtures_path": "f.json",
+                "include_context": False,
+                "normalization": {"collapse_whitespace": False},
+                "topology": {"max_path_length": 2, "undirected_paths": False},
+                "model": {"model_name": "m", "timeout": 5.0},
+                "worker_count": 3,
+                "eval_policy": "predicate_relaxed",
+            }
+        )
+        for original in (PipelineConfig(), config):
+            payload = original.to_dict()
+            assert PipelineConfig.from_dict(payload) == original
+            assert PipelineConfig.from_dict(json.loads(json.dumps(payload))) == original
+        assert list(PipelineConfig().to_dict()) == [
+            "extractor", "include_context", "topology_enabled", "normalization",
+            "topology", "model", "base_confidence", "worker_count",
+            "max_chunk_chars", "retry_count", "rules_path", "senses_path",
+            "gold_path", "fixtures_path", "eval_policy", "export_format",
+            "confidence_threshold",
+        ]
+        assert config.to_dict()["topology"]["max_path_length"] == 2
+
     def test_field_bounds_accepted(self):
         config = PipelineConfig.from_dict(
             {
@@ -242,6 +306,77 @@ class TestRunPipeline:
         )
         assert config.eval_policy == "predicate_relaxed"
         assert PipelineConfig(base_confidence=0.0).base_confidence == 0.0
+
+
+def shuffled_corpus() -> list[CorpusDocument]:
+    """The demo corpus plus documents long enough to span several chunks,
+    in a shuffled order."""
+    documents = read_corpus(DATA / "demo_corpus.jsonl") + [
+        CorpusDocument(
+            f"doc-{n}", " ".join(f"Author {n} wrote Book {k} in 19{k:02d}." for k in range(12))
+        )
+        for n in range(4)
+    ]
+    random.Random(7).shuffle(documents)
+    return documents
+
+
+class TestExtractCorpus:
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("in-process extractors must not use a thread pool")
+
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", refuse)
+
+    @pytest.mark.parametrize("config_name", ["pattern", "fixture"])
+    def test_in_process_extractors_run_without_a_pool(self, config_name, no_pool):
+        config = PipelineConfig.load(DATA / f"demo_config_{config_name}.json")
+        chunks, results = extract_corpus(config, read_corpus(DATA / "demo_corpus.jsonl"))
+        assert len(chunks) == len(results) == 2
+        assert sum(len(r.triples) for r in results) == 6
+
+    def test_results_ordered_for_a_shuffled_corpus(self, no_pool):
+        config = pattern_config(max_chunk_chars=120)
+        documents = shuffled_corpus()
+        chunks, results = extract_corpus(config, documents)
+        keys = [(c.source_id, c.chunk_index) for c in chunks]
+        assert keys == sorted(keys) and len(keys) > len(documents)
+        for chunk, result in zip(chunks, results):
+            assert result.triples
+            for t in result.triples:
+                assert (t.provenance.source_id, t.provenance.chunk_index) == (
+                    chunk.source_id,
+                    chunk.chunk_index,
+                )
+        again = extract_corpus(config, sorted(documents, key=lambda d: d.doc_id))
+        assert again == (chunks, results)
+
+    def test_model_extractor_uses_the_pool(self, monkeypatch):
+        pools = []
+
+        class RecordingPool(pipeline.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        class CannedClient:
+            @classmethod
+            def from_env(cls, retry_count):
+                return cls()
+
+            def complete(self, messages, params):
+                return "(a | p | b)"
+
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(pipeline, "HttpChatClient", CannedClient)
+        config = PipelineConfig.from_dict({"extractor": "model", "worker_count": 2})
+        chunks, results = extract_corpus(config, shuffled_corpus())
+        assert pools == [2]
+        provenance = [t.provenance for r in results for t in r.triples]
+        assert [(p.source_id, p.chunk_index) for p in provenance] == [
+            (c.source_id, c.chunk_index) for c in chunks
+        ]
 
 
 class TestCli:
