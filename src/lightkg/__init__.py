@@ -68,7 +68,6 @@ from .topology import (
     SenseSignature,
     TopologyConfig,
     bidirectional_bfs,
-    degree_centrality,
     disambiguate_entity,
     discover,
     edge_disjoint_paths,

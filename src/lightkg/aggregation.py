@@ -181,7 +181,7 @@ def merge_attribute(
     normalized = normalize_label(value, policy)
     nodes = dict(g.nodes)
     nodes[node_id] = replace(node, attributes=node.attributes.with_value(key, normalized))
-    return KnowledgeGraph(nodes, dict(g.edges))
+    return KnowledgeGraph(nodes, g.edges)
 
 
 def merge_graphs(a: KnowledgeGraph, b: KnowledgeGraph) -> KnowledgeGraph:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .aggregation import aggregate_triples
 from .client import ModelClientError
-from .evaluation import GoldFormatError, evaluate_run
+from .evaluation import RELATION_POLICIES, GoldFormatError, evaluate_run
 from .extraction import CorpusFormatError, read_corpus
 from .pipeline import (
     ConfigError,
@@ -94,7 +94,7 @@ def build_parser() -> _Parser:
     p_eval = sub.add_parser("eval", help="score a graph against gold triples")
     p_eval.add_argument("graph")
     p_eval.add_argument("--gold", required=True)
-    p_eval.add_argument("--policy", choices=("strict", "relaxed"), default="strict")
+    p_eval.add_argument("--policy", choices=RELATION_POLICIES, default="strict")
     p_eval.add_argument("--include-inferred", action="store_true")
     p_eval.add_argument("-o", "--output", help="also write the report json here")
     p_eval.set_defaults(handler=_cmd_eval)
@@ -165,9 +165,8 @@ def _cmd_discover(args) -> int:
 def _cmd_eval(args) -> int:
     graph_path = _existing(args.graph, "graph file")
     gold_path = _existing(args.gold, "gold file")
-    policy = "predicate_relaxed" if args.policy == "relaxed" else "strict"
     report = evaluate_run(
-        graph_path, gold_path, policy=policy, include_inferred=args.include_inferred
+        graph_path, gold_path, policy=args.policy, include_inferred=args.include_inferred
     )
     print(report.render_table())
     if args.output:

@@ -314,7 +314,8 @@ def pattern_extract(chunk: TextChunk) -> ExtractionResult:
 
     Per sentence, in order:
 
-    a. ``X, such as Y[, Z and W]`` emits ``(Y, is_a, X)`` per listed item.
+    a. ``X, such as Y[, Z and W]`` emits ``(Y, is_a, X)`` per listed item;
+       a match whose ``X`` is blank emits nothing.
     b. ``X <verb> Y in <4-digit year>`` emits ``(X, verb, Y)`` with a
        ``year`` context; the verb slot is a crude heuristic (an ``-ed``
        form or a short irregular list).
@@ -332,6 +333,8 @@ def pattern_extract(chunk: TextChunk) -> ExtractionResult:
         if "such" in body.casefold():
             for match in _SUCH_AS.finditer(body):
                 hypernym = match.group(1).strip()
+                if not hypernym:
+                    continue  # e.g. ", , such as x": no class to attach to
                 for hyponym in _split_conjunction(match.group(2)):
                     triples.append(
                         ContextTriple(hyponym, "is_a", hypernym, provenance=provenance)

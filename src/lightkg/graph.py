@@ -1,9 +1,12 @@
 """Shared property-graph model: nodes and edges carrying contextual
 attributes, confidence scores, and provenance.
 
-Graphs are treated as immutable snapshots: every operation elsewhere in the
-package builds a new :class:`KnowledgeGraph` instead of mutating one in
-place, so graphs can be shared freely across threads.
+Graphs are immutable snapshots by construction: :class:`KnowledgeGraph` is a
+frozen dataclass whose constructor copies its node and edge dicts into
+read-only mappings, so every operation elsewhere in the package builds a new
+graph instead of mutating one, and graphs can be shared freely across
+threads. Because a graph never changes, it caches the adjacency index that
+path searches walk (:meth:`KnowledgeGraph.adjacency`).
 """
 
 from __future__ import annotations
@@ -11,7 +14,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 
 class Extractor(str, Enum):
@@ -193,17 +197,49 @@ class Edge:
             object.__setattr__(self, "provenance", tuple(self.provenance))
 
 
-@dataclass
+class AdjacencyIndex(NamedTuple):
+    """Neighbor maps of one graph for one search direction mode.
+
+    ``forward[u][v]`` lists, sorted, the ids of the edges a search may walk
+    from u to v; ``backward`` is the same for walks toward the target. In
+    undirected mode both are one map that ignores edge direction.
+    """
+
+    forward: dict[str, dict[str, list[str]]]
+    backward: dict[str, dict[str, list[str]]]
+
+
+def _adjacency_index(g: KnowledgeGraph, undirected: bool) -> AdjacencyIndex:
+    succ: dict[str, dict[str, list[str]]] = {}
+    pred: dict[str, dict[str, list[str]]] = succ if undirected else {}
+    for eid in sorted(g.edges):
+        edge = g.edges[eid]
+        succ.setdefault(edge.source, {}).setdefault(edge.target, []).append(eid)
+        if edge.source != edge.target or not undirected:
+            pred.setdefault(edge.target, {}).setdefault(edge.source, []).append(eid)
+    return AdjacencyIndex(succ, pred)
+
+
+@dataclass(frozen=True)
 class KnowledgeGraph:
     """Directed property graph keyed by canonical node ids and content-hash
     edge ids. Edges with the same (source, predicate, target) are collapsed
     into one edge with unioned context and concatenated provenance.
+
+    The constructor copies ``nodes`` and ``edges`` into read-only mappings,
+    so later changes to the dicts passed in do not reach the graph.
     """
 
-    nodes: dict[str, Node] = field(default_factory=dict)
-    edges: dict[str, Edge] = field(default_factory=dict)
+    nodes: Mapping[str, Node] = field(default_factory=dict)
+    edges: Mapping[str, Edge] = field(default_factory=dict)
+    # Undirected flag -> index, built on first use (see ``adjacency``).
+    _adjacency: dict[bool, AdjacencyIndex] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "nodes", MappingProxyType(dict(self.nodes)))
+        object.__setattr__(self, "edges", MappingProxyType(dict(self.edges)))
         for node_id, node in self.nodes.items():
             if node_id != node.id:
                 raise GraphIntegrityError(
@@ -234,27 +270,14 @@ class KnowledgeGraph:
             raise UnknownNodeError(node_id)
         return node
 
-    def degree(self, node_id: str) -> int:
-        """Incident edge count; each edge counts once per incidence, so a
-        self-loop contributes 2."""
-        total = 0
-        for edge in self.edges.values():
-            if edge.source == node_id:
-                total += 1
-            if edge.target == node_id:
-                total += 1
-        return total
-
-    def adjacent_labels(self, node_id: str) -> frozenset[str]:
-        """Ids of nodes one undirected hop away, excluding the node itself."""
-        labels = set()
-        for edge in self.edges.values():
-            if edge.source == node_id:
-                labels.add(edge.target)
-            if edge.target == node_id:
-                labels.add(edge.source)
-        labels.discard(node_id)
-        return frozenset(labels)
+    def adjacency(self, undirected: bool) -> AdjacencyIndex:
+        """This graph's :class:`AdjacencyIndex` for one direction mode, built
+        on first use and kept for the graph's lifetime. Threads racing on a
+        cold cache each build an equal index; the last one stored wins."""
+        index = self._adjacency.get(undirected)
+        if index is None:
+            index = self._adjacency[undirected] = _adjacency_index(self, undirected)
+        return index
 
 
 def empty_graph() -> KnowledgeGraph:

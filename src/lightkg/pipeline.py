@@ -233,7 +233,7 @@ def filter_for_export(g: KnowledgeGraph, threshold: float) -> KnowledgeGraph:
     if threshold <= 0:
         return g
     kept = {eid: e for eid, e in g.edges.items() if e.confidence >= threshold}
-    return KnowledgeGraph(dict(g.nodes), kept)
+    return KnowledgeGraph(g.nodes, kept)
 
 
 def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]:
@@ -307,9 +307,8 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
         stage = "export"
         tick = time.perf_counter()
         graph_name = f"graph.{'graphml' if config.export_format == 'graphml' else 'json'}"
-        exported = serialize_graph(
-            filter_for_export(graph, config.confidence_threshold), config.export_format
-        )
+        kept = filter_for_export(graph, config.confidence_threshold)
+        exported = serialize_graph(kept, config.export_format)
         (out / "triples.jsonl").write_bytes(partial["triples.jsonl"])
         (out / graph_name).write_bytes(exported)
         timings["export_s"] = time.perf_counter() - tick
@@ -348,9 +347,7 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
                 "nodes": graph.node_count,
                 "edges": graph.edge_count,
                 "inferred_edges": sum(1 for e in graph.edges.values() if e.inferred),
-                "exported_edges": len(
-                    filter_for_export(graph, config.confidence_threshold).edges
-                ),
+                "exported_edges": kept.edge_count,
             },
             "rejects": {
                 "lines": [

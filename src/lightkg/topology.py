@@ -14,14 +14,14 @@ Path search is a bidirectional breadth-first search (frontiers expanded from
 both endpoints, meeting in the middle), followed by a deterministic
 lexicographic reconstruction so equal graphs always yield equal paths.
 
-All searches over one graph share one :class:`AdjacencyIndex`, built once per
-``reinforce_confidence`` or sense-attachment call: node -> neighbor -> sorted
-ids of the edges between them. Edges are excluded from a search (the scored
-edge itself, and the edges of supports already found) by a check against the
-``used`` id set during neighbor expansion and hop-edge choice, never by
-rebuilding the index; nodes no used edge touches keep their neighbor maps
-as they are. The index lives only for the call that built it, since
-:class:`~lightkg.graph.KnowledgeGraph` is a mutable dataclass.
+All searches over one graph walk the graph's own
+:class:`~lightkg.graph.AdjacencyIndex` (node -> neighbor -> sorted ids of the
+edges between them), which :meth:`~lightkg.graph.KnowledgeGraph.adjacency`
+builds once per graph and direction mode. Edges are excluded from a search
+(the scored edge itself, and the edges of supports already found) by a check
+against the ``used`` id set during neighbor expansion and hop-edge choice,
+never by rebuilding the index; nodes no used edge touches keep their
+neighbor maps as they are.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .graph import (
     ContextMap,
@@ -138,29 +138,6 @@ class SenseSignature:
 # --- path search ----------------------------------------------------------------
 
 
-class AdjacencyIndex(NamedTuple):
-    """Neighbor maps of one graph for one search direction mode.
-
-    ``forward[u][v]`` lists, sorted, the ids of the edges a search may walk
-    from u to v; ``backward`` is the same for walks toward the target. In
-    undirected mode both are one map that ignores edge direction.
-    """
-
-    forward: dict[str, dict[str, list[str]]]
-    backward: dict[str, dict[str, list[str]]]
-
-
-def _adjacency_index(g: KnowledgeGraph, undirected: bool) -> AdjacencyIndex:
-    succ: dict[str, dict[str, list[str]]] = {}
-    pred: dict[str, dict[str, list[str]]] = succ if undirected else {}
-    for eid in sorted(g.edges):
-        edge = g.edges[eid]
-        succ.setdefault(edge.source, {}).setdefault(edge.target, []).append(eid)
-        if edge.source != edge.target or not undirected:
-            pred.setdefault(edge.target, {}).setdefault(edge.source, []).append(eid)
-    return AdjacencyIndex(succ, pred)
-
-
 def _bidirectional_distance(
     source: str,
     target: str,
@@ -228,10 +205,8 @@ def _shortest_path(
     max_len: int,
     undirected: bool,
     exclude: set[str] | frozenset[str],
-    index: AdjacencyIndex | None = None,
 ) -> PathEvidence | None:
-    if index is None:
-        index = _adjacency_index(g, undirected)
+    index = g.adjacency(undirected)
     # Only nodes that an excluded edge touches need their neighbors filtered;
     # every other node walks its precomputed neighbor map as it is.
     touched = set()
@@ -308,25 +283,19 @@ def edge_disjoint_paths(
     max_paths: int | None = None,
     undirected: bool = True,
     exclude_edges: Iterable[str] = (),
-    index: AdjacencyIndex | None = None,
 ) -> list[PathEvidence]:
     """Greedy edge-disjoint paths: repeatedly take a shortest path and remove
     its edges. Returned paths share no edge id; sorted by length, then by
     node sequence. Not guaranteed maximum (this is evidence counting, not
-    max-flow).
-
-    ``index`` is ``g``'s :class:`AdjacencyIndex` for the same ``undirected``
-    mode; callers searching many pairs pass one to avoid rebuilding it."""
+    max-flow)."""
     g.require_node(source)
     g.require_node(target)
     if source == target:
         raise ValueError("source and target must differ")
-    if index is None:
-        index = _adjacency_index(g, undirected)
     used = set(exclude_edges)
     found: list[PathEvidence] = []
     while max_paths is None or len(found) < max_paths:
-        path = _shortest_path(g, source, target, max_len, undirected, used, index)
+        path = _shortest_path(g, source, target, max_len, undirected, used)
         if path is None:
             break
         found.append(path)
@@ -336,15 +305,6 @@ def edge_disjoint_paths(
 
 
 # --- structural features ----------------------------------------------------------
-
-
-def degree_centrality(g: KnowledgeGraph, node_id: str) -> float:
-    """Incident edge count over ``|nodes| - 1``, clamped to [0, 1] (parallel
-    predicates between the same pair can otherwise push it past 1)."""
-    g.require_node(node_id)
-    if g.node_count <= 1:
-        return 0.0
-    return min(1.0, g.degree(node_id) / (g.node_count - 1))
 
 
 def reinforce_confidence(
@@ -362,7 +322,6 @@ def reinforce_confidence(
     ``direct_edge_weight``. Adding an edge-disjoint support never lowers a
     score. Inferred edges are left untouched.
     """
-    index = _adjacency_index(g, config.undirected_paths)
     rescored: dict[str, Edge] = {}
     for eid in sorted(g.edges):
         edge = g.edges[eid]
@@ -379,7 +338,6 @@ def reinforce_confidence(
                 max_len=config.max_path_length,
                 undirected=config.undirected_paths,
                 exclude_edges=(eid,),
-                index=index,
             )
         miss = 1.0
         for path in supports:
@@ -389,7 +347,7 @@ def reinforce_confidence(
             config.confidence_ceiling, max(config.confidence_floor, confidence)
         )
         rescored[eid] = replace(edge, confidence=confidence)
-    return KnowledgeGraph(dict(g.nodes), rescored)
+    return KnowledgeGraph(g.nodes, rescored)
 
 
 def disambiguate_entity(
@@ -397,21 +355,18 @@ def disambiguate_entity(
     node_id: str,
     senses: Sequence[SenseSignature],
     radius: int = 1,
-    index: AdjacencyIndex | None = None,
 ) -> list[tuple[str, float]]:
     """Rank candidate senses by cue coverage in the node's neighborhood.
 
     score(sense) = |cues seen within radius| / |cues|; descending, with ties
-    broken by input order. ``index``, when given, is ``g``'s undirected
-    :class:`AdjacencyIndex`.
+    broken by input order.
     """
     g.require_node(node_id)
     if not senses:
         raise ValueError("senses must be non-empty")
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    if index is None:
-        index = _adjacency_index(g, undirected=True)
+    index = g.adjacency(undirected=True)
     empty: dict[str, list[str]] = {}
     seen = {node_id}
     frontier = [node_id]
@@ -572,7 +527,7 @@ def infer_implicit_relations(
                 provenance=existing.provenance + (provenance,),
             )
         # an existing non-inferred edge wins: leave it alone
-    return KnowledgeGraph(dict(g.nodes), edges)
+    return KnowledgeGraph(g.nodes, edges)
 
 
 # --- composition ----------------------------------------------------------------
@@ -603,18 +558,17 @@ def _attach_senses(
     g: KnowledgeGraph, senses_by_node: Mapping[str, Sequence[SenseSignature]]
 ) -> KnowledgeGraph:
     nodes = dict(g.nodes)
-    index = _adjacency_index(g, undirected=True)
     for label in sorted(senses_by_node):
         senses = senses_by_node[label]
         if label not in nodes or not senses:
             continue
-        top_label, top_score = disambiguate_entity(g, label, senses, index=index)[0]
+        top_label, top_score = disambiguate_entity(g, label, senses)[0]
         if top_score > 0:
             node = nodes[label]
             nodes[label] = replace(
                 node, attributes=node.attributes.with_value("sense", top_label)
             )
-    return KnowledgeGraph(nodes, dict(g.edges))
+    return KnowledgeGraph(nodes, g.edges)
 
 
 # --- input files ----------------------------------------------------------------

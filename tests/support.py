@@ -168,13 +168,12 @@ def reference_shortest_path(
     max_len: int,
     undirected: bool,
     exclude,
-    index=None,
 ) -> PathEvidence | None:
     """Shortest path with the library's tie-breaks (lexicographically smallest
     node sequence, then smallest edge id per hop), searched over neighbor maps
     rebuilt without the excluded edges for every search, with a plain
-    unidirectional BFS for distances. ``index`` is ignored, so this can stand
-    in for ``lightkg.topology._shortest_path``."""
+    unidirectional BFS for distances; it can stand in for
+    ``lightkg.topology._shortest_path``."""
     succ, pred, pair_edges = reference_neighbor_maps(g, frozenset(exclude))
     if undirected:
 
@@ -263,6 +262,8 @@ def reference_pattern_extract(chunk: extraction.TextChunk) -> extraction.Extract
             continue
         for match in extraction._SUCH_AS.finditer(body):
             hypernym = match.group(1).strip()
+            if not hypernym:
+                continue
             for hyponym in extraction._split_conjunction(match.group(2)):
                 triples.append(ContextTriple(hyponym, "is_a", hypernym, provenance=provenance))
         verb_match = extraction._VERB_YEAR.search(body)

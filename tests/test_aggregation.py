@@ -142,13 +142,12 @@ class TestMergeGraphs:
         )
 
     def test_merged_edge_takes_max_confidence(self):
-        a = support.graph_of(("x", "p", "y"))
-        b = support.graph_of(("x", "p", "y"))
-        eid = next(iter(a.edges))
+        g = support.graph_of(("x", "p", "y"))
+        eid, edge = next(iter(g.edges.items()))
         from dataclasses import replace
 
-        a.edges[eid] = replace(a.edges[eid], confidence=0.9)
-        b.edges[eid] = replace(b.edges[eid], confidence=0.2)
+        a = KnowledgeGraph(g.nodes, {eid: replace(edge, confidence=0.9)})
+        b = KnowledgeGraph(g.nodes, {eid: replace(edge, confidence=0.2)})
         merged = merge_graphs(a, b)
         assert merged.edges[eid].confidence == 0.9
 

@@ -264,6 +264,9 @@ class TestSuchAsGate:
             ("Radium is a metal", [("Radium", "is_a", "metal")]),
             ("The sky was blue and the sea was calm", []),
             ("Metals, as such, glow", []),
+            # A blank hypernym is skipped, not turned into a triple.
+            (", , such as such", []),
+            ("Gases, such as neon; , such as argon", [("neon", "is_a", "Gases")]),
         ],
     )
     def test_explicit_cases(self, text, expected):
@@ -286,7 +289,7 @@ class TestSuchAsGate:
     @given(text=support.pattern_texts)
     def test_equals_ungated_extractor(self, text):
         def outcome(extract):
-            # A rule that captures only blanks makes both raise; compare that too.
+            # Should a rule capture only blanks, both raise; compare that too.
             try:
                 return extract(TextChunk("src", 1, text)).triples
             except ValueError as exc:

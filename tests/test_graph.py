@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 from hypothesis import given
 
 import support
+from lightkg import graph as graph_module
 from lightkg.graph import (
     ContextMap,
     ContextTriple,
@@ -128,14 +133,73 @@ class TestKnowledgeGraph:
         with pytest.raises(UnknownNodeError):
             g.require_node("zzz")
 
-    def test_degree_counts_each_incidence(self):
-        g = support.graph_of(("a", "p", "b"), ("b", "q", "a"), ("a", "r", "a"))
-        assert g.degree("a") == 4  # out, in, and a self-loop twice
-        assert g.degree("b") == 2
 
-    def test_adjacent_labels_excludes_self(self):
-        g = support.graph_of(("a", "p", "b"), ("c", "q", "a"), ("a", "r", "a"))
-        assert g.adjacent_labels("a") == frozenset({"b", "c"})
+class TestImmutableSnapshot:
+    def test_item_assignment_raises(self):
+        g = support.graph_of(("a", "p", "b"))
+        eid, edge = next(iter(g.edges.items()))
+        with pytest.raises(TypeError):
+            g.nodes["c"] = Node("c")
+        with pytest.raises(TypeError):
+            g.edges[eid] = replace(edge, confidence=0.9)
+        with pytest.raises(TypeError):
+            del g.nodes["a"]
+
+    def test_attribute_assignment_raises(self):
+        g = support.graph_of(("a", "p", "b"))
+        with pytest.raises(FrozenInstanceError):
+            g.nodes = {}
+        with pytest.raises(FrozenInstanceError):
+            g.edges = {}
+
+    def test_constructor_copies_its_dicts(self):
+        nodes = {"a": Node("a"), "b": Node("b")}
+        edge = Edge(source="a", target="b", predicate="p")
+        edges = {edge.edge_id: edge}
+        g = KnowledgeGraph(nodes, edges)
+        nodes["c"] = Node("c")
+        del edges[edge.edge_id]
+        assert sorted(g.nodes) == ["a", "b"]
+        assert list(g.edges) == [edge.edge_id]
+
+    def test_adjacency_built_once_per_mode(self):
+        g = support.graph_of(("a", "p", "b"), ("c", "q", "a"))
+        ab, ca = edge_key("a", "p", "b"), edge_key("c", "q", "a")
+        directed = g.adjacency(undirected=False)
+        assert directed.forward == {"a": {"b": [ab]}, "c": {"a": [ca]}}
+        assert directed.backward == {"b": {"a": [ab]}, "a": {"c": [ca]}}
+        undirected = g.adjacency(undirected=True)
+        assert undirected.forward is undirected.backward
+        assert undirected.forward == {
+            "a": {"b": [ab], "c": [ca]},
+            "b": {"a": [ab]},
+            "c": {"a": [ca]},
+        }
+        assert g.adjacency(undirected=False) is directed
+        assert g.adjacency(undirected=True) is undirected
+
+    def test_threads_racing_on_a_cold_cache_get_equal_indexes(self):
+        edges = [(f"n{i}", "p", f"n{(i * 7 + 3) % 40}") for i in range(40)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                g = support.graph_of(*edges)
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    futures = [pool.submit(g.adjacency, True) for _ in range(8)]
+                    built = [f.result(timeout=10) for f in futures]
+                expected = graph_module._adjacency_index(g, True)
+                assert all(index == expected for index in built)
+                assert g.adjacency(True) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_cached_index_is_not_compared_or_shown(self):
+        g1 = support.graph_of(("a", "p", "b"))
+        g2 = support.graph_of(("a", "p", "b"))
+        g1.adjacency(undirected=True)
+        assert g1 == g2
+        assert repr(g1) == repr(g2)
 
 
 class TestContentEqual:

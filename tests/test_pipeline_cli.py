@@ -57,6 +57,16 @@ class TestRunPipeline:
         assert edge.context.get("year") == frozenset({"1898"})
         assert edge.confidence == 0.5  # no supporting paths
 
+    def test_blank_such_as_hypernym_does_not_fail_the_run(self, tmp_path):
+        corpus = write_corpus(
+            tmp_path,
+            [{"id": "demo", "text": ", , such as such. Marie Curie discovered radium in 1898."}],
+        )
+        config = pattern_config(rules_path=None, senses_path=None, gold_path=None)
+        summary = run_pipeline(config, corpus, tmp_path / "out")
+        assert summary["counts"]["triples"] == 1
+        assert summary["counts"]["edges"] == 1
+
     def test_no_context_ablation_same_topology_empty_contexts(self, tmp_path):
         corpus = write_corpus(
             tmp_path, [{"id": "demo", "text": "Marie Curie discovered radium in 1898."}]
@@ -436,10 +446,21 @@ class TestCli:
             [
                 "eval", str(GOLDEN / "pattern_graph.json"),
                 "--gold", str(DATA / "demo_gold.jsonl"),
-                "--policy", "relaxed",
+                "--policy", "predicate_relaxed",
             ]
         )
         assert code == EXIT_OK
+
+    def test_eval_policy_has_one_spelling(self, capsys):
+        code = main(
+            [
+                "eval", str(GOLDEN / "pattern_graph.json"),
+                "--gold", str(DATA / "demo_gold.jsonl"),
+                "--policy", "relaxed",
+            ]
+        )
+        assert code == EXIT_USAGE
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         code = main(

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
+from lightkg import graph as graph_module
 from lightkg import topology
 from lightkg.graph import (
     Edge,
@@ -29,7 +30,6 @@ from lightkg.topology import (
     TopologyConfig,
     bidirectional_bfs,
     decode_witness,
-    degree_centrality,
     disambiguate_entity,
     discover,
     edge_disjoint_paths,
@@ -73,39 +73,6 @@ class TestPathEvidence:
 
     def test_length(self):
         assert PathEvidence(("a", "b", "c"), ("e1", "e2")).length == 2
-
-
-class TestDegreeCentrality:
-    def test_isolated_node(self):
-        g = support.graph_of(("a", "p", "b"), ("b", "p", "c"), ("c", "p", "d"))
-        nodes = dict(g.nodes)
-        nodes["lone"] = Node("lone")
-        g = KnowledgeGraph(nodes, dict(g.edges))
-        assert g.node_count == 5
-        assert degree_centrality(g, "lone") == 0.0
-
-    def test_full_star_hub(self):
-        g = support.graph_of(
-            ("hub", "p", "a"), ("hub", "p", "b"), ("hub", "p", "c"), ("hub", "p", "d")
-        )
-        assert degree_centrality(g, "hub") == 1.0
-
-    def test_half_connected(self):
-        g = support.graph_of(("x", "p", "a"), ("x", "p", "b"), ("a", "p", "c"), ("c", "p", "d"))
-        # by hand: x touches 2 edges, 5 nodes total -> 2 / 4
-        assert degree_centrality(g, "x") == 0.5
-
-    def test_single_node_graph(self):
-        g = support.graph_of(("solo", "loves", "solo"))
-        assert degree_centrality(g, "solo") == 0.0
-
-    def test_parallel_predicates_clamp_to_one(self):
-        g = support.graph_of(("a", "p", "b"), ("a", "q", "b"), ("a", "r", "b"))
-        assert degree_centrality(g, "a") == 1.0
-
-    def test_unknown_node(self):
-        with pytest.raises(UnknownNodeError):
-            degree_centrality(support.graph_of(("a", "p", "b")), "zzz")
 
 
 class TestBidirectionalBfs:
@@ -620,22 +587,27 @@ class TestSharedIndexMatchesReference:
 
 
 class TestIndexBuiltOncePerCall:
+    """A graph builds its adjacency index at most once per direction mode,
+    and a graph derived from it builds its own instead of reusing one."""
+
     def count_builds(self, monkeypatch) -> list:
         calls = []
-        build = topology._adjacency_index
+        build = graph_module._adjacency_index
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return build(*args, **kwargs)
+        def counting(g, undirected):
+            calls.append((g, undirected))
+            return build(g, undirected)
 
-        monkeypatch.setattr(topology, "_adjacency_index", counting)
+        monkeypatch.setattr(graph_module, "_adjacency_index", counting)
         return calls
 
     def test_reinforce_confidence(self, monkeypatch):
         g = random_sparse_graph(random.Random(11), nodes=80, edges=200)
         calls = self.count_builds(monkeypatch)
         reinforce_confidence(g)
+        reinforce_confidence(g)
         assert len(calls) == 1
+        assert calls[0][0] is g and calls[0][1] is True
 
     def test_attach_senses(self, monkeypatch):
         g = random_sparse_graph(random.Random(12), nodes=80, edges=200)
@@ -645,4 +617,30 @@ class TestIndexBuiltOncePerCall:
         }
         calls = self.count_builds(monkeypatch)
         topology._attach_senses(g, senses)
-        assert len(calls) == 1
+        assert len(calls) == 1 and calls[0][0] is g
+
+    def test_repeated_searches_build_one_index_per_mode(self, monkeypatch):
+        g = random_sparse_graph(random.Random(13), nodes=40, edges=90)
+        pairs = [("n000", "n001"), ("n002", "n003"), ("n004", "n005")]
+        senses = [SenseSignature("s", frozenset({"n006", "n007"}))]
+        calls = self.count_builds(monkeypatch)
+        for _ in range(2):
+            for undirected in (True, False):
+                for source, target in pairs:
+                    bidirectional_bfs(g, source, target, undirected=undirected)
+                    edge_disjoint_paths(g, source, target, undirected=undirected)
+            disambiguate_entity(g, "n000", senses)
+        assert sorted(undirected for _, undirected in calls) == [False, True]
+        assert all(built is g for built, _ in calls)
+
+    def test_reinforce_then_attach_senses_builds_one_per_graph(self, monkeypatch):
+        g = random_sparse_graph(random.Random(14), nodes=80, edges=200)
+        senses = {
+            node_id: [SenseSignature("s", frozenset({"n000", "n001"}))]
+            for node_id in sorted(g.nodes)[:20]
+        }
+        calls = self.count_builds(monkeypatch)
+        reinforced = reinforce_confidence(g)
+        topology._attach_senses(reinforced, senses)
+        assert len(calls) == 2
+        assert calls[0][0] is g and calls[1][0] is reinforced
