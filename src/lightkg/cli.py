@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .aggregation import aggregate_triples
@@ -17,6 +18,7 @@ from .client import ModelClientError
 from .evaluation import RELATION_POLICIES, GoldFormatError, evaluate_run
 from .extraction import CorpusFormatError, read_corpus
 from .pipeline import (
+    EXTRACTORS,
     ConfigError,
     PipelineConfig,
     StageError,
@@ -73,7 +75,7 @@ def build_parser() -> _Parser:
     p_extract.add_argument("corpus")
     p_extract.add_argument("-o", "--output", required=True)
     p_extract.add_argument("-c", "--config", help="pipeline config json")
-    p_extract.add_argument("--extractor", choices=("model", "pattern", "fixture"))
+    p_extract.add_argument("--extractor", choices=EXTRACTORS)
     p_extract.add_argument("--no-context", action="store_true")
     p_extract.set_defaults(handler=_cmd_extract)
 
@@ -115,8 +117,7 @@ def _cmd_extract(args) -> int:
         overrides["extractor"] = args.extractor
     if args.no_context:
         overrides["include_context"] = False
-    if overrides:
-        config = PipelineConfig.from_dict({**config.to_dict(), **overrides})
+    config = replace(config, **overrides)
     documents = read_corpus(_existing(args.corpus, "corpus"))
     _, results = extract_corpus(config, documents)
     triples = [t for r in results for t in r.triples]
@@ -197,27 +198,15 @@ def _exit_code_for(exc: BaseException) -> int:
     if isinstance(exc, ModelClientError):
         return EXIT_ENDPOINT
     if isinstance(exc, StageError) and exc.__cause__ is not None:
-        cause_code = _exit_code_for(exc.__cause__)
-        return cause_code if cause_code != EXIT_INTERNAL else EXIT_INTERNAL
+        return _exit_code_for(exc.__cause__)
     return EXIT_INTERNAL
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _exit_code_for(exc)
-    except (ConfigError, *_PARSE_ERRORS, ModelClientError) as exc:
+    except (_UsageError, StageError, ConfigError, *_PARSE_ERRORS, ModelClientError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
     except Exception as exc:  # anything else is an internal failure

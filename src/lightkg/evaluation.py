@@ -8,13 +8,12 @@ Each gold item is matched at most once; empty denominators score 0.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any
 
 from .aggregation import DEFAULT_POLICY, NormalizationPolicy, normalize_label
 from .graph import KnowledgeGraph
-from .serialize import deserialize_graph, format_for_path
+from .serialize import deserialize_graph, format_for_path, read_jsonl
 
 RELATION_POLICIES = ("strict", "predicate_relaxed")
 
@@ -104,18 +103,17 @@ def relation_f1(
     if policy == "strict":
         matched = predicted & gold.triples
         return _match_result(matched, gold.triples - matched, predicted - matched)
+    # Greedy in sorted order: each predicted triple takes the first unmatched
+    # gold triple it matches. Only gold triples with its (subject, object)
+    # can match, so the scan is limited to that group.
+    gold_by_pair: dict[tuple[str, str], list[Triple]] = {}
+    for g_triple in sorted(gold.triples):
+        gold_by_pair.setdefault((g_triple[0], g_triple[2]), []).append(g_triple)
     matched_predicted: set[Triple] = set()
     matched_gold: set[Triple] = set()
-    gold_sorted = sorted(gold.triples)
     for p_triple in sorted(predicted):
-        for g_triple in gold_sorted:
-            if g_triple in matched_gold:
-                continue
-            if (
-                p_triple[0] == g_triple[0]
-                and p_triple[2] == g_triple[2]
-                and _predicates_match(p_triple[1], g_triple[1])
-            ):
+        for g_triple in gold_by_pair.get((p_triple[0], p_triple[2]), ()):
+            if g_triple not in matched_gold and _predicates_match(p_triple[1], g_triple[1]):
                 matched_predicted.add(p_triple)
                 matched_gold.add(g_triple)
                 break
@@ -190,36 +188,29 @@ def load_gold(path, policy: NormalizationPolicy = DEFAULT_POLICY) -> GoldSet:
     plus optional ``{"entity": ...}`` lines, normalized like aggregation."""
     entities: set[str] = set()
     triples: set[Triple] = set()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise GoldFormatError(f"{path}:{lineno}: invalid json: {exc.msg}") from exc
-            if not isinstance(record, dict):
-                raise GoldFormatError(f"{path}:{lineno}: expected a json object")
-            try:
-                if "entity" in record:
-                    entities.add(normalize_label(str(record["entity"]), policy))
-                elif {"subject", "predicate", "object"} <= record.keys():
-                    triple = (
-                        normalize_label(str(record["subject"]), policy),
-                        normalize_label(str(record["predicate"]), policy),
-                        normalize_label(str(record["object"]), policy),
-                    )
-                    triples.add(triple)
-                    entities.add(triple[0])
-                    entities.add(triple[2])
-                else:
-                    raise GoldFormatError(
-                        f"{path}:{lineno}: expected 'entity' or subject/predicate/object"
-                    )
-            except ValueError as exc:
-                if isinstance(exc, GoldFormatError):
-                    raise
-                raise GoldFormatError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, record in read_jsonl(path, GoldFormatError):
+        if not isinstance(record, dict):
+            raise GoldFormatError(f"{path}:{lineno}: expected a json object")
+        try:
+            if "entity" in record:
+                entities.add(normalize_label(str(record["entity"]), policy))
+            elif {"subject", "predicate", "object"} <= record.keys():
+                triple = (
+                    normalize_label(str(record["subject"]), policy),
+                    normalize_label(str(record["predicate"]), policy),
+                    normalize_label(str(record["object"]), policy),
+                )
+                triples.add(triple)
+                entities.add(triple[0])
+                entities.add(triple[2])
+            else:
+                raise GoldFormatError(
+                    f"{path}:{lineno}: expected 'entity' or subject/predicate/object"
+                )
+        except ValueError as exc:
+            if isinstance(exc, GoldFormatError):
+                raise
+            raise GoldFormatError(f"{path}:{lineno}: {exc}") from exc
     return GoldSet(frozenset(entities), frozenset(triples))
 
 

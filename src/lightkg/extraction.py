@@ -15,12 +15,12 @@ fields. Lines that fail to parse are recorded and skipped, never fatal.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field, replace
 
 from .client import ChatClient, ChatMessage, CompletionParams
 from .graph import ContextMap, ContextTriple, Extractor, Provenance
+from .serialize import read_jsonl
 
 DEFAULT_MAX_CHUNK_CHARS = 2000
 
@@ -62,19 +62,10 @@ class CorpusDocument:
 def read_corpus(path) -> list[CorpusDocument]:
     """Load a JSONL corpus of ``{"id": ..., "text": ...}`` objects."""
     documents = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: invalid json: {exc.msg}") from exc
-            if not isinstance(record, dict) or "id" not in record or "text" not in record:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: expected object with 'id' and 'text'"
-                )
-            documents.append(CorpusDocument(str(record["id"]), str(record["text"])))
+    for lineno, record in read_jsonl(path, CorpusFormatError):
+        if not isinstance(record, dict) or "id" not in record or "text" not in record:
+            raise CorpusFormatError(f"{path}:{lineno}: expected object with 'id' and 'text'")
+        documents.append(CorpusDocument(str(record["id"]), str(record["text"])))
     return documents
 
 

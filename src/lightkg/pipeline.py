@@ -18,7 +18,7 @@ import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -39,7 +39,7 @@ from .extraction import (
     read_corpus,
 )
 from .graph import ContextMap, KnowledgeGraph
-from .serialize import serialize_graph, triple_to_dict, triples_to_jsonl
+from .serialize import read_json, serialize_graph, triple_to_dict, triples_to_jsonl
 from .topology import TopologyConfig, discover, load_rules, load_senses
 
 EXTRACTORS = ("model", "pattern", "fixture")
@@ -118,12 +118,11 @@ class PipelineConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(payload)
         try:
-            if "normalization" in kwargs:
-                kwargs["normalization"] = NormalizationPolicy(**kwargs["normalization"])
-            if "topology" in kwargs:
-                kwargs["topology"] = TopologyConfig(**kwargs["topology"])
-            if "model" in kwargs:
-                kwargs["model"] = CompletionParams(**kwargs["model"])
+            # Nested settings (normalization, topology, model) are built from
+            # their dicts; unknown nested keys fail as TypeError.
+            for f in fields(cls):
+                if f.name in kwargs and is_dataclass(f.default_factory):
+                    kwargs[f.name] = f.default_factory(**kwargs[f.name])
             return cls(**kwargs)
         except ConfigError:
             raise
@@ -134,14 +133,9 @@ class PipelineConfig:
     def load(cls, path) -> PipelineConfig:
         """Load from a JSON file; relative file references resolve against
         the config file's own directory."""
-        with open(path, encoding="utf-8") as handle:
-            try:
-                payload = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: invalid json: {exc.msg}") from exc
-        config = cls.from_dict(payload)
+        config = cls.from_dict(read_json(path, ConfigError))
         base = Path(path).resolve().parent
-        for attr in ("rules_path", "senses_path", "gold_path", "fixtures_path"):
+        for attr in _PATH_FIELDS:
             value = getattr(config, attr)
             if value and not Path(value).is_absolute():
                 setattr(config, attr, str(base / value))
@@ -151,19 +145,16 @@ class PipelineConfig:
         return asdict(self)
 
     def referenced_paths(self) -> list[str]:
-        return [
-            p
-            for p in (self.rules_path, self.senses_path, self.gold_path, self.fixtures_path)
-            if p
-        ]
+        return [p for p in (getattr(self, name) for name in _PATH_FIELDS) if p]
+
+
+# The fields naming input files; ``load`` resolves them against the config
+# file's directory and ``run_pipeline`` checks that they exist.
+_PATH_FIELDS = tuple(f.name for f in fields(PipelineConfig) if f.name.endswith("_path"))
 
 
 def load_fixtures(path) -> dict[str, str]:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid json: {exc.msg}") from exc
+    payload = read_json(path, ConfigError)
     if not isinstance(payload, dict) or not all(
         isinstance(v, str) for v in payload.values()
     ):

@@ -9,18 +9,18 @@ Both formats round-trip losslessly.
 from __future__ import annotations
 
 import json
+import re
 import xml.etree.ElementTree as ET
-from typing import Any, Iterable
+from pathlib import Path
+from typing import Any, Iterable, Iterator
 
 from .graph import (
     ContextMap,
     ContextTriple,
     Edge,
-    GraphIntegrityError,
     KnowledgeGraph,
     Node,
     Provenance,
-    edge_key,
 )
 
 FORMATS = ("json", "graphml")
@@ -41,6 +41,65 @@ _GRAPHML_KEYS = {
 class GraphParseError(ValueError):
     """Input bytes could not be parsed into a graph; carries position and
     reason in the message."""
+
+
+# One encoder for every compact JSON written here (graph JSON, GraphML
+# provenance, triples JSONL): json.dumps would build a new one per call.
+_encode_compact = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+
+# Line ends of JSONL input: the ones text-mode file reading splits at. Not
+# str.splitlines(), which also splits at U+0085, U+2028, U+2029 and others
+# that a JSON string may hold unescaped.
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
+
+
+# --- input files ----------------------------------------------------------------
+# Every JSON and JSONL input (corpus, gold, config, fixtures, rules, senses,
+# triples, graph JSON) is decoded and parsed here; a failure raises the
+# caller's own error class with the position in the message.
+
+
+def _decode(data: bytes, error: type[Exception], where: str) -> str:
+    """``data`` as UTF-8 text. Undecodable bytes raise ``error``; the message
+    starts with ``where`` and the line of the first bad byte."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(_LINE_BREAK.findall(data[: exc.start].decode("utf-8"))) + 1
+        raise error(
+            f"{where}{line}: invalid utf-8 at byte {exc.start}: {exc.reason}"
+        ) from exc
+
+
+def read_json(path, error: type[Exception]) -> Any:
+    """Parse the UTF-8 JSON document in the file ``path``. Undecodable bytes
+    and invalid JSON raise ``error`` with a message naming file and line."""
+    text = _decode(Path(path).read_bytes(), error, f"{path}:")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(
+            f"{path}: invalid json: {exc.msg} at line {exc.lineno} column {exc.colno}"
+        ) from exc
+
+
+def read_jsonl(source, error: type[Exception]) -> Iterator[tuple[int, Any]]:
+    """Yield ``(line number, record)`` for each non-blank line of UTF-8 JSONL:
+    ``source`` itself if it is ``bytes``, else the file at path ``source``.
+    Undecodable bytes and invalid JSON raise ``error`` with a message that
+    starts ``path:N:`` for a file and ``line N:`` for bytes."""
+    if isinstance(source, bytes):
+        data, where = source, "line "
+    else:
+        data, where = Path(source).read_bytes(), f"{source}:"
+    for lineno, line in enumerate(_LINE_BREAK.split(_decode(data, error, where)), 1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise error(f"{where}{lineno}: invalid json: {exc.msg}") from exc
+        yield lineno, record
 
 
 def _provenance_to_dict(p: Provenance) -> dict[str, Any]:
@@ -107,45 +166,27 @@ def graph_from_dict(payload: Any) -> KnowledgeGraph:
         if not isinstance(entry, dict):
             raise GraphParseError(f"edge record must be an object: {entry!r}")
         try:
-            source = str(entry["source"])
-            target = str(entry["target"])
-            predicate = str(entry["predicate"])
-        except KeyError as exc:
-            raise GraphParseError(f"edge record missing field {exc}") from exc
-        expected = edge_key(source, predicate, target)
-        stored = str(entry.get("id") or expected)
-        if stored != expected:
-            raise GraphParseError(
-                f"edge id {stored!r} does not match content hash of "
-                f"({source!r}, {predicate!r}, {target!r})"
-            )
-        if stored in edges:
-            raise GraphParseError(f"duplicate edge id {stored!r}")
-        for endpoint in (source, target):
-            if endpoint not in nodes:
-                raise GraphIntegrityError(
-                    f"edge {stored!r} references missing node {endpoint!r}"
-                )
-        try:
-            context = ContextMap(entry.get("context"))
-            confidence = float(entry.get("confidence", 0.5))
-            provenance = tuple(
-                _provenance_from_dict(p) for p in entry.get("provenance", [])
-            )
             edge = Edge(
-                source=source,
-                target=target,
-                predicate=predicate,
-                context=context,
-                confidence=confidence,
-                provenance=provenance,
+                source=str(entry["source"]),
+                target=str(entry["target"]),
+                predicate=str(entry["predicate"]),
+                context=ContextMap(entry.get("context")),
+                confidence=float(entry.get("confidence", 0.5)),
+                provenance=tuple(
+                    _provenance_from_dict(p) for p in entry.get("provenance", [])
+                ),
                 inferred=bool(entry.get("inferred", False)),
+                edge_id=str(entry.get("id") or ""),
             )
         except GraphParseError:
             raise
+        except KeyError as exc:
+            raise GraphParseError(f"edge record missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
-            raise GraphParseError(f"edge {stored!r}: {exc}") from exc
-        edges[stored] = edge
+            raise GraphParseError(f"edge record {entry!r}: {exc}") from exc
+        if edge.edge_id in edges:
+            raise GraphParseError(f"duplicate edge id {edge.edge_id!r}")
+        edges[edge.edge_id] = edge
     return KnowledgeGraph(nodes, edges)
 
 
@@ -263,10 +304,8 @@ def _graph_to_graphml(g: KnowledgeGraph) -> bytes:
         ET.SubElement(edge_el, "data", {"key": "d4"}).text = (
             "true" if edge.inferred else "false"
         )
-        ET.SubElement(edge_el, "data", {"key": "d5"}).text = json.dumps(
-            [_provenance_to_dict(p) for p in edge.provenance],
-            ensure_ascii=False,
-            separators=(",", ":"),
+        ET.SubElement(edge_el, "data", {"key": "d5"}).text = _encode_compact(
+            [_provenance_to_dict(p) for p in edge.provenance]
         )
     ET.indent(root, space="  ")
     return ET.tostring(root, encoding="utf-8", xml_declaration=True)
@@ -351,9 +390,7 @@ def _graph_from_graphml(data: bytes) -> KnowledgeGraph:
 def serialize_graph(g: KnowledgeGraph, fmt: str = "json") -> bytes:
     """Serialize ``g``; deterministic byte output for equal graphs."""
     if fmt == "json":
-        return json.dumps(
-            graph_to_dict(g), ensure_ascii=False, separators=(",", ":")
-        ).encode("utf-8")
+        return _encode_compact(graph_to_dict(g)).encode("utf-8")
     if fmt == "graphml":
         return _graph_to_graphml(g)
     raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
@@ -364,15 +401,14 @@ def deserialize_graph(data: bytes | str, fmt: str = "json") -> KnowledgeGraph:
     documented schema) back into a graph.
 
     Raises :class:`GraphParseError` on malformed input and
-    :class:`GraphIntegrityError` when an edge references a missing node.
+    :class:`~lightkg.graph.GraphIntegrityError` when an edge references a
+    missing node.
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
     if fmt == "json":
         try:
-            payload = json.loads(data.decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise GraphParseError(f"input is not valid UTF-8: {exc}") from exc
+            payload = json.loads(_decode(data, GraphParseError, "line "))
         except json.JSONDecodeError as exc:
             raise GraphParseError(
                 f"invalid json at offset {exc.pos}: {exc.msg}"
@@ -416,23 +452,13 @@ def triple_from_dict(d: dict[str, Any]) -> ContextTriple:
 
 
 def triples_to_jsonl(triples: Iterable[ContextTriple]) -> bytes:
-    lines = [
-        json.dumps(triple_to_dict(t), ensure_ascii=False, separators=(",", ":"))
-        for t in triples
-    ]
+    lines = [_encode_compact(triple_to_dict(t)) for t in triples]
     return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
 
 
 def triples_from_jsonl(data: bytes | str) -> list[ContextTriple]:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    triples = []
-    for lineno, line in enumerate(data.splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise GraphParseError(f"line {lineno}: invalid json: {exc.msg}") from exc
-        triples.append(triple_from_dict(record))
-    return triples
+    """Parse ``triples_to_jsonl`` output. Undecodable bytes and invalid JSON
+    raise :class:`GraphParseError` with a message that starts ``line N:``."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return [triple_from_dict(record) for _, record in read_jsonl(data, GraphParseError)]

@@ -26,7 +26,6 @@ neighbor maps as they are.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence
@@ -39,6 +38,7 @@ from .graph import (
     Provenance,
     edge_key,
 )
+from .serialize import read_json
 
 
 class RuleFileError(ValueError):
@@ -366,22 +366,13 @@ def disambiguate_entity(
         raise ValueError("senses must be non-empty")
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    index = g.adjacency(undirected=True)
+    neighbors = g.adjacency(undirected=True).forward
     empty: dict[str, list[str]] = {}
-    seen = {node_id}
-    frontier = [node_id]
-    for _ in range(radius):
-        next_frontier = []
-        for u in frontier:
-            for v in index.forward.get(u, empty):
-                if v not in seen:
-                    seen.add(v)
-                    next_frontier.append(v)
-        frontier = next_frontier
-    seen.discard(node_id)
+    dist = _bounded_distances(node_id, lambda n: neighbors.get(n, empty), radius)
+    near = dist.keys() - {node_id}
     ranked = sorted(
         (
-            (sense.sense_label, len(sense.cue_labels & seen) / len(sense.cue_labels), position)
+            (sense.sense_label, len(sense.cue_labels & near) / len(sense.cue_labels), position)
             for position, sense in enumerate(senses)
         ),
         key=lambda item: (-item[1], item[2]),
@@ -574,13 +565,16 @@ def _attach_senses(
 # --- input files ----------------------------------------------------------------
 
 
+def _json_list(value, what: str) -> list:
+    # tuple() and frozenset() would accept a string as a sequence of characters.
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be a json list, got {type(value).__name__}")
+    return value
+
+
 def load_rules(path) -> list[InferenceRule]:
     """Read a JSON list of {name, pattern, inferred_predicate, discount}."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise RuleFileError(f"{path}: invalid json: {exc.msg}") from exc
+    payload = read_json(path, RuleFileError)
     if not isinstance(payload, list):
         raise RuleFileError(f"{path}: expected a json list of rules")
     rules = []
@@ -589,7 +583,7 @@ def load_rules(path) -> list[InferenceRule]:
             rules.append(
                 InferenceRule(
                     name=record["name"],
-                    pattern=tuple(record["pattern"]),
+                    pattern=tuple(_json_list(record["pattern"], "pattern")),
                     inferred_predicate=record["inferred_predicate"],
                     discount=float(record.get("discount", 1.0)),
                 )
@@ -601,22 +595,20 @@ def load_rules(path) -> list[InferenceRule]:
 
 def load_senses(path) -> dict[str, list[SenseSignature]]:
     """Read a JSON map node_label -> list of {sense_label, cues}."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise RuleFileError(f"{path}: invalid json: {exc.msg}") from exc
+    payload = read_json(path, RuleFileError)
     if not isinstance(payload, dict):
         raise RuleFileError(f"{path}: expected a json object keyed by node label")
     senses_by_node: dict[str, list[SenseSignature]] = {}
     for label, entries in payload.items():
+        if not isinstance(entries, list):
+            raise RuleFileError(f"{path}: senses for {label!r} must be a json list")
         signatures = []
         for index, record in enumerate(entries):
             try:
                 signatures.append(
                     SenseSignature(
                         sense_label=record["sense_label"],
-                        cue_labels=frozenset(record["cues"]),
+                        cue_labels=frozenset(_json_list(record["cues"], "cues")),
                     )
                 )
             except (KeyError, TypeError, ValueError) as exc:

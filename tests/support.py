@@ -297,6 +297,25 @@ def naive_f1(predicted: set, gold: set) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
+def reference_relaxed_matches(predicted: set, gold: set) -> tuple[set, set]:
+    """All-pairs greedy relaxed matching: each predicted triple, in sorted
+    order, takes the first unmatched gold triple, in sorted order, with the
+    same endpoints and a predicate equal to, inside or around its own.
+    Returns the matched predicted and the matched gold triples."""
+    matched_predicted: set = set()
+    matched_gold: set = set()
+    gold_sorted = sorted(gold)
+    for p in sorted(predicted):
+        for g in gold_sorted:
+            if g in matched_gold:
+                continue
+            if p[0] == g[0] and p[2] == g[2] and (p[1] in g[1] or g[1] in p[1]):
+                matched_predicted.add(p)
+                matched_gold.add(g)
+                break
+    return matched_predicted, matched_gold
+
+
 # --- seeded random builders (used by the acceptance suite) ----------------------
 
 WORDS = [

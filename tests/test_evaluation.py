@@ -121,6 +121,23 @@ class TestOracleEquivalence:
             entity_result.precision, entity_result.recall, entity_result.f1,
         ) == pytest.approx(expected_entities)
 
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_relaxed_matches_all_pairs_greedy(self, data):
+        # Few endpoints and overlapping predicates, so (subject, object)
+        # pairs carry several predicates that compete for the same gold.
+        ends = st.sampled_from(["a", "b", "c"])
+        predicates = st.sampled_from(["p", "pq", "q", "qp", "pqp", "r"])
+        triples = st.sets(st.tuples(ends, predicates, ends), max_size=14)
+        predicted = data.draw(triples)
+        gold_triples = data.draw(triples)
+        g = support.graph_of(*predicted)
+        result = relation_f1(g, gold_of(triples=gold_triples), "predicate_relaxed")
+        matched, matched_gold = support.reference_relaxed_matches(predicted, gold_triples)
+        assert result.matched == tuple(sorted(matched))
+        assert result.missing == tuple(sorted(gold_triples - matched_gold))
+        assert result.spurious == tuple(sorted(predicted - matched))
+
     @settings(max_examples=100)
     @given(g=support.graphs(max_nodes=6, max_edges=10))
     def test_self_consistency(self, g):

@@ -279,6 +279,13 @@ class TestRunPipeline:
         with pytest.raises(ConfigError, match=key):
             PipelineConfig.from_dict({"extractor": "pattern", key: value})
 
+    @pytest.mark.parametrize("key", ["normalization", "topology", "model"])
+    def test_bad_nested_settings_rejected(self, key):
+        with pytest.raises(ConfigError, match="typo"):
+            PipelineConfig.from_dict({key: {"typo": 1}})
+        with pytest.raises(ConfigError):
+            PipelineConfig.from_dict({key: 5})
+
     def test_config_round_trips_through_dict_and_json(self):
         config = PipelineConfig.from_dict(
             {

@@ -86,6 +86,13 @@ def test_duplicate_node_id_rejected():
         deserialize_graph(json.dumps(payload).encode(), "json")
 
 
+def test_duplicate_edge_rejected():
+    edge = {"source": "a", "target": "b", "predicate": "p"}
+    payload = {"nodes": [{"id": "a"}, {"id": "b"}], "edges": [edge, dict(edge)]}
+    with pytest.raises(GraphParseError, match="duplicate edge id"):
+        deserialize_graph(json.dumps(payload).encode(), "json")
+
+
 def test_stored_edge_id_must_match_content_hash():
     payload = {
         "nodes": [{"id": "a"}, {"id": "b"}],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from unittest import mock
@@ -26,6 +27,7 @@ from lightkg.topology import (
     DEFAULT_CONFIG,
     InferenceRule,
     PathEvidence,
+    RuleFileError,
     SenseSignature,
     TopologyConfig,
     bidirectional_bfs,
@@ -35,6 +37,8 @@ from lightkg.topology import (
     edge_disjoint_paths,
     encode_witness,
     infer_implicit_relations,
+    load_rules,
+    load_senses,
     reinforce_confidence,
     witness_is_valid,
 )
@@ -322,6 +326,20 @@ class TestDisambiguate:
         assert disambiguate_entity(g, "x", senses, radius=1)[0][1] == 0.0
         assert disambiguate_entity(g, "x", senses, radius=2)[0][1] == 1.0
 
+    @settings(max_examples=150)
+    @given(g=support.graphs(max_nodes=7, max_edges=12), radius=st.integers(1, 3))
+    def test_neighborhood_matches_bfs_oracle(self, g, radius):
+        # One single-cue sense per node: a sense scores 1 exactly when its
+        # node lies within ``radius`` undirected hops of the scored node.
+        pairs = support.edge_pairs(g)
+        for node_id in g.nodes:
+            senses = [SenseSignature(n, frozenset({n})) for n in sorted(g.nodes)]
+            scores = dict(disambiguate_entity(g, node_id, senses, radius))
+            for n in g.nodes:
+                dist = support.oracle_shortest_len(pairs, node_id, n, True)
+                within = n != node_id and dist is not None and dist <= radius
+                assert scores[n] == (1.0 if within else 0.0)
+
     def test_preconditions(self):
         g = support.graph_of(("a", "p", "b"))
         with pytest.raises(ValueError):
@@ -502,6 +520,33 @@ class TestDiscover:
             assert (out.source, out.predicate, out.target) == (
                 edge.source, edge.predicate, edge.target,
             )
+
+
+class TestRuleAndSenseFiles:
+    @pytest.mark.parametrize(
+        "loader, payload, fragment",
+        [
+            pytest.param(
+                load_rules,
+                [{"name": "r", "pattern": "ab", "inferred_predicate": "x"}],
+                "pattern must be a json list",
+                id="rule-pattern-string",
+            ),
+            pytest.param(
+                load_senses,
+                {"x": [{"sense_label": "s", "cues": "abc"}]},
+                "cues must be a json list",
+                id="sense-cues-string",
+            ),
+            pytest.param(load_senses, {"x": 5}, "must be a json list", id="senses-number"),
+            pytest.param(load_senses, {"x": "ab"}, "must be a json list", id="senses-string"),
+        ],
+    )
+    def test_string_or_number_where_a_list_belongs(self, tmp_path, loader, payload, fragment):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(RuleFileError, match=fragment):
+            loader(path)
 
 
 class TestConfigValidation:
