@@ -32,7 +32,6 @@ from .evaluation import (
     MatchResult,
     entity_f1,
     evaluate_run,
-    gold_from_graph,
     load_gold,
     relation_f1,
 )

@@ -17,6 +17,7 @@ from .aggregation import aggregate_triples
 from .client import ModelClientError
 from .evaluation import RELATION_POLICIES, GoldFormatError, evaluate_run
 from .extraction import CorpusFormatError, read_corpus
+from .graph import GraphIntegrityError
 from .pipeline import (
     EXTRACTORS,
     ConfigError,
@@ -42,7 +43,9 @@ EXIT_INPUT = 2
 EXIT_ENDPOINT = 3
 EXIT_INTERNAL = 4
 
-_PARSE_ERRORS = (GraphParseError, CorpusFormatError, RuleFileError, GoldFormatError)
+_PARSE_ERRORS = (
+    GraphParseError, GraphIntegrityError, CorpusFormatError, RuleFileError, GoldFormatError
+)
 
 
 class _UsageError(Exception):

@@ -13,7 +13,7 @@ from typing import Any
 
 from .aggregation import DEFAULT_POLICY, NormalizationPolicy, normalize_label
 from .graph import KnowledgeGraph
-from .serialize import deserialize_graph, format_for_path, read_jsonl
+from .serialize import decode_record, deserialize_graph, format_for_path, read_jsonl
 
 RELATION_POLICIES = ("strict", "predicate_relaxed")
 
@@ -173,44 +173,23 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def gold_from_graph(g: KnowledgeGraph, include_inferred: bool = False) -> GoldSet:
-    """Gold set equal to a graph's own content (self-consistency checks)."""
-    triples = {
-        (e.source, e.predicate, e.target)
-        for e in g.edges.values()
-        if include_inferred or not e.inferred
-    }
-    return GoldSet(frozenset(g.nodes), frozenset(triples))
-
-
 def load_gold(path, policy: NormalizationPolicy = DEFAULT_POLICY) -> GoldSet:
     """Load gold JSONL: triple objects ``{"subject","predicate","object"}``
     plus optional ``{"entity": ...}`` lines, normalized like aggregation."""
+
+    def labels(**fields: str) -> tuple[str, ...]:
+        return tuple(normalize_label(label, policy) for label in fields.values())
+
     entities: set[str] = set()
     triples: set[Triple] = set()
-    for lineno, record in read_jsonl(path, GoldFormatError):
-        if not isinstance(record, dict):
-            raise GoldFormatError(f"{path}:{lineno}: expected a json object")
-        try:
-            if "entity" in record:
-                entities.add(normalize_label(str(record["entity"]), policy))
-            elif {"subject", "predicate", "object"} <= record.keys():
-                triple = (
-                    normalize_label(str(record["subject"]), policy),
-                    normalize_label(str(record["predicate"]), policy),
-                    normalize_label(str(record["object"]), policy),
-                )
-                triples.add(triple)
-                entities.add(triple[0])
-                entities.add(triple[2])
-            else:
-                raise GoldFormatError(
-                    f"{path}:{lineno}: expected 'entity' or subject/predicate/object"
-                )
-        except ValueError as exc:
-            if isinstance(exc, GoldFormatError):
-                raise
-            raise GoldFormatError(f"{path}:{lineno}: {exc}") from exc
+    for where, record in read_jsonl(path, GoldFormatError):
+        # Picks the shape only: decode_record rejects a record that is no object.
+        if isinstance(record, dict) and "entity" in record:
+            entities.update(decode_record(record, "gold entity", labels, GoldFormatError, where))
+        else:
+            triple = decode_record(record, "gold triple", labels, GoldFormatError, where)
+            triples.add(triple)
+            entities.update((triple[0], triple[2]))
     return GoldSet(frozenset(entities), frozenset(triples))
 
 

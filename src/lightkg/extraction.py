@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 from .client import ChatClient, ChatMessage, CompletionParams
 from .graph import ContextMap, ContextTriple, Extractor, Provenance
-from .serialize import read_jsonl
+from .serialize import decode_record, read_jsonl
 
 DEFAULT_MAX_CHUNK_CHARS = 2000
 
@@ -61,12 +61,12 @@ class CorpusDocument:
 
 def read_corpus(path) -> list[CorpusDocument]:
     """Load a JSONL corpus of ``{"id": ..., "text": ...}`` objects."""
-    documents = []
-    for lineno, record in read_jsonl(path, CorpusFormatError):
-        if not isinstance(record, dict) or "id" not in record or "text" not in record:
-            raise CorpusFormatError(f"{path}:{lineno}: expected object with 'id' and 'text'")
-        documents.append(CorpusDocument(str(record["id"]), str(record["text"])))
-    return documents
+    return [
+        decode_record(
+            record, "corpus", lambda id, text: CorpusDocument(id, text), CorpusFormatError, where
+        )
+        for where, record in read_jsonl(path, CorpusFormatError)
+    ]
 
 
 def split_sentences(text: str) -> list[str]:

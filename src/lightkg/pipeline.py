@@ -116,6 +116,9 @@ class PipelineConfig:
         unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for name in _PATH_FIELDS:
+            if not isinstance(payload.get(name), (str, type(None))):
+                raise ConfigError(f"{name} must be a string or null, got {payload[name]!r}")
         kwargs = dict(payload)
         try:
             # Nested settings (normalization, topology, model) are built from

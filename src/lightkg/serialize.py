@@ -83,11 +83,12 @@ def read_json(path, error: type[Exception]) -> Any:
         ) from exc
 
 
-def read_jsonl(source, error: type[Exception]) -> Iterator[tuple[int, Any]]:
-    """Yield ``(line number, record)`` for each non-blank line of UTF-8 JSONL:
+def read_jsonl(source, error: type[Exception]) -> Iterator[tuple[str, Any]]:
+    """Yield ``(where, record)`` for each non-blank line of UTF-8 JSONL:
     ``source`` itself if it is ``bytes``, else the file at path ``source``.
-    Undecodable bytes and invalid JSON raise ``error`` with a message that
-    starts ``path:N:`` for a file and ``line N:`` for bytes."""
+    ``where`` is ``path:N`` for a file and ``line N`` for bytes. Undecodable
+    bytes and invalid JSON raise ``error`` with a message that starts with
+    the ``where`` of the line."""
     if isinstance(source, bytes):
         data, where = source, "line "
     else:
@@ -99,7 +100,100 @@ def read_jsonl(source, error: type[Exception]) -> Iterator[tuple[int, Any]]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise error(f"{where}{lineno}: invalid json: {exc.msg}") from exc
-        yield lineno, record
+        yield f"{where}{lineno}", record
+
+
+# --- record shapes --------------------------------------------------------------
+# What a valid record of each input file looks like, declared once: JSON field
+# name -> JSON kind, "?" marking an optional field. Unlisted fields are ignored.
+
+
+def _strings(value: list) -> bool:
+    return all(type(item) is str for item in value)
+
+
+_NUMBER = (int, float)  # json.loads gives an int or a float; a number is read as a float
+
+# JSON kind -> (the types a decoded value of that kind has, test of its items)
+_KINDS = {
+    "string": ((str,), None),
+    "integer": ((int,), None),
+    "number": (_NUMBER, None),
+    "boolean": ((bool,), None),
+    "list": ((list,), None),
+    "object": ((dict,), None),
+    "list of strings": ((list,), _strings),
+    "object of string lists": (
+        (dict,), lambda value: all(type(v) is list and _strings(v) for v in value.values())
+    ),
+}
+
+
+def _shape(**fields: str) -> tuple[tuple[str, str, tuple, Any, bool], ...]:
+    return tuple(
+        (name, kind.rstrip("?"), *_KINDS[kind.rstrip("?")], not kind.endswith("?"))
+        for name, kind in fields.items()
+    )
+
+
+SHAPES = {
+    "provenance": _shape(source_id="string", chunk_index="integer", extractor="string?"),
+    "triple": _shape(
+        subject="string", predicate="string", object="string",
+        context="object of string lists?", provenance="object",
+    ),
+    "graph": _shape(nodes="list?", edges="list?"),
+    "node": _shape(id="string", attributes="object of string lists?"),
+    "edge": _shape(
+        id="string?", source="string", target="string", predicate="string",
+        context="object of string lists?", confidence="number?", inferred="boolean?",
+        provenance="list?",
+    ),
+    "corpus": _shape(id="string", text="string"),
+    "gold entity": _shape(entity="string"),
+    "gold triple": _shape(subject="string", predicate="string", object="string"),
+    "rule": _shape(
+        name="string", pattern="list of strings", inferred_predicate="string", discount="number?"
+    ),
+    "sense": _shape(sense_label="string", cues="list of strings"),
+}
+
+
+def decode_record(record: Any, shape: str, build, error: type[Exception], where: str):
+    """``build(**fields)`` for the fields of ``record`` that ``SHAPES[shape]``
+    lists and that are present and not null; a number arrives as a float.
+    ``record`` not being an object, a required field missing or null, a field
+    of another kind and a ``ValueError`` from ``build`` raise ``error`` with a
+    message that starts with ``where``."""
+    try:
+        if type(record) is not dict:
+            raise ValueError(f"expected a json object, got {_encode_compact(record):.60}")
+        fields = {}
+        for name, kind, types, items, required in SHAPES[shape]:
+            value = record.get(name)
+            if value is None:
+                if required:
+                    raise ValueError(f"missing field {name!r}")
+            elif type(value) not in types or (items is not None and not items(value)):
+                raise ValueError(
+                    f"{name} must be a json {kind}, got {_encode_compact(value):.60}"
+                )
+            else:
+                fields[name] = float(value) if types is _NUMBER else value
+        return build(**fields)
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int past float range
+        raise error(f"{where}: {exc}") from exc
+
+
+def _edge(source, target, predicate, context=None, confidence=0.5, inferred=False,
+          provenance=(), id="") -> Edge:
+    provenance = tuple(
+        decode_record(p, "provenance", Provenance, ValueError, f"provenance #{i}")
+        for i, p in enumerate(provenance)
+    )
+    return Edge(
+        source, target, predicate, ContextMap(context), confidence, provenance, inferred, id
+    )
 
 
 def _provenance_to_dict(p: Provenance) -> dict[str, Any]:
@@ -108,17 +202,6 @@ def _provenance_to_dict(p: Provenance) -> dict[str, Any]:
         "chunk_index": p.chunk_index,
         "extractor": p.extractor.value,
     }
-
-
-def _provenance_from_dict(d: dict[str, Any]) -> Provenance:
-    try:
-        return Provenance(
-            source_id=str(d["source_id"]),
-            chunk_index=int(d["chunk_index"]),
-            extractor=d.get("extractor", "model"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GraphParseError(f"invalid provenance record {d!r}: {exc}") from exc
 
 
 def _node_to_dict(node: Node) -> dict[str, Any]:
@@ -147,43 +230,19 @@ def graph_to_dict(g: KnowledgeGraph) -> dict[str, Any]:
 
 
 def graph_from_dict(payload: Any) -> KnowledgeGraph:
-    if not isinstance(payload, dict):
-        raise GraphParseError(f"expected top-level object, got {type(payload).__name__}")
+    records = decode_record(payload, "graph", dict, GraphParseError, "graph")
     nodes: dict[str, Node] = {}
-    for entry in payload.get("nodes", []):
-        if not isinstance(entry, dict) or "id" not in entry:
-            raise GraphParseError(f"node record must be an object with 'id': {entry!r}")
-        node_id = str(entry["id"])
-        if node_id in nodes:
-            raise GraphParseError(f"duplicate node id {node_id!r}")
-        try:
-            attributes = ContextMap(entry.get("attributes"))
-        except ValueError as exc:
-            raise GraphParseError(f"node {node_id!r}: {exc}") from exc
-        nodes[node_id] = Node(node_id, attributes)
+    for index, record in enumerate(records.get("nodes", ())):
+        node = decode_record(
+            record, "node", lambda id, attributes=None: Node(id, ContextMap(attributes)),
+            GraphParseError, f"node #{index}",
+        )
+        if node.id in nodes:
+            raise GraphParseError(f"duplicate node id {node.id!r}")
+        nodes[node.id] = node
     edges: dict[str, Edge] = {}
-    for entry in payload.get("edges", []):
-        if not isinstance(entry, dict):
-            raise GraphParseError(f"edge record must be an object: {entry!r}")
-        try:
-            edge = Edge(
-                source=str(entry["source"]),
-                target=str(entry["target"]),
-                predicate=str(entry["predicate"]),
-                context=ContextMap(entry.get("context")),
-                confidence=float(entry.get("confidence", 0.5)),
-                provenance=tuple(
-                    _provenance_from_dict(p) for p in entry.get("provenance", [])
-                ),
-                inferred=bool(entry.get("inferred", False)),
-                edge_id=str(entry.get("id") or ""),
-            )
-        except GraphParseError:
-            raise
-        except KeyError as exc:
-            raise GraphParseError(f"edge record missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise GraphParseError(f"edge record {entry!r}: {exc}") from exc
+    for index, record in enumerate(records.get("edges", ())):
+        edge = decode_record(record, "edge", _edge, GraphParseError, f"edge #{index}")
         if edge.edge_id in edges:
             raise GraphParseError(f"duplicate edge id {edge.edge_id!r}")
         edges[edge.edge_id] = edge
@@ -347,36 +406,26 @@ def _graph_from_graphml(data: bytes) -> KnowledgeGraph:
         tag = _local_name(element.tag)
         fields = data_fields(element)
         if tag == "node":
-            node_id = element.get("id")
-            if node_id is None:
-                raise GraphParseError("graphml node without id attribute")
             payload["nodes"].append(
                 {
-                    "id": node_id,
+                    "id": element.get("id"),
                     "attributes": unflatten_context(fields.get("attributes", "")).to_dict(),
                 }
             )
         elif tag == "edge":
-            source = element.get("source")
-            target = element.get("target")
-            if source is None or target is None:
-                raise GraphParseError("graphml edge missing source/target attribute")
-            if "predicate" not in fields:
-                raise GraphParseError(
-                    f"graphml edge {element.get('id')!r} has no predicate data element"
-                )
             try:
                 provenance = json.loads(fields.get("provenance", "[]"))
-            except json.JSONDecodeError as exc:
-                raise GraphParseError(f"invalid provenance payload: {exc.msg}") from exc
+                confidence = float(fields["confidence"]) if "confidence" in fields else None
+            except ValueError as exc:  # json.JSONDecodeError is a ValueError too
+                raise GraphParseError(f"graphml edge {element.get('id')!r}: {exc}") from exc
             payload["edges"].append(
                 {
                     "id": element.get("id"),
-                    "source": source,
-                    "target": target,
-                    "predicate": fields["predicate"],
+                    "source": element.get("source"),
+                    "target": element.get("target"),
+                    "predicate": fields.get("predicate"),
                     "context": unflatten_context(fields.get("context", "")).to_dict(),
-                    "confidence": fields.get("confidence", "0.5"),
+                    "confidence": confidence,
                     "inferred": fields.get("inferred", "false") == "true",
                     "provenance": provenance,
                 }
@@ -436,19 +485,11 @@ def triple_to_dict(t: ContextTriple) -> dict[str, Any]:
     }
 
 
-def triple_from_dict(d: dict[str, Any]) -> ContextTriple:
-    try:
-        return ContextTriple(
-            subject=str(d["subject"]),
-            predicate=str(d["predicate"]),
-            object=str(d["object"]),
-            context=ContextMap(d.get("context")),
-            provenance=_provenance_from_dict(d.get("provenance") or {}),
-        )
-    except KeyError as exc:
-        raise GraphParseError(f"triple record missing field {exc}") from exc
-    except ValueError as exc:
-        raise GraphParseError(f"invalid triple record: {exc}") from exc
+def _triple(subject, predicate, object, provenance, context=None) -> ContextTriple:
+    return ContextTriple(
+        subject, predicate, object, ContextMap(context),
+        decode_record(provenance, "provenance", Provenance, ValueError, "provenance"),
+    )
 
 
 def triples_to_jsonl(triples: Iterable[ContextTriple]) -> bytes:
@@ -461,4 +502,5 @@ def triples_from_jsonl(data: bytes | str) -> list[ContextTriple]:
     raise :class:`GraphParseError` with a message that starts ``line N:``."""
     if isinstance(data, str):
         data = data.encode("utf-8")
-    return [triple_from_dict(record) for _, record in read_jsonl(data, GraphParseError)]
+    records = read_jsonl(data, GraphParseError)
+    return [decode_record(r, "triple", _triple, GraphParseError, where) for where, r in records]

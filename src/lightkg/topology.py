@@ -38,7 +38,7 @@ from .graph import (
     Provenance,
     edge_key,
 )
-from .serialize import read_json
+from .serialize import decode_record, read_json
 
 
 class RuleFileError(ValueError):
@@ -262,17 +262,15 @@ def bidirectional_bfs(
     max_len: int = DEFAULT_CONFIG.max_path_length,
     undirected: bool = True,
 ) -> PathEvidence | None:
-    """Shortest simple path of length <= ``max_len``, or None.
+    """Shortest simple path of length <= ``max_len``, or None: the first
+    path :func:`edge_disjoint_paths` finds.
 
     Ties between equal-length paths break toward the lexicographically
     smallest node sequence, then the smallest edge id per hop, so results
     are reproducible.
     """
-    g.require_node(source)
-    g.require_node(target)
-    if source == target:
-        raise ValueError("source and target must differ")
-    return _shortest_path(g, source, target, max_len, undirected, frozenset())
+    paths = edge_disjoint_paths(g, source, target, max_len, 1, undirected)
+    return paths[0] if paths else None
 
 
 def edge_disjoint_paths(
@@ -452,13 +450,11 @@ def infer_implicit_relations(
         outgoing.setdefault((edge.source, edge.predicate), []).append(edge)
         starts.setdefault(edge.predicate, []).append(edge)
 
-    # edge_id -> (confidence, witness ids, rule name, source, target, predicate)
-    candidates: dict[str, tuple[float, tuple[str, ...], str, str, str, str]] = {}
+    # edge_id -> (confidence, witness ids, rule)
+    candidates: dict[str, tuple[float, tuple[str, ...], InferenceRule]] = {}
 
     def record(path: list[Edge], rule: InferenceRule) -> None:
-        source = path[0].source
-        target = path[-1].target
-        eid = edge_key(source, rule.inferred_predicate, target)
+        eid = edge_key(path[0].source, rule.inferred_predicate, path[-1].target)
         confidence = math.prod(e.confidence for e in path) * rule.discount ** (
             len(rule.pattern) - 1
         )
@@ -469,14 +465,7 @@ def infer_implicit_relations(
             or confidence > best[0]
             or (confidence == best[0] and witness < best[1])
         ):
-            candidates[eid] = (
-                confidence,
-                witness,
-                rule.name,
-                source,
-                target,
-                rule.inferred_predicate,
-            )
+            candidates[eid] = (confidence, witness, rule)
 
     def walk(path: list[Edge], visited: set[str], rule: InferenceRule) -> None:
         if len(path) == len(rule.pattern):
@@ -496,16 +485,14 @@ def infer_implicit_relations(
 
     edges = dict(g.edges)
     for eid in sorted(candidates):
-        confidence, witness, rule_name, source, target, predicate = candidates[eid]
+        confidence, witness, rule = candidates[eid]
         existing = g.edges.get(eid)
-        provenance = Provenance(
-            encode_witness(rule_name, witness), 0, Extractor.INFERRED
-        )
+        provenance = Provenance(encode_witness(rule.name, witness), 0, Extractor.INFERRED)
         if existing is None:
             edges[eid] = Edge(
-                source=source,
-                target=target,
-                predicate=predicate,
+                source=g.edges[witness[0]].source,
+                target=g.edges[witness[-1]].target,
+                predicate=rule.inferred_predicate,
                 context=ContextMap(),
                 confidence=confidence,
                 provenance=(provenance,),
@@ -565,32 +552,15 @@ def _attach_senses(
 # --- input files ----------------------------------------------------------------
 
 
-def _json_list(value, what: str) -> list:
-    # tuple() and frozenset() would accept a string as a sequence of characters.
-    if not isinstance(value, list):
-        raise TypeError(f"{what} must be a json list, got {type(value).__name__}")
-    return value
-
-
 def load_rules(path) -> list[InferenceRule]:
     """Read a JSON list of {name, pattern, inferred_predicate, discount}."""
     payload = read_json(path, RuleFileError)
     if not isinstance(payload, list):
         raise RuleFileError(f"{path}: expected a json list of rules")
-    rules = []
-    for index, record in enumerate(payload):
-        try:
-            rules.append(
-                InferenceRule(
-                    name=record["name"],
-                    pattern=tuple(_json_list(record["pattern"], "pattern")),
-                    inferred_predicate=record["inferred_predicate"],
-                    discount=float(record.get("discount", 1.0)),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise RuleFileError(f"{path}: rule #{index}: {exc}") from exc
-    return rules
+    return [
+        decode_record(record, "rule", InferenceRule, RuleFileError, f"{path}: rule #{index}")
+        for index, record in enumerate(payload)
+    ]
 
 
 def load_senses(path) -> dict[str, list[SenseSignature]]:
@@ -602,18 +572,11 @@ def load_senses(path) -> dict[str, list[SenseSignature]]:
     for label, entries in payload.items():
         if not isinstance(entries, list):
             raise RuleFileError(f"{path}: senses for {label!r} must be a json list")
-        signatures = []
-        for index, record in enumerate(entries):
-            try:
-                signatures.append(
-                    SenseSignature(
-                        sense_label=record["sense_label"],
-                        cue_labels=frozenset(_json_list(record["cues"], "cues")),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise RuleFileError(
-                    f"{path}: senses for {label!r}, entry #{index}: {exc}"
-                ) from exc
-        senses_by_node[label] = signatures
+        senses_by_node[label] = [
+            decode_record(
+                record, "sense", lambda sense_label, cues: SenseSignature(sense_label, cues),
+                RuleFileError, f"{path}: senses for {label!r}, entry #{index}",
+            )
+            for index, record in enumerate(entries)
+        ]
     return senses_by_node

@@ -15,7 +15,6 @@ from lightkg.evaluation import (
     GoldSet,
     entity_f1,
     evaluate_run,
-    gold_from_graph,
     load_gold,
     relation_f1,
 )
@@ -143,7 +142,10 @@ class TestOracleEquivalence:
     def test_self_consistency(self, g):
         # the explicit zero convention wins over self-consistency when a side
         # is empty: no matches means F1 = 0 even against an empty gold
-        gold = gold_from_graph(g)
+        gold = GoldSet(
+            frozenset(g.nodes),
+            frozenset((e.source, e.predicate, e.target) for e in g.edges.values() if not e.inferred),
+        )
         if g.nodes:
             assert entity_f1(g, gold).f1 == 1.0
         if any(not e.inferred for e in g.edges.values()):
@@ -245,6 +247,7 @@ class TestEvaluateRun:
 
     def test_render_table_mentions_metrics(self, tmp_path):
         g = support.graph_of(("a", "p", "b"))
-        report = EvalReport(entity_f1(g, gold_from_graph(g)), relation_f1(g, gold_from_graph(g)))
+        gold = GoldSet(frozenset({"a", "b"}), frozenset({("a", "p", "b")}))
+        report = EvalReport(entity_f1(g, gold), relation_f1(g, gold))
         table = report.render_table()
         assert "entity" in table and "relation" in table and "1.0000" in table

@@ -1,0 +1,403 @@
+"""Record shapes: every record of every input file is checked against the one
+shape ``serialize.SHAPES`` declares for it, so a record of the wrong shape is
+an input error (exit 2) that names the record, never an internal error or a
+silently wrong value."""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import xml.etree.ElementTree as ET
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lightkg.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
+from lightkg.evaluation import GoldFormatError, load_gold
+from lightkg.extraction import CorpusFormatError, read_corpus
+from lightkg.graph import ContextMap, GraphIntegrityError
+from lightkg.pipeline import ConfigError, PipelineConfig
+from lightkg.serialize import (
+    GraphParseError,
+    deserialize_graph,
+    serialize_graph,
+    triples_from_jsonl,
+)
+from lightkg.topology import RuleFileError, load_rules, load_senses
+
+DATA = Path(__file__).parent / "data"
+GOLDEN_GRAPH = DATA / "golden" / "pattern_graph.json"
+RULES = DATA / "demo_rules.json"
+
+PROVENANCE = {"source_id": "d1", "chunk_index": 0, "extractor": "pattern"}
+TRIPLE = {
+    "subject": "ada",
+    "predicate": "mentored",
+    "object": "charles",
+    "context": {"year": ["1843"]},
+    "provenance": PROVENANCE,
+}
+EDGE = {
+    "source": "ada",
+    "target": "charles",
+    "predicate": "mentored",
+    "context": {"year": ["1843"]},
+    "confidence": 0.5,
+    "inferred": False,
+    "provenance": [PROVENANCE],
+}
+GRAPH = {
+    "nodes": [{"id": "ada", "attributes": {"kind": ["person"]}}, {"id": "charles"}],
+    "edges": [EDGE],
+}
+RULE = {"name": "r", "pattern": ["mentored", "advised"], "inferred_predicate": "lineage"}
+SENSE = {"sense_label": "element", "cues": ["metal"]}
+
+
+def replaced(record: dict, **fields) -> dict:
+    return {**record, **fields}
+
+
+def jsonl(*records) -> bytes:
+    return b"".join(json.dumps(r).encode() + b"\n" for r in records)
+
+
+# file kind -> (file name, argv given the file and a temporary directory)
+COMMANDS = {
+    "corpus": ("corpus.jsonl", lambda f, tmp: ["extract", f, "-o", f"{tmp}/t.jsonl"]),
+    "gold": ("gold.jsonl", lambda f, tmp: ["eval", str(GOLDEN_GRAPH), "--gold", f]),
+    "rules": (
+        "rules.json",
+        lambda f, tmp: ["discover", str(GOLDEN_GRAPH), "--rules", f, "-o", f"{tmp}/g.json"],
+    ),
+    "senses": (
+        "senses.json",
+        lambda f, tmp: [
+            "discover", str(GOLDEN_GRAPH), "--rules", str(RULES), "--senses", f,
+            "-o", f"{tmp}/g.json",
+        ],
+    ),
+    "triples": ("triples.jsonl", lambda f, tmp: ["aggregate", f, "-o", f"{tmp}/g.json"]),
+    "graph": (
+        "graph.json",
+        lambda f, tmp: ["discover", f, "--rules", str(RULES), "-o", f"{tmp}/g.json"],
+    ),
+    "graphml": (
+        "graph.graphml",
+        lambda f, tmp: ["discover", f, "--rules", str(RULES), "-o", f"{tmp}/g.json"],
+    ),
+}
+
+
+def run_cli(kind: str, content: bytes, tmp: Path) -> tuple[int, str]:
+    """Write ``content`` as a ``kind`` file and run the subcommand that reads
+    it; returns the exit code and stderr."""
+    name, argv = COMMANDS[kind]
+    path = tmp / name
+    path.write_bytes(content)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv(str(path), str(tmp)))
+    return code, err.getvalue()
+
+
+# case -> (file kind, content, fragment of the message naming the record)
+MALFORMED = {
+    "triples-line-list": ("triples", b"[1]\n", "line 1: expected a json object"),
+    "triples-line-string": ("triples", b'"x"\n', "line 1: expected a json object"),
+    "triples-context-number": (
+        "triples", jsonl(replaced(TRIPLE, context=5)), "line 1: context must be a json object",
+    ),
+    "triples-context-value-list-of-number": (
+        "triples",
+        jsonl(TRIPLE, replaced(TRIPLE, context={"year": [5]})),
+        "line 2: context must be a json object of string lists",
+    ),
+    "triples-context-value-string": (
+        "triples",
+        jsonl(replaced(TRIPLE, context={"year": "1898"})),
+        "line 1: context must be a json object of string lists",
+    ),
+    "triples-chunk-index-boolean": (
+        "triples",
+        jsonl(replaced(TRIPLE, provenance=replaced(PROVENANCE, chunk_index=True))),
+        "line 1: provenance: chunk_index must be a json integer, got true",
+    ),
+    "graph-context-value-string": (
+        "graph",
+        json.dumps(replaced(GRAPH, edges=[replaced(EDGE, context={"year": "1898"})])).encode(),
+        "edge #0: context must be a json object of string lists",
+    ),
+    "graph-nodes-number": (
+        "graph", json.dumps(replaced(GRAPH, nodes=5)).encode(), "graph: nodes must be a json list",
+    ),
+    "graph-node-attribute-number": (
+        "graph",
+        json.dumps(
+            replaced(GRAPH, nodes=[{"id": "ada"}, {"id": "charles", "attributes": {"k": 5}}])
+        ).encode(),
+        "node #1: attributes must be a json object of string lists",
+    ),
+    "graph-edge-inferred-string": (
+        "graph",
+        json.dumps(replaced(GRAPH, edges=[replaced(EDGE, inferred="false")])).encode(),
+        'edge #0: inferred must be a json boolean, got "false"',
+    ),
+    "graph-edge-to-missing-node": (
+        "graph",
+        json.dumps(replaced(GRAPH, nodes=[{"id": "ada"}])).encode(),
+        "references missing node 'charles'",
+    ),
+    "graph-provenance-chunk-index-boolean": (
+        "graph",
+        json.dumps(
+            replaced(
+                GRAPH, edges=[replaced(EDGE, provenance=[replaced(PROVENANCE, chunk_index=True)])]
+            )
+        ).encode(),
+        "edge #0: provenance #0: chunk_index must be a json integer",
+    ),
+    "rule-inferred-predicate-number": (
+        "rules",
+        json.dumps([replaced(RULE, inferred_predicate=5)]).encode(),
+        "rule #0: inferred_predicate must be a json string, got 5",
+    ),
+    "sense-label-number": (
+        "senses",
+        json.dumps({"radium": [replaced(SENSE, sense_label=5)]}).encode(),
+        "senses for 'radium', entry #0: sense_label must be a json string",
+    ),
+    "sense-cues-number-list": (
+        "senses",
+        json.dumps({"radium": [SENSE, replaced(SENSE, cues=[1])]}).encode(),
+        "senses for 'radium', entry #1: cues must be a json list of strings, got [1]",
+    ),
+    "gold-object-null": (
+        "gold",
+        jsonl({"subject": "marie curie", "predicate": "discovered", "object": None}),
+        "gold.jsonl:1: missing field 'object'",
+    ),
+    "gold-entity-list": (
+        "gold", jsonl({"entity": ["x"]}), 'gold.jsonl:1: entity must be a json string, got ["x"]',
+    ),
+    "corpus-text-number": (
+        "corpus",
+        jsonl({"id": "d1", "text": "Ada mentored Charles."}, {"id": "d2", "text": 5}),
+        "corpus.jsonl:2: text must be a json string, got 5",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_record_exits_2_naming_the_record(case, tmp_path):
+    kind, content, fragment = MALFORMED[case]
+    code, err = run_cli(kind, content, tmp_path)
+    assert code == EXIT_INPUT, err
+    assert err.startswith("error: ") and fragment in err, err
+
+
+def test_valid_records_of_every_kind_exit_0(tmp_path):
+    valid = {
+        "corpus": jsonl({"id": "d1", "text": "Ada mentored Charles in 1843."}),
+        "gold": jsonl({"subject": "marie curie", "predicate": "discovered", "object": "radium"}),
+        "rules": json.dumps([RULE]).encode(),
+        "senses": json.dumps({"radium": [SENSE]}).encode(),
+        "triples": jsonl(TRIPLE),
+        "graph": json.dumps(GRAPH).encode(),
+        "graphml": serialize_graph(deserialize_graph(json.dumps(GRAPH)), "graphml"),
+    }
+    for kind, content in valid.items():
+        assert run_cli(kind, content, tmp_path) == (EXIT_OK, ""), kind
+
+
+def test_config_path_field_of_another_kind_exits_1(tmp_path):
+    with pytest.raises(ConfigError, match="rules_path must be a string or null, got 5"):
+        PipelineConfig.from_dict({"rules_path": 5})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"rules_path": 5}))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(
+            ["pipeline", str(DATA / "demo_corpus.jsonl"), "-c", str(config), "-o", str(tmp_path)]
+        )
+    assert code == EXIT_USAGE
+    assert "rules_path" in err.getvalue()
+
+
+class TestDecoding:
+    def test_null_optional_field_reads_as_absent(self):
+        nulls = dict.fromkeys(("id", "context", "confidence", "inferred", "provenance"))
+        edge = replaced(EDGE, **nulls)
+        nodes = [{"id": "ada", "attributes": None}, {"id": "charles"}]
+        g = deserialize_graph(json.dumps({"nodes": nodes, "edges": [edge]}))
+        (loaded,) = g.edges.values()
+        assert g.nodes["ada"].attributes == ContextMap()
+        assert (loaded.context, loaded.confidence, loaded.inferred, loaded.provenance) == (
+            ContextMap(), 0.5, False, (),
+        )
+
+    def test_integer_number_reads_as_float(self):
+        g = deserialize_graph(json.dumps(replaced(GRAPH, edges=[replaced(EDGE, confidence=1)])))
+        (edge,) = g.edges.values()
+        assert type(edge.confidence) is float
+        assert b'"confidence":1.0' in serialize_graph(g)
+
+    def test_unlisted_fields_are_ignored(self):
+        (t,) = triples_from_jsonl(jsonl(replaced(TRIPLE, note=[1, {"x": None}])))
+        assert (t.subject, t.object) == ("ada", "charles")
+
+    def test_constructor_value_error_names_the_record(self):
+        bogus = replaced(PROVENANCE, extractor="bogus")
+        with pytest.raises(GraphParseError, match=r"^line 1: provenance: 'bogus' is not a valid"):
+            triples_from_jsonl(jsonl(replaced(TRIPLE, provenance=bogus)))
+
+    def test_number_past_float_range_is_a_parse_error(self):
+        payload = json.dumps(replaced(GRAPH, edges=[replaced(EDGE, confidence=10**400)]))
+        with pytest.raises(GraphParseError, match="^edge #0: "):
+            deserialize_graph(payload)
+
+
+# --- fuzz: every reader returns or raises its own error ---------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+
+# file kind -> (valid document, reader of the file's bytes, the reader's errors)
+FUZZED = {
+    "corpus": (
+        [
+            {"id": "d1", "text": "Ada mentored Charles in 1843."},
+            {"id": "d2", "text": "Radium is a metal."},
+        ],
+        lambda path: read_corpus(path),
+        CorpusFormatError,
+    ),
+    "gold": (
+        [
+            {"subject": "marie curie", "predicate": "discovered", "object": "radium"},
+            {"entity": "metal"},
+        ],
+        lambda path: load_gold(path),
+        GoldFormatError,
+    ),
+    "rules": ([RULE, replaced(RULE, name="s", discount=0.5)], load_rules, RuleFileError),
+    "senses": (
+        {"radium": [SENSE, replaced(SENSE, sense_label="brand")]}, load_senses, RuleFileError
+    ),
+    "triples": (
+        [TRIPLE, replaced(TRIPLE, subject="charles")],
+        lambda path: triples_from_jsonl(path.read_bytes()),
+        GraphParseError,
+    ),
+    "graph": (
+        GRAPH,
+        lambda path: deserialize_graph(path.read_bytes()),
+        (GraphParseError, GraphIntegrityError),
+    ),
+}
+
+
+def locations(value, path=()):
+    """Every place in a JSON document: the document itself, each list item and
+    each object field, nested ones included."""
+    yield path
+    if isinstance(value, dict):
+        children = value.items()
+    else:
+        children = enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from locations(child, path + (key,))
+
+
+def mutated(document, path, replacement, delete: bool):
+    """A copy of ``document`` with the value at ``path`` replaced, or with the
+    field at ``path`` dropped when ``delete`` is set and it is a field."""
+    if not path:
+        return replacement
+    document = json.loads(json.dumps(document))
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    if delete and isinstance(parent, dict):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = replacement
+    return document
+
+
+def encoded(kind: str, document) -> bytes:
+    if kind in ("corpus", "gold", "triples") and isinstance(document, list):
+        return jsonl(*document)  # one record per line; a replaced whole file stays one line
+    return json.dumps(document).encode()
+
+
+@pytest.mark.parametrize("kind", FUZZED)
+@settings(max_examples=60, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_records_are_read_or_rejected_by_the_reader(kind, data, tmp_path_factory):
+    document, reader, errors = FUZZED[kind]
+    path = data.draw(st.sampled_from(list(locations(document))), label="path")
+    value = data.draw(json_values, label="value")
+    delete = data.draw(st.booleans(), label="delete")
+    content = encoded(kind, mutated(document, path, value, delete))
+    tmp = tmp_path_factory.mktemp(kind)
+    target = tmp / COMMANDS[kind][0]
+    target.write_bytes(content)
+    try:
+        reader(target)
+    except errors:
+        expected = EXIT_INPUT
+    else:
+        expected = EXIT_OK
+    code, err = run_cli(kind, content, tmp)
+    assert code == expected, err
+
+
+def _graphml_locations(root: ET.Element) -> list[tuple[int, str]]:
+    """(element index, attribute name or data key) of every node and edge
+    field in a GraphML document."""
+    graph = root.find("{http://graphml.graphdrawing.org/xmlns}graph")
+    found = []
+    for index, element in enumerate(graph):
+        found += [(index, name) for name in element.attrib]
+        found += [(index, data.get("key")) for data in element]
+    return found
+
+
+GRAPHML = serialize_graph(deserialize_graph(json.dumps(GRAPH)), "graphml")
+
+
+@settings(max_examples=60, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_graphml_is_read_or_rejected(data, tmp_path_factory):
+    root = ET.fromstring(GRAPHML)
+    index, field = data.draw(st.sampled_from(_graphml_locations(root)), label="field")
+    element = root.find("{http://graphml.graphdrawing.org/xmlns}graph")[index]
+    text = data.draw(st.text(max_size=12) | json_values.map(json.dumps), label="text")
+    delete = data.draw(st.booleans(), label="delete")
+    data_el = next((d for d in element if d.get("key") == field), None)
+    if data_el is not None:
+        if delete:
+            element.remove(data_el)
+        else:
+            data_el.text = text
+    elif delete:
+        del element.attrib[field]
+    else:
+        element.set(field, text)
+    content = ET.tostring(root, encoding="utf-8")
+    try:
+        deserialize_graph(content, "graphml")
+    except (GraphParseError, GraphIntegrityError):
+        expected = EXIT_INPUT
+    else:
+        expected = EXIT_OK
+    code, err = run_cli("graphml", content, tmp_path_factory.mktemp("graphml"))
+    assert code == expected, err
