@@ -10,11 +10,8 @@ from .aggregation import (
     AggregationResult,
     EmptyLabelError,
     NormalizationPolicy,
-    add_triple,
     aggregate,
     aggregate_triples,
-    merge_attribute,
-    merge_graphs,
     normalize_label,
 )
 from .client import (
@@ -57,7 +54,6 @@ from .graph import (
     UnknownNodeError,
     content_equal,
     edge_key,
-    empty_graph,
 )
 from .pipeline import ConfigError, PipelineConfig, StageError, run_pipeline
 from .serialize import GraphParseError, deserialize_graph, serialize_graph
@@ -66,7 +62,6 @@ from .topology import (
     PathEvidence,
     SenseSignature,
     TopologyConfig,
-    bidirectional_bfs,
     disambiguate_entity,
     discover,
     edge_disjoint_paths,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .graph import (
@@ -19,8 +19,6 @@ from .graph import (
     KnowledgeGraph,
     Node,
     Provenance,
-    UnknownNodeError,
-    empty_graph,
 )
 
 DEFAULT_BASE_CONFIDENCE = 0.5
@@ -66,156 +64,6 @@ def normalize_label(raw: str, policy: NormalizationPolicy = DEFAULT_POLICY) -> s
     return s
 
 
-def add_triple(
-    g: KnowledgeGraph,
-    triple: ContextTriple,
-    policy: NormalizationPolicy = DEFAULT_POLICY,
-    base_confidence: float = DEFAULT_BASE_CONFIDENCE,
-) -> KnowledgeGraph:
-    """New graph with ``triple`` folded in under canonical labels.
-
-    Subject and object become nodes (created if absent); a repeated
-    (source, predicate, target) collapses onto the existing edge, unioning
-    context and appending provenance. Raises :class:`EmptyLabelError` when
-    any label normalizes to nothing; the graph is left unchanged.
-    """
-    fold = _Fold(g, policy, base_confidence)
-    fold.add(triple)
-    return fold.graph()
-
-
-class _Fold:
-    """Folds triples into a graph, as :func:`add_triple` describes.
-
-    Each distinct raw label or context value is normalized once. Triples
-    are collected per canonical (source, predicate, target) in plain
-    containers, and :meth:`graph` builds each edge (and its content-hash id)
-    once, in first-seen order; an edge already in the base graph keeps its
-    confidence and ``inferred`` flag.
-    """
-
-    def __init__(
-        self, base: KnowledgeGraph, policy: NormalizationPolicy, base_confidence: float
-    ) -> None:
-        self.base = base
-        self.policy = policy
-        self.base_confidence = base_confidence
-        self.nodes = dict(base.nodes)
-        self.labels: dict[str, str | EmptyLabelError] = {}
-        # (source, predicate, target) -> (context key -> values, provenance)
-        self.facts: dict[tuple[str, str, str], tuple[dict[str, set[str]], list[Provenance]]] = {}
-
-    def label(self, raw: str) -> str:
-        canonical = self.labels.get(raw)
-        if canonical is None:
-            try:
-                canonical = normalize_label(raw, self.policy)
-            except EmptyLabelError as exc:
-                canonical = exc
-            self.labels[raw] = canonical
-        if isinstance(canonical, EmptyLabelError):
-            raise canonical.with_traceback(None)
-        return canonical
-
-    def add(self, triple: ContextTriple) -> None:
-        """Fold in one triple; labels are normalized before anything is
-        changed, so an :class:`EmptyLabelError` leaves the fold as it was."""
-        spo = (self.label(triple.subject), self.label(triple.predicate), self.label(triple.object))
-        context: dict[str, list[str]] = {}
-        for key, values in triple.context.items():
-            kept = []
-            for value in values:
-                try:
-                    kept.append(self.label(value))
-                except EmptyLabelError:
-                    continue  # values that normalize to nothing are dropped
-            if kept:
-                context[key] = kept
-
-        for node_id in (spo[0], spo[2]):
-            if node_id not in self.nodes:
-                self.nodes[node_id] = Node(node_id)
-        fact = self.facts.get(spo)
-        if fact is None:
-            fact = self.facts[spo] = ({}, [])
-        fact_context, provenance = fact
-        for key, kept in context.items():
-            fact_context.setdefault(key, set()).update(kept)
-        provenance.append(triple.provenance)
-
-    def graph(self) -> KnowledgeGraph:
-        edges = dict(self.base.edges)
-        for (source, predicate, target), (context, provenance) in self.facts.items():
-            edge = Edge(
-                source=source,
-                target=target,
-                predicate=predicate,
-                context=ContextMap(context),
-                confidence=self.base_confidence,
-                provenance=tuple(provenance),
-            )
-            existing = edges.get(edge.edge_id)
-            if existing is not None:
-                edge = replace(
-                    existing,
-                    context=existing.context.union(edge.context),
-                    provenance=existing.provenance + edge.provenance,
-                )
-            edges[edge.edge_id] = edge
-        return KnowledgeGraph(self.nodes, edges)
-
-
-def merge_attribute(
-    g: KnowledgeGraph,
-    node_id: str,
-    key: str,
-    value: str,
-    policy: NormalizationPolicy = DEFAULT_POLICY,
-) -> KnowledgeGraph:
-    """New graph with ``value`` added to the node's attribute set under
-    ``key``. Existing values are never overwritten or discarded; duplicates
-    (after normalization) collapse by set semantics."""
-    node = g.nodes.get(node_id)
-    if node is None:
-        raise UnknownNodeError(node_id)
-    normalized = normalize_label(value, policy)
-    nodes = dict(g.nodes)
-    nodes[node_id] = replace(node, attributes=node.attributes.with_value(key, normalized))
-    return KnowledgeGraph(nodes, g.edges)
-
-
-def merge_graphs(a: KnowledgeGraph, b: KnowledgeGraph) -> KnowledgeGraph:
-    """Union of two graphs: nodes merge by id with attributes unioned, edges
-    merge by edge id with contexts unioned and provenance concatenated.
-
-    Merged-edge confidence takes the max of the two (a pre-scoring
-    placeholder; topology scoring assigns the real value). Associative, and
-    commutative up to provenance list order; ``empty_graph()`` is the
-    identity.
-    """
-    nodes = dict(a.nodes)
-    for node_id, nb in b.nodes.items():
-        na = nodes.get(node_id)
-        if na is None:
-            nodes[node_id] = nb
-        else:
-            nodes[node_id] = replace(na, attributes=na.attributes.union(nb.attributes))
-    edges = dict(a.edges)
-    for eid, eb in b.edges.items():
-        ea = edges.get(eid)
-        if ea is None:
-            edges[eid] = eb
-        else:
-            edges[eid] = replace(
-                ea,
-                context=ea.context.union(eb.context),
-                provenance=ea.provenance + eb.provenance,
-                confidence=max(ea.confidence, eb.confidence),
-                inferred=ea.inferred and eb.inferred,
-            )
-    return KnowledgeGraph(nodes, edges)
-
-
 @dataclass
 class AggregationResult:
     graph: KnowledgeGraph
@@ -227,21 +75,73 @@ def aggregate_triples(
     policy: NormalizationPolicy = DEFAULT_POLICY,
     base_confidence: float = DEFAULT_BASE_CONFIDENCE,
 ) -> AggregationResult:
-    """Left-fold of :func:`add_triple` over triples ordered by
-    (source_id, chunk_index, position). Triples whose labels normalize to
-    nothing are dropped and reported, never fatal. The fold runs over plain
-    containers; the graph is built and validated once, at the end."""
-    fold = _Fold(empty_graph(), policy, base_confidence)
+    """Fold triples, ordered by (source_id, chunk_index) and otherwise kept
+    in input order, into one graph under canonical labels.
+
+    Subject and object become nodes; triples with the same canonical
+    (source, predicate, target) collapse onto one edge, unioning context
+    and keeping provenance in fold order. Each distinct raw label or
+    context value is normalized once; context values that normalize to
+    nothing are dropped. A triple whose subject, predicate or object
+    normalizes to nothing is dropped and reported, never fatal, and leaves
+    no node behind. The fold runs over plain containers; each edge is built
+    once, in first-seen order, and the graph is validated once, at the end.
+    """
+    canonical: dict[str, str | EmptyLabelError] = {}
+
+    def label(raw: str) -> str:
+        result = canonical.get(raw)
+        if result is None:
+            try:
+                result = normalize_label(raw, policy)
+            except EmptyLabelError as exc:
+                result = exc
+            canonical[raw] = result
+        if isinstance(result, EmptyLabelError):
+            raise result.with_traceback(None)
+        return result
+
+    nodes: dict[str, Node] = {}
+    # (source, predicate, target) -> (context key -> values, provenance)
+    facts: dict[tuple[str, str, str], tuple[dict[str, set[str]], list[Provenance]]] = {}
     rejected: list[tuple[ContextTriple, str]] = []
     # sorted() is stable, so equal keys keep their input position.
     for triple in sorted(
         triples, key=lambda t: (t.provenance.source_id, t.provenance.chunk_index)
     ):
         try:
-            fold.add(triple)
+            spo = (label(triple.subject), label(triple.predicate), label(triple.object))
         except EmptyLabelError as exc:
             rejected.append((triple, str(exc)))
-    return AggregationResult(fold.graph(), rejected)
+            continue
+        fact = facts.get(spo)
+        if fact is None:
+            fact = facts[spo] = ({}, [])
+            for node_id in (spo[0], spo[2]):
+                if node_id not in nodes:
+                    nodes[node_id] = Node(node_id)
+        context, provenance = fact
+        for key, values in triple.context.items():
+            kept = context.setdefault(key, set())
+            for value in values:
+                try:
+                    kept.add(label(value))
+                except EmptyLabelError:
+                    continue  # values that normalize to nothing are dropped
+        provenance.append(triple.provenance)
+
+    edges = (
+        Edge(
+            source=source,
+            target=target,
+            predicate=predicate,
+            context=ContextMap(context),
+            confidence=base_confidence,
+            provenance=tuple(provenance),
+        )
+        for (source, predicate, target), (context, provenance) in facts.items()
+    )
+    return AggregationResult(KnowledgeGraph(nodes, {e.edge_id: e for e in edges}), rejected)
 
 
 def aggregate(
@@ -250,7 +150,8 @@ def aggregate(
     base_confidence: float = DEFAULT_BASE_CONFIDENCE,
 ) -> AggregationResult:
     """Aggregate extraction results (anything with a ``triples`` attribute)
-    into one graph. Content-equal to merging per-result subgraphs."""
+    into one graph with :func:`aggregate_triples`. How the triples are split
+    into results changes at most the order of provenance lists."""
     all_triples: list[ContextTriple] = []
     for result in results:
         all_triples.extend(result.triples)

@@ -132,8 +132,7 @@ def _cmd_extract(args) -> int:
 
 def _cmd_aggregate(args) -> int:
     config = _load_config(args)
-    data = _existing(args.triples, "triples file").read_bytes()
-    triples = triples_from_jsonl(data)
+    triples = triples_from_jsonl(_existing(args.triples, "triples file"))
     outcome = aggregate_triples(triples, config.normalization, config.base_confidence)
     fmt = format_for_path(args.output)
     Path(args.output).write_bytes(serialize_graph(outcome.graph, fmt))
@@ -147,7 +146,7 @@ def _cmd_aggregate(args) -> int:
 def _cmd_discover(args) -> int:
     config = _load_config(args)
     graph_path = _existing(args.graph, "graph file")
-    graph = deserialize_graph(graph_path.read_bytes(), format_for_path(graph_path))
+    graph = deserialize_graph(graph_path, format_for_path(graph_path))
     rules = load_rules(_existing(args.rules, "rules file"))
     senses = load_senses(_existing(args.senses, "senses file")) if args.senses else {}
     result = discover(

@@ -13,7 +13,7 @@ import os
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import requests
 
@@ -110,15 +110,6 @@ class MockChatClient(ChatClient):
 
     def __init__(self, fixtures: Mapping[str, str] | None = None) -> None:
         self.fixtures: dict[str, str] = dict(fixtures or {})
-
-    @classmethod
-    def for_prompts(
-        cls, pairs: Iterable[tuple[Sequence[ChatMessage], str]]
-    ) -> MockChatClient:
-        return cls({prompt_fingerprint(messages): text for messages, text in pairs})
-
-    def register(self, messages: Sequence[ChatMessage], response: str) -> None:
-        self.fixtures[prompt_fingerprint(messages)] = response
 
     def complete(self, messages: Sequence[ChatMessage], params: CompletionParams) -> str:
         _check_request(messages)

@@ -9,6 +9,7 @@ Each gold item is matched at most once; empty denominators score 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any
 
 from .aggregation import DEFAULT_POLICY, NormalizationPolicy, normalize_label
@@ -201,8 +202,7 @@ def evaluate_run(
     normalization: NormalizationPolicy = DEFAULT_POLICY,
 ) -> EvalReport:
     """Load a serialized graph and a gold file, compute both metrics."""
-    with open(predicted_graph_path, "rb") as handle:
-        graph = deserialize_graph(handle.read(), format_for_path(predicted_graph_path))
+    graph = deserialize_graph(Path(predicted_graph_path), format_for_path(predicted_graph_path))
     gold = load_gold(gold_path, normalization)
     return EvalReport(
         entity=entity_f1(graph, gold),

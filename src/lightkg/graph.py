@@ -280,11 +280,6 @@ class KnowledgeGraph:
         return index
 
 
-def empty_graph() -> KnowledgeGraph:
-    """Graph with zero nodes and zero edges; identity element for merging."""
-    return KnowledgeGraph()
-
-
 def content_equal(a: KnowledgeGraph, b: KnowledgeGraph) -> bool:
     """Structural equality ignoring the order of provenance lists."""
     if a.nodes != b.nodes or set(a.edges) != set(b.edges):

@@ -119,12 +119,15 @@ class PipelineConfig:
         for name in _PATH_FIELDS:
             if not isinstance(payload.get(name), (str, type(None))):
                 raise ConfigError(f"{name} must be a string or null, got {payload[name]!r}")
+        _check_kinds(cls, payload)
         kwargs = dict(payload)
         try:
             # Nested settings (normalization, topology, model) are built from
             # their dicts; unknown nested keys fail as TypeError.
             for f in fields(cls):
                 if f.name in kwargs and is_dataclass(f.default_factory):
+                    if isinstance(kwargs[f.name], dict):
+                        _check_kinds(f.default_factory, kwargs[f.name], f"{f.name}.")
                     kwargs[f.name] = f.default_factory(**kwargs[f.name])
             return cls(**kwargs)
         except ConfigError:
@@ -149,6 +152,26 @@ class PipelineConfig:
 
     def referenced_paths(self) -> list[str]:
         return [p for p in (getattr(self, name) for name in _PATH_FIELDS) if p]
+
+
+# JSON kind, and the types json.loads gives it, that a config value must have,
+# by the type of its field's default; a number field also takes an integer.
+_JSON_KINDS = {
+    bool: ("boolean", (bool,)),
+    int: ("integer", (int,)),
+    float: ("number", (int, float)),
+    str: ("string", (str,)),
+}
+
+
+def _check_kinds(cls, payload: dict[str, Any], prefix: str = "") -> None:
+    """Raise :class:`ConfigError` for a non-null value in ``payload`` whose
+    JSON kind does not fit its field of dataclass ``cls``."""
+    for f in fields(cls):
+        kind, types = _JSON_KINDS.get(type(f.default), (None, ()))
+        value = payload.get(f.name)
+        if kind and value is not None and type(value) not in types:
+            raise ConfigError(f"{prefix}{f.name} must be a json {kind}, got {value!r}")
 
 
 # The fields naming input files; ``load`` resolves them against the config

@@ -9,6 +9,7 @@ Both formats round-trip losslessly.
 from __future__ import annotations
 
 import json
+import os
 import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -18,6 +19,7 @@ from .graph import (
     ContextMap,
     ContextTriple,
     Edge,
+    GraphIntegrityError,
     KnowledgeGraph,
     Node,
     Provenance,
@@ -81,6 +83,8 @@ def read_json(path, error: type[Exception]) -> Any:
         raise error(
             f"{path}: invalid json: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from exc
+    except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
+        raise error(f"{path}: invalid json: {exc}") from exc
 
 
 def read_jsonl(source, error: type[Exception]) -> Iterator[tuple[str, Any]]:
@@ -100,6 +104,8 @@ def read_jsonl(source, error: type[Exception]) -> Iterator[tuple[str, Any]]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise error(f"{where}{lineno}: invalid json: {exc.msg}") from exc
+        except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
+            raise error(f"{where}{lineno}: invalid json: {exc}") from exc
         yield f"{where}{lineno}", record
 
 
@@ -445,23 +451,33 @@ def serialize_graph(g: KnowledgeGraph, fmt: str = "json") -> bytes:
     raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
-def deserialize_graph(data: bytes | str, fmt: str = "json") -> KnowledgeGraph:
+def deserialize_graph(data: bytes | str | os.PathLike, fmt: str = "json") -> KnowledgeGraph:
     """Parse bytes produced by :func:`serialize_graph` (or conforming to the
-    documented schema) back into a graph.
+    documented schema) back into a graph: ``data`` itself if it is bytes or
+    text, else the file at the path ``data``.
 
     Raises :class:`GraphParseError` on malformed input and
     :class:`~lightkg.graph.GraphIntegrityError` when an edge references a
-    missing node.
+    missing node; for a file, the message starts with its path.
     """
+    if isinstance(data, os.PathLike):
+        try:
+            return deserialize_graph(Path(data).read_bytes(), fmt)
+        except (GraphParseError, GraphIntegrityError) as exc:
+            raise type(exc)(f"{data}: {exc}") from exc
     if isinstance(data, str):
         data = data.encode("utf-8")
     if fmt == "json":
         try:
             payload = json.loads(_decode(data, GraphParseError, "line "))
+        except GraphParseError:  # undecodable bytes, already reported with their line
+            raise
         except json.JSONDecodeError as exc:
             raise GraphParseError(
                 f"invalid json at offset {exc.pos}: {exc.msg}"
             ) from exc
+        except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
+            raise GraphParseError(f"invalid json: {exc}") from exc
         return graph_from_dict(payload)
     if fmt == "graphml":
         return _graph_from_graphml(data)
@@ -497,9 +513,11 @@ def triples_to_jsonl(triples: Iterable[ContextTriple]) -> bytes:
     return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
 
 
-def triples_from_jsonl(data: bytes | str) -> list[ContextTriple]:
-    """Parse ``triples_to_jsonl`` output. Undecodable bytes and invalid JSON
-    raise :class:`GraphParseError` with a message that starts ``line N:``."""
+def triples_from_jsonl(data: bytes | str | os.PathLike) -> list[ContextTriple]:
+    """Parse ``triples_to_jsonl`` output: ``data`` itself if it is bytes or
+    text, else the file at the path ``data``. A line that is undecodable,
+    invalid JSON or no triple raises :class:`GraphParseError` with a message
+    that starts ``line N:``, or ``path:N:`` for a file."""
     if isinstance(data, str):
         data = data.encode("utf-8")
     records = read_jsonl(data, GraphParseError)

@@ -255,24 +255,6 @@ def _shortest_path(
     return PathEvidence(tuple(nodes), edge_ids)
 
 
-def bidirectional_bfs(
-    g: KnowledgeGraph,
-    source: str,
-    target: str,
-    max_len: int = DEFAULT_CONFIG.max_path_length,
-    undirected: bool = True,
-) -> PathEvidence | None:
-    """Shortest simple path of length <= ``max_len``, or None: the first
-    path :func:`edge_disjoint_paths` finds.
-
-    Ties between equal-length paths break toward the lexicographically
-    smallest node sequence, then the smallest edge id per hop, so results
-    are reproducible.
-    """
-    paths = edge_disjoint_paths(g, source, target, max_len, 1, undirected)
-    return paths[0] if paths else None
-
-
 def edge_disjoint_paths(
     g: KnowledgeGraph,
     source: str,
@@ -285,7 +267,12 @@ def edge_disjoint_paths(
     """Greedy edge-disjoint paths: repeatedly take a shortest path and remove
     its edges. Returned paths share no edge id; sorted by length, then by
     node sequence. Not guaranteed maximum (this is evidence counting, not
-    max-flow)."""
+    max-flow).
+
+    Ties between equal-length paths break toward the lexicographically
+    smallest node sequence, then the smallest edge id per hop, so results
+    are reproducible; ``max_paths=1`` gives the shortest path alone.
+    """
     g.require_node(source)
     g.require_node(target)
     if source == target:

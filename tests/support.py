@@ -15,7 +15,7 @@ from collections import deque
 from hypothesis import strategies as st
 
 from lightkg import extraction
-from lightkg.aggregation import EmptyLabelError, add_triple
+from lightkg.aggregation import EmptyLabelError, normalize_label
 from lightkg.graph import (
     ContextMap,
     ContextTriple,
@@ -24,7 +24,6 @@ from lightkg.graph import (
     KnowledgeGraph,
     Node,
     Provenance,
-    empty_graph,
 )
 from lightkg.topology import PathEvidence
 
@@ -36,14 +35,10 @@ def triple(s: str, p: str, o: str, ctx: dict | None = None, prov: Provenance = P
 
 
 def graph_of(*spo) -> KnowledgeGraph:
-    """Fold (s, p, o[, context dict]) tuples into a graph; labels should
-    already be canonical."""
-    g = empty_graph()
-    for item in spo:
-        s, p, o = item[:3]
-        ctx = item[3] if len(item) > 3 else None
-        g = add_triple(g, triple(s, p, o, ctx))
-    return g
+    """Fold (s, p, o[, context dict]) tuples into a graph with
+    :func:`reference_aggregate`; labels should already be canonical."""
+    graph, _ = reference_aggregate([triple(*item) for item in spo])
+    return graph
 
 
 # --- independent graph oracles -------------------------------------------------
@@ -235,20 +230,69 @@ def reference_edge_disjoint_paths(
     return found
 
 
+def add_triple(facts: dict, item: ContextTriple) -> dict:
+    """One step of :func:`reference_aggregate`: a copy of ``facts``, which
+    maps canonical (subject, predicate, object) to (context as key -> frozen
+    value set, provenance tuple), with ``item`` added. Raises
+    :class:`EmptyLabelError` if subject, predicate or object normalizes to
+    nothing; context values that do are left out."""
+    spo = tuple(normalize_label(label) for label in (item.subject, item.predicate, item.object))
+    context, provenance = facts.get(spo, ({}, ()))
+    context = dict(context)
+    for key, values in item.context.items():
+        kept = set()
+        for value in values:
+            try:
+                kept.add(normalize_label(value))
+            except EmptyLabelError:
+                pass
+        context[key] = context.get(key, frozenset()) | kept
+    return {**facts, spo: (context, provenance + (item.provenance,))}
+
+
 def reference_aggregate(
     triples: list[ContextTriple],
 ) -> tuple[KnowledgeGraph, list[tuple[ContextTriple, str]]]:
-    """Left fold of ``add_triple`` in (source_id, chunk_index, input) order,
-    collecting the triples it rejects."""
-    g = empty_graph()
+    """Left fold of :func:`add_triple` in (source_id, chunk_index, input)
+    order, collecting the triples it rejects, then one graph built from the
+    facts with the default base confidence. Shares no code with the
+    library's fold: each step copies the whole fact table."""
+    facts: dict = {}
     rejected = []
     ordered = sorted(triples, key=lambda t: (t.provenance.source_id, t.provenance.chunk_index))
     for item in ordered:
         try:
-            g = add_triple(g, item)
+            facts = add_triple(facts, item)
         except EmptyLabelError as exc:
             rejected.append((item, str(exc)))
-    return g, rejected
+    nodes = {}
+    edges = {}
+    for (s, p, o), (context, provenance) in facts.items():
+        nodes.setdefault(s, Node(s))
+        nodes.setdefault(o, Node(o))
+        edge = Edge(s, o, p, ContextMap(context), 0.5, provenance)
+        edges[edge.edge_id] = edge
+    return KnowledgeGraph(nodes, edges), rejected
+
+
+def union_graphs(*graphs: KnowledgeGraph) -> KnowledgeGraph:
+    """Aggregated graphs merged: nodes by id, edges by id with context value
+    sets unioned and provenance concatenated."""
+    nodes: dict[str, Node] = {}
+    edges: dict[str, Edge] = {}
+    for g in graphs:
+        nodes.update(g.nodes)
+        for eid, edge in g.edges.items():
+            before = edges.get(eid)
+            if before is not None:
+                keys = set(before.context.keys()) | set(edge.context.keys())
+                context = {key: before.context.get(key) | edge.context.get(key) for key in keys}
+                edge = Edge(
+                    edge.source, edge.target, edge.predicate, ContextMap(context),
+                    edge.confidence, before.provenance + edge.provenance,
+                )
+            edges[eid] = edge
+    return KnowledgeGraph(nodes, edges)
 
 
 def reference_pattern_extract(chunk: extraction.TextChunk) -> extraction.ExtractionResult:
@@ -373,13 +417,22 @@ def random_graph(
     return KnowledgeGraph(nodes, edges)
 
 
+def random_surface(rng: random.Random, word: str) -> str:
+    """``word`` as extraction might spell it; one time in ten, only
+    punctuation, which normalizes to nothing."""
+    if rng.random() < 0.1:
+        return rng.choice(["...", "?!", " - "])
+    return rng.choice([word, word, word.title(), f" {word.upper()}.", f"'{word}'"])
+
+
 def random_triples(rng: random.Random, count: int) -> list[ContextTriple]:
     return [
-        triple(
-            rng.choice(WORDS),
-            rng.choice(PREDICATES),
-            rng.choice(WORDS),
-            prov=Provenance(rng.choice(["d1", "d2", "d3"]), rng.randrange(3), Extractor.PATTERN),
+        ContextTriple(
+            random_surface(rng, rng.choice(WORDS)),
+            random_surface(rng, rng.choice(PREDICATES)),
+            random_surface(rng, rng.choice(WORDS)),
+            random_context(rng),
+            Provenance(rng.choice(["d1", "d2", "d3"]), rng.randrange(3), Extractor.PATTERN),
         )
         for _ in range(count)
     ]

@@ -17,32 +17,24 @@ from pathlib import Path
 import pytest
 
 import support
-from lightkg.aggregation import (
-    add_triple,
-    aggregate_triples,
-    merge_attribute,
-    merge_graphs,
-    normalize_label,
-)
-from lightkg.aggregation import EmptyLabelError
+from lightkg.aggregation import EmptyLabelError, aggregate, aggregate_triples, normalize_label
 from lightkg.client import CompletionParams, HttpChatClient
 from lightkg.evaluation import GoldSet, entity_f1, relation_f1
-from lightkg.extraction import TextChunk, extract_chunk, read_corpus
+from lightkg.extraction import ExtractionResult, TextChunk, extract_chunk, read_corpus
 from lightkg.graph import (
     Edge,
     KnowledgeGraph,
     Node,
     content_equal,
     edge_key,
-    empty_graph,
 )
 from lightkg.pipeline import PipelineConfig, extract_corpus, run_pipeline
 from lightkg.serialize import deserialize_graph, serialize_graph
 from lightkg.topology import (
     InferenceRule,
     SenseSignature,
-    bidirectional_bfs,
     disambiguate_entity,
+    edge_disjoint_paths,
     infer_implicit_relations,
     reinforce_confidence,
     witness_is_valid,
@@ -62,29 +54,38 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_1_graph_laws():
-    """Merge laws, normalize idempotence, monotone coexistence; >=1000 cases
-    in under 30 seconds."""
+    """Laws of the aggregation fold: order independence over permutations
+    and over splits into extraction results, empty input gives the empty
+    graph, normalize idempotence, monotone context values; >=1000 cases in
+    under 30 seconds."""
     rng = random.Random(1001)
     started = time.monotonic()
     cases = 0
     failures: list[str] = []
 
-    for _ in range(250):  # associativity: exact equality
-        a, b, c = (support.random_graph(rng) for _ in range(3))
-        if merge_graphs(merge_graphs(a, b), c) != merge_graphs(a, merge_graphs(b, c)):
-            failures.append("associativity")
+    for _ in range(300):  # any permutation gives a content-equal graph
+        triples = support.random_triples(rng, rng.randint(0, 12))
+        shuffled = rng.sample(triples, len(triples))
+        if not content_equal(aggregate_triples(triples).graph, aggregate_triples(shuffled).graph):
+            failures.append("permutation")
         cases += 1
 
-    for _ in range(250):  # commutativity up to provenance order
-        a, b = support.random_graph(rng), support.random_graph(rng)
-        if not content_equal(merge_graphs(a, b), merge_graphs(b, a)):
-            failures.append("commutativity")
+    for _ in range(250):  # any split into extraction results, in any order
+        triples = support.random_triples(rng, rng.randint(0, 12))
+        cuts = sorted(rng.randint(0, len(triples)) for _ in range(rng.randint(0, 3)))
+        results = [
+            ExtractionResult(triples=triples[start:stop])
+            for start, stop in zip([0, *cuts], [*cuts, len(triples)])
+        ]
+        rng.shuffle(results)
+        if not content_equal(aggregate(results).graph, aggregate_triples(triples).graph):
+            failures.append("split")
         cases += 1
 
-    for _ in range(200):  # empty graph is the identity
-        g = support.random_graph(rng)
-        if merge_graphs(g, empty_graph()) != g or merge_graphs(empty_graph(), g) != g:
-            failures.append("identity")
+    for _ in range(50):  # empty input, however it is split, is the empty graph
+        empty = [ExtractionResult() for _ in range(rng.randint(0, 3))]
+        if aggregate(empty).graph != KnowledgeGraph():
+            failures.append("empty input")
         cases += 1
 
     alphabet = "aBc  D.,!-'\"xyz_0"
@@ -99,28 +100,15 @@ def test_criterion_1_graph_laws():
             failures.append(f"idempotence on {raw!r}")
         cases += 1
 
-    for _ in range(150):  # attribute/context value sets never shrink
-        g = support.random_graph(rng)
-        history = [g]
+    for _ in range(200):  # context value sets only grow as triples are added
+        triples = support.random_triples(rng, rng.randint(0, 6))
+        history = [aggregate_triples(triples).graph]
         for _ in range(rng.randint(1, 4)):
-            op = rng.choice(["triple", "attribute", "merge"])
-            if op == "triple":
-                try:
-                    g = add_triple(g, support.random_triples(rng, 1)[0])
-                except EmptyLabelError:
-                    pass
-            elif op == "attribute" and g.nodes:
-                g = merge_attribute(
-                    g, rng.choice(sorted(g.nodes)), "tag", rng.choice(support.WORDS)
-                )
-            else:
-                g = merge_graphs(g, support.random_graph(rng))
-            history.append(g)
+            triples = triples + support.random_triples(rng, rng.randint(1, 3))
+            history.append(aggregate_triples(triples).graph)
         for before, after in zip(history, history[1:]):
-            for node_id, node in before.nodes.items():
-                for key, vals in node.attributes.items():
-                    if not vals <= after.nodes[node_id].attributes.get(key):
-                        failures.append("attribute shrank")
+            if not set(before.nodes) <= set(after.nodes):
+                failures.append("node lost")
             for eid, edge in before.edges.items():
                 for key, vals in edge.context.items():
                     if not vals <= after.edges[eid].context.get(key):
@@ -153,11 +141,14 @@ def test_criterion_2_bfs_oracle():
                 if source == target:
                     continue
                 expected = support.oracle_shortest_len(pairs, source, target, undirected)
-                path = bidirectional_bfs(g, source, target, max_len=24, undirected=undirected)
+                paths = edge_disjoint_paths(
+                    g, source, target, max_len=24, max_paths=1, undirected=undirected
+                )
                 pairs_checked += 1
                 if expected is None:
-                    failures += path is not None
+                    failures += paths != []
                     continue
+                path = paths[0] if paths else None
                 if path is None or path.length != expected:
                     failures += 1
                     continue
@@ -306,7 +297,7 @@ def test_criterion_6_evaluation_oracle():
             (rng.choice(support.WORDS), rng.choice(support.PREDICATES), rng.choice(support.WORDS))
             for _ in range(rng.randrange(0, 50))
         }
-        g = support.graph_of(*predicted) if predicted else empty_graph()
+        g = support.graph_of(*predicted)
         entities = set()
         for s, _, o in gold_triples:
             entities.update((s, o))

@@ -1,4 +1,4 @@
-"""Aggregation: canonical labels, coexistence merging, fold/merge laws."""
+"""Aggregation: canonical labels, coexistence merging, fold laws."""
 
 from __future__ import annotations
 
@@ -10,23 +10,13 @@ import support
 from lightkg.aggregation import (
     EmptyLabelError,
     NormalizationPolicy,
-    add_triple,
     aggregate,
     aggregate_triples,
-    merge_attribute,
-    merge_graphs,
     normalize_label,
 )
 from lightkg import aggregation
 from lightkg.extraction import ExtractionResult
-from lightkg.graph import (
-    Edge,
-    KnowledgeGraph,
-    Node,
-    UnknownNodeError,
-    content_equal,
-    empty_graph,
-)
+from lightkg.graph import Edge, KnowledgeGraph, content_equal
 from lightkg.serialize import serialize_graph
 
 
@@ -65,8 +55,12 @@ class TestNormalizeLabel:
 
 
 class TestAddTriple:
+    """What adding a triple to the input of :func:`aggregate_triples` does."""
+
     def test_discovery_triple(self):
-        g = add_triple(empty_graph(), support.triple("Marie Curie", "discovered", "radium", {"year": ["1898"]}))
+        g = aggregate_triples(
+            [support.triple("Marie Curie", "discovered", "radium", {"year": ["1898"]})]
+        ).graph
         assert sorted(g.nodes) == ["marie curie", "radium"]
         (edge,) = g.edges.values()
         assert edge.predicate == "discovered"
@@ -75,103 +69,41 @@ class TestAddTriple:
 
     def test_duplicate_collapses_onto_one_edge(self):
         t = support.triple("a", "p", "b", {"year": ["1898"]})
-        g = add_triple(add_triple(empty_graph(), t), t)
+        g = aggregate_triples([t, t]).graph
         assert g.edge_count == 1
         (edge,) = g.edges.values()
         assert len(edge.provenance) == 2
         assert edge.context.get("year") == frozenset({"1898"})
 
     def test_contexts_union_across_triples(self):
-        g = add_triple(empty_graph(), support.triple("a", "p", "b", {"year": ["1898"]}))
-        g = add_triple(g, support.triple("a", "p", "b", {"place": ["Paris"]}))
+        g = aggregate_triples(
+            [
+                support.triple("a", "p", "b", {"year": ["1898"]}),
+                support.triple("a", "p", "b", {"place": ["Paris"]}),
+            ]
+        ).graph
         (edge,) = g.edges.values()
         # independent oracle: plain dict union of the two context dicts
         assert edge.context.to_dict() == {"place": ["paris"], "year": ["1898"]}
 
     def test_empty_label_raises_and_leaves_graph_alone(self):
-        g = support.graph_of(("a", "p", "b"))
-        with pytest.raises(EmptyLabelError):
-            add_triple(g, support.triple("...", "p", "c"))
-        assert sorted(g.nodes) == ["a", "b"]
+        triples = [support.triple("a", "p", "b"), support.triple("...", "p", "c")]
+        outcome = aggregate_triples(triples)
+        with pytest.raises(EmptyLabelError) as raised:
+            normalize_label("...")
+        assert outcome.rejected == [(triples[1], str(raised.value))]
+        assert sorted(outcome.graph.nodes) == ["a", "b"]
 
     def test_context_values_are_normalized(self):
-        g = add_triple(empty_graph(), support.triple("a", "p", "b", {"place": [" Paris "]}))
+        g = aggregate_triples([support.triple("a", "p", "b", {"place": [" Paris "]})]).graph
         (edge,) = g.edges.values()
         assert edge.context.get("place") == frozenset({"paris"})
-
-
-class TestMergeAttribute:
-    def test_coexisting_occupations(self):
-        g = support.graph_of(("alan turing", "born_in", "london"))
-        g = merge_attribute(g, "alan turing", "occupation", "computer scientist")
-        g = merge_attribute(g, "alan turing", "occupation", "mathematician")
-        assert g.nodes["alan turing"].attributes.get("occupation") == frozenset(
-            {"computer scientist", "mathematician"}
-        )
-
-    def test_duplicate_value_is_idempotent(self):
-        g = support.graph_of(("x", "p", "y"))
-        g = merge_attribute(g, "x", "k", "V alue")
-        g = merge_attribute(g, "x", "k", "v  alue")
-        assert g.nodes["x"].attributes.get("k") == frozenset({"v alue"})
-
-    def test_unknown_node(self):
-        with pytest.raises(UnknownNodeError):
-            merge_attribute(support.graph_of(("a", "p", "b")), "nope", "k", "v")
-
-
-class TestMergeGraphs:
-    def test_empty_is_identity(self):
-        g = support.graph_of(("a", "p", "b", {"year": ["1"]}))
-        assert merge_graphs(g, empty_graph()) == g
-        assert merge_graphs(empty_graph(), g) == g
-
-    def test_shared_node_attributes_coexist(self):
-        left = merge_attribute(
-            support.graph_of(("alan turing", "proved", "halting problem")),
-            "alan turing", "occupation", "computer scientist",
-        )
-        right = merge_attribute(
-            support.graph_of(("alan turing", "born_in", "london")),
-            "alan turing", "occupation", "mathematician",
-        )
-        merged = merge_graphs(left, right)
-        assert sorted(merged.nodes) == ["alan turing", "halting problem", "london"]
-        assert merged.nodes["alan turing"].attributes.get("occupation") == frozenset(
-            {"computer scientist", "mathematician"}
-        )
-
-    def test_merged_edge_takes_max_confidence(self):
-        g = support.graph_of(("x", "p", "y"))
-        eid, edge = next(iter(g.edges.items()))
-        from dataclasses import replace
-
-        a = KnowledgeGraph(g.nodes, {eid: replace(edge, confidence=0.9)})
-        b = KnowledgeGraph(g.nodes, {eid: replace(edge, confidence=0.2)})
-        merged = merge_graphs(a, b)
-        assert merged.edges[eid].confidence == 0.9
-
-    @settings(max_examples=150)
-    @given(a=support.graphs(), b=support.graphs())
-    def test_commutative_up_to_provenance_order(self, a, b):
-        assert content_equal(merge_graphs(a, b), merge_graphs(b, a))
-
-    @settings(max_examples=100)
-    @given(a=support.graphs(), b=support.graphs(), c=support.graphs())
-    def test_associative(self, a, b, c):
-        assert merge_graphs(merge_graphs(a, b), c) == merge_graphs(a, merge_graphs(b, c))
-
-    @settings(max_examples=100)
-    @given(g=support.graphs())
-    def test_identity_element(self, g):
-        assert merge_graphs(g, empty_graph()) == g
-        assert merge_graphs(empty_graph(), g) == g
 
 
 class TestAggregate:
     def test_empty_input(self):
         outcome = aggregate([])
-        assert outcome.graph == empty_graph()
+        assert outcome.graph == KnowledgeGraph()
         assert outcome.rejected == []
 
     def test_single_result(self):
@@ -204,9 +136,7 @@ class TestAggregate:
     def test_fold_equals_merge_of_per_result_graphs(self, batches):
         results = [ExtractionResult(triples=batch) for batch in batches]
         folded = aggregate(results).graph
-        merged = empty_graph()
-        for batch in batches:
-            merged = merge_graphs(merged, aggregate_triples(batch).graph)
+        merged = support.union_graphs(*(aggregate_triples(batch).graph for batch in batches))
         assert content_equal(folded, merged)
 
 
@@ -216,7 +146,7 @@ class TestFoldMatchesAddTriple:
     def test_aggregate_equals_left_fold_of_add_triple(self, triples):
         outcome = aggregate_triples(triples)
         graph, rejected = support.reference_aggregate(triples)
-        assert content_equal(outcome.graph, graph)
+        assert outcome.graph == graph  # provenance order included
         assert serialize_graph(outcome.graph) == serialize_graph(graph)
         assert outcome.rejected == rejected
 
@@ -289,39 +219,18 @@ class TestFoldWork:
             "label '...' is empty after normalization"
         ] * 2
 
-    def test_add_triple_keeps_confidence_and_inferred(self):
-        edge = Edge("a", "b", "p", confidence=0.9, inferred=True)
-        g = KnowledgeGraph({"a": Node("a"), "b": Node("b")}, {edge.edge_id: edge})
-        (merged,) = add_triple(g, support.triple("A", "p", "b", {"year": ["1898"]})).edges.values()
-        assert merged.confidence == 0.9
-        assert merged.inferred is True
-        assert merged.provenance == (support.PROV,)
-        assert merged.context.get("year") == frozenset({"1898"})
-
 
 class TestMonotoneCoexistence:
     @settings(max_examples=100)
     @given(data=st.data())
     def test_value_sets_never_shrink(self, data):
-        g = data.draw(support.graphs())
-        snapshots = [g]
+        triples = data.draw(st.lists(support.raw_triples, max_size=6))
+        snapshots = [aggregate_triples(triples).graph]
         for _ in range(data.draw(st.integers(1, 5))):
-            op = data.draw(st.sampled_from(["triple", "attribute", "merge"]))
-            if op == "triple":
-                try:
-                    g = add_triple(g, data.draw(support.context_triples))
-                except EmptyLabelError:
-                    pass
-            elif op == "attribute" and g.nodes:
-                node_id = data.draw(st.sampled_from(sorted(g.nodes)))
-                g = merge_attribute(g, node_id, data.draw(support.labels), data.draw(support.labels))
-            else:
-                g = merge_graphs(g, data.draw(support.graphs()))
-            snapshots.append(g)
+            triples = triples + [data.draw(support.raw_triples)]
+            snapshots.append(aggregate_triples(triples).graph)
         for before, after in zip(snapshots, snapshots[1:]):
-            for node_id, node in before.nodes.items():
-                for key, vals in node.attributes.items():
-                    assert vals <= after.nodes[node_id].attributes.get(key)
+            assert set(before.nodes) <= set(after.nodes)
             for eid, edge in before.edges.items():
                 for key, vals in edge.context.items():
                     assert vals <= after.edges[eid].context.get(key)

@@ -88,7 +88,7 @@ class TestMockClient:
 
     def test_same_prompt_twice_is_identical(self):
         messages = user("again")
-        client = MockChatClient.for_prompts([(messages, "stable")])
+        client = MockChatClient({prompt_fingerprint(messages): "stable"})
         assert client.complete(messages, PARAMS) == client.complete(messages, PARAMS)
 
     @given(contents=st.lists(st.text(min_size=1, max_size=10), min_size=1, max_size=4))
@@ -99,7 +99,9 @@ class TestMockClient:
     def test_register_after_miss(self):
         messages = user("later")
         client = MockChatClient()
-        client.register(messages, "added")
+        with pytest.raises(FixtureMissError) as err:
+            client.complete(messages, PARAMS)
+        client.fixtures[err.value.fingerprint] = "added"
         assert client.complete(messages, PARAMS) == "added"
 
 

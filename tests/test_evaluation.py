@@ -18,7 +18,7 @@ from lightkg.evaluation import (
     load_gold,
     relation_f1,
 )
-from lightkg.graph import Edge, KnowledgeGraph, empty_graph
+from lightkg.graph import Edge, KnowledgeGraph
 from lightkg.serialize import serialize_graph
 
 
@@ -47,7 +47,7 @@ class TestEntityF1:
         assert result.spurious == ("a",)
 
     def test_empty_prediction(self):
-        result = entity_f1(empty_graph(), gold_of(entities={"a"}))
+        result = entity_f1(KnowledgeGraph(), gold_of(entities={"a"}))
         assert (result.precision, result.recall, result.f1) == (0.0, 0.0, 0.0)
 
     def test_empty_gold(self):
@@ -94,7 +94,7 @@ class TestRelationF1:
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
-            relation_f1(empty_graph(), gold_of(), "fuzzy")
+            relation_f1(KnowledgeGraph(), gold_of(), "fuzzy")
 
 
 class TestOracleEquivalence:
@@ -218,7 +218,7 @@ class TestEvaluateRun:
         assert {"type": "relation", "triple": ["marie curie", "discovered", "radium"]} in payload["matched"]
 
     def test_empty_graph_scores_zero(self, tmp_path):
-        graph_path = self.write_graph(tmp_path, empty_graph())
+        graph_path = self.write_graph(tmp_path, KnowledgeGraph())
         gold_path = tmp_path / "gold.jsonl"
         gold_path.write_text('{"subject": "a", "predicate": "p", "object": "b"}\n')
         report = evaluate_run(graph_path, gold_path)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from lightkg.client import CompletionParams, MockChatClient
+from lightkg.client import CompletionParams, MockChatClient, prompt_fingerprint
 from lightkg.extraction import (
     CorpusFormatError,
     TextChunk,
@@ -158,8 +158,11 @@ class TestParseResponse:
 class TestExtractChunk:
     def test_well_formed_response(self):
         ch = chunk(MARIE)
-        client = MockChatClient.for_prompts(
-            [(build_extraction_prompt(ch, True), "(Marie Curie | discovered | radium) {year=1898}")]
+        client = MockChatClient(
+            {
+                prompt_fingerprint(build_extraction_prompt(ch, True)):
+                    "(Marie Curie | discovered | radium) {year=1898}"
+            }
         )
         result = extract_chunk(ch, client, PARAMS, include_context=True)
         assert len(result.triples) == 1
@@ -169,11 +172,12 @@ class TestExtractChunk:
     def test_repair_pass(self):
         ch = chunk(MARIE)
         garbage = "I could not find any facts, sorry!"
-        client = MockChatClient.for_prompts(
-            [
-                (build_extraction_prompt(ch, True), garbage),
-                (build_repair_prompt(ch, garbage, True), "(marie curie | discovered | radium)"),
-            ]
+        client = MockChatClient(
+            {
+                prompt_fingerprint(build_extraction_prompt(ch, True)): garbage,
+                prompt_fingerprint(build_repair_prompt(ch, garbage, True)):
+                    "(marie curie | discovered | radium)",
+            }
         )
         result = extract_chunk(ch, client, PARAMS, include_context=True)
         assert len(result.triples) == 1
@@ -181,7 +185,7 @@ class TestExtractChunk:
 
     def test_empty_response_is_not_an_error(self):
         ch = chunk(MARIE)
-        client = MockChatClient.for_prompts([(build_extraction_prompt(ch, True), "")])
+        client = MockChatClient({prompt_fingerprint(build_extraction_prompt(ch, True)): ""})
         result = extract_chunk(ch, client, PARAMS, include_context=True)
         assert result.triples == []
         assert result.repaired is False
@@ -189,8 +193,11 @@ class TestExtractChunk:
     def test_context_stripped_when_disabled(self):
         ch = chunk(MARIE)
         # the model disobeys and returns context anyway
-        client = MockChatClient.for_prompts(
-            [(build_extraction_prompt(ch, False), "(marie curie | discovered | radium) {year=1898}")]
+        client = MockChatClient(
+            {
+                prompt_fingerprint(build_extraction_prompt(ch, False)):
+                    "(marie curie | discovered | radium) {year=1898}"
+            }
         )
         result = extract_chunk(ch, client, PARAMS, include_context=False)
         assert len(result.triples) == 1

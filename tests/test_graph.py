@@ -23,7 +23,6 @@ from lightkg.graph import (
     UnknownNodeError,
     content_equal,
     edge_key,
-    empty_graph,
 )
 
 
@@ -115,7 +114,7 @@ class TestEdge:
 
 class TestKnowledgeGraph:
     def test_empty_graph(self):
-        g = empty_graph()
+        g = KnowledgeGraph()
         assert g.node_count == 0 and g.edge_count == 0
 
     def test_dangling_edge_rejected(self):

@@ -54,6 +54,12 @@ GOOD_LINE = json.dumps(
 ).encode() + b"\n"
 
 
+# A record holding a 5,000-digit integer: past the 4,300 digits json.loads
+# converts by default, for which it raises a plain ValueError rather than a
+# JSONDecodeError.
+HUGE_INTEGER_LINE = b'{"id": ' + b"9" * 5000 + b"}\n"
+
+
 def run_reader(name: str, tmp_path: Path, content: bytes) -> None:
     """Feed ``content`` to reader ``name``, in memory or through a file."""
     reader, _, _ = READERS[name]
@@ -96,6 +102,15 @@ def test_invalid_json_raises_the_readers_error(name, tmp_path):
     else:
         assert message.startswith(f"{tmp_path / f'{name}.input'}: invalid json: ")
         assert message.endswith("at line 2 column 6")
+
+    content = (GOOD_LINE if jsonl else b"") + HUGE_INTEGER_LINE
+    with pytest.raises(error) as err:
+        run_reader(name, tmp_path, content)
+    if jsonl:
+        where = f"{line_prefix(name, tmp_path)}2: "
+    else:
+        where = "" if name in IN_MEMORY else f"{tmp_path / f'{name}.input'}: "
+    assert str(err.value).startswith(f"{where}invalid json: Exceeds the limit")
 
 
 def test_jsonl_lines_end_where_text_mode_reading_ends_them(tmp_path):
@@ -195,9 +210,13 @@ CLI_CASES = {
 def test_cli_exit_code_for_an_undecodable_file(name, tmp_path, capsys):
     argv, expected = CLI_CASES[name]
     bad = tmp_path / f"{name}.input"
-    bad.write_bytes(b'{"id": "\xff"}\n')
     out_dir = tmp_path / "out"
     out_dir.mkdir()
-    assert main(argv(str(bad), str(out_dir))) == expected
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "invalid utf-8" in err
+    for content, problem in (
+        (b'{"id": "\xff"}\n', "invalid utf-8"),
+        (HUGE_INTEGER_LINE, "digits"),
+    ):
+        bad.write_bytes(content)
+        assert main(argv(str(bad), str(out_dir))) == expected
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}") and problem in err, err

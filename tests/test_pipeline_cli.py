@@ -273,6 +273,9 @@ class TestRunPipeline:
             ("max_chunk_chars", 0),
             ("retry_count", -3),
             ("base_confidence", 1.7),
+            ("max_chunk_chars", 2.5),
+            ("include_context", "no"),
+            ("topology", {"max_path_length": 2.5}),
         ],
     )
     def test_bad_field_rejected_at_load(self, key, value):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from lightkg.graph import ContextMap, GraphIntegrityError, empty_graph
+from lightkg.graph import ContextMap, GraphIntegrityError, KnowledgeGraph
 from lightkg.serialize import (
     GraphParseError,
     deserialize_graph,
@@ -22,7 +22,7 @@ from lightkg.serialize import (
 
 
 def test_empty_graph_json_bytes():
-    assert serialize_graph(empty_graph(), "json") == b'{"nodes":[],"edges":[]}'
+    assert serialize_graph(KnowledgeGraph(), "json") == b'{"nodes":[],"edges":[]}'
 
 
 def test_single_node_round_trip():
@@ -139,7 +139,7 @@ def test_graphml_with_foreign_key_ids():
 
 def test_unknown_format_rejected():
     with pytest.raises(ValueError):
-        serialize_graph(empty_graph(), "yaml")
+        serialize_graph(KnowledgeGraph(), "yaml")
     with pytest.raises(ValueError):
         deserialize_graph(b"{}", "yaml")
 

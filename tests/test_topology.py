@@ -30,7 +30,6 @@ from lightkg.topology import (
     RuleFileError,
     SenseSignature,
     TopologyConfig,
-    bidirectional_bfs,
     decode_witness,
     disambiguate_entity,
     discover,
@@ -82,36 +81,36 @@ class TestPathEvidence:
 class TestBidirectionalBfs:
     def test_two_hop_path(self):
         g = support.graph_of(("a", "p", "b"), ("b", "p", "c"))
-        path = bidirectional_bfs(g, "a", "c")
-        assert path is not None
+        (path,) = edge_disjoint_paths(g, "a", "c", max_paths=1)
         assert path.nodes == ("a", "b", "c")
         assert path.length == 2
 
     def test_disconnected_pair(self):
         g = support.graph_of(("a", "p", "b"), ("c", "p", "d"))
-        assert bidirectional_bfs(g, "a", "d") is None
+        assert edge_disjoint_paths(g, "a", "d", max_paths=1) == []
 
     def test_direction_respected_when_directed(self):
         g = support.graph_of(("a", "p", "b"))
-        assert bidirectional_bfs(g, "b", "a", undirected=False) is None
-        assert bidirectional_bfs(g, "b", "a", undirected=True) is not None
+        assert edge_disjoint_paths(g, "b", "a", max_paths=1, undirected=False) == []
+        assert edge_disjoint_paths(g, "b", "a", max_paths=1, undirected=True) != []
 
     def test_max_len_bound(self):
         g = support.graph_of(("a", "p", "b"), ("b", "p", "c"), ("c", "p", "d"))
-        assert bidirectional_bfs(g, "a", "d", max_len=2) is None
-        assert bidirectional_bfs(g, "a", "d", max_len=3).length == 3
+        assert edge_disjoint_paths(g, "a", "d", max_len=2, max_paths=1) == []
+        (path,) = edge_disjoint_paths(g, "a", "d", max_len=3, max_paths=1)
+        assert path.length == 3
 
     def test_lexicographic_tie_break(self):
         g = support.graph_of(("s", "p", "m"), ("m", "p", "t"), ("s", "p", "k"), ("k", "p", "t"))
-        path = bidirectional_bfs(g, "s", "t")
+        (path,) = edge_disjoint_paths(g, "s", "t", max_paths=1)
         assert path.nodes == ("s", "k", "t")
 
     def test_same_node_rejected(self):
         g = support.graph_of(("a", "p", "b"))
         with pytest.raises(ValueError):
-            bidirectional_bfs(g, "a", "a")
+            edge_disjoint_paths(g, "a", "a", max_paths=1)
         with pytest.raises(UnknownNodeError):
-            bidirectional_bfs(g, "a", "zzz")
+            edge_disjoint_paths(g, "a", "zzz", max_paths=1)
 
     @settings(max_examples=200)
     @given(data=st.data())
@@ -125,11 +124,13 @@ class TestBidirectionalBfs:
                 if source == target:
                     continue
                 expected = support.oracle_shortest_len(pairs, source, target, undirected)
-                path = bidirectional_bfs(g, source, target, max_len=20, undirected=undirected)
+                paths = edge_disjoint_paths(
+                    g, source, target, max_len=20, max_paths=1, undirected=undirected
+                )
                 if expected is None:
-                    assert path is None
+                    assert paths == []
                 else:
-                    assert path is not None
+                    (path,) = paths
                     assert path.length == expected
                     assert path_is_valid(g, path, undirected)
                     assert path.nodes[0] == source and path.nodes[-1] == target
@@ -143,7 +144,9 @@ class TestBidirectionalBfs:
         target = data.draw(st.sampled_from(node_ids))
         if source == target:
             return
-        assert bidirectional_bfs(g, source, target) == bidirectional_bfs(g, source, target)
+        assert edge_disjoint_paths(g, source, target, max_paths=1) == edge_disjoint_paths(
+            g, source, target, max_paths=1
+        )
 
 
 class TestEdgeDisjointPaths:
@@ -603,9 +606,10 @@ class TestSharedIndexMatchesReference:
         assert edge_disjoint_paths(
             g, source, target, max_len, max_paths, undirected, exclude
         ) == expected
-        assert bidirectional_bfs(
-            g, source, target, max_len, undirected
-        ) == support.reference_shortest_path(g, source, target, max_len, undirected, ())
+        shortest = support.reference_shortest_path(g, source, target, max_len, undirected, ())
+        assert edge_disjoint_paths(g, source, target, max_len, 1, undirected) == (
+            [shortest] if shortest else []
+        )
 
     @settings(max_examples=150)
     @given(
@@ -672,7 +676,7 @@ class TestIndexBuiltOncePerCall:
         for _ in range(2):
             for undirected in (True, False):
                 for source, target in pairs:
-                    bidirectional_bfs(g, source, target, undirected=undirected)
+                    edge_disjoint_paths(g, source, target, max_paths=1, undirected=undirected)
                     edge_disjoint_paths(g, source, target, undirected=undirected)
             disambiguate_entity(g, "n000", senses)
         assert sorted(undirected for _, undirected in calls) == [False, True]
