@@ -147,8 +147,9 @@ def _cmd_discover(args) -> int:
     config = _load_config(args)
     graph_path = _existing(args.graph, "graph file")
     graph = deserialize_graph(graph_path, format_for_path(graph_path))
-    rules = load_rules(_existing(args.rules, "rules file"))
-    senses = load_senses(_existing(args.senses, "senses file")) if args.senses else {}
+    policy = config.normalization
+    rules = load_rules(_existing(args.rules, "rules file"), policy)
+    senses = load_senses(_existing(args.senses, "senses file"), policy) if args.senses else {}
     result = discover(
         graph,
         rules=rules,

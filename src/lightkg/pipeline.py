@@ -253,37 +253,50 @@ def filter_for_export(g: KnowledgeGraph, threshold: float) -> KnowledgeGraph:
     return KnowledgeGraph(g.nodes, kept)
 
 
+def _json_bytes(payload: Any) -> bytes:
+    return (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+
+
 def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]:
     """Run chunk -> extract -> aggregate -> discover -> export (-> evaluate).
 
-    Writes ``graph.json`` (or ``graph.graphml``), ``triples.jsonl`` and
-    ``summary.json`` into ``out_dir`` and returns the summary. On failure,
-    partial artifacts are written under ``out_dir/quarantine`` and a
-    :class:`StageError` naming the stage is raised.
+    Writes ``graph.json`` (or ``graph.graphml``), ``triples.jsonl``,
+    ``summary.json`` and, with a gold file, ``report.json`` into ``out_dir``
+    and returns the summary. Each file is written under a temporary name
+    first and moved to its own name only once every stage has succeeded. On
+    failure, partial artifacts go under ``out_dir/quarantine`` instead, and
+    a :class:`StageError` naming the stage is raised.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     timings: dict[str, float] = {}
-    partial: dict[str, bytes] = {}
+    # Output name -> the temporary file in out_dir that holds it.
+    staged: dict[str, Path] = {}
     aggregated: KnowledgeGraph | None = None
     stage = "configure"
+
+    def write_staged(name: str, data: bytes) -> Path:
+        path = out / f".partial-{name}"
+        path.write_bytes(data)
+        staged[name] = path
+        return path
 
     def quarantine() -> None:
         if aggregated is not None:
             try:
-                partial["graph_aggregated.json"] = serialize_graph(aggregated, "json")
+                write_staged("graph_aggregated.json", serialize_graph(aggregated, "json"))
             except Exception:
                 # Report it, but raise the stage's own error, not this one.
                 logging.getLogger(__name__).warning(
                     "could not serialize the aggregated graph for quarantine", exc_info=True
                 )
-        if not partial:
+        if not staged:
             return
         qdir = out / "quarantine"
         qdir.mkdir(parents=True, exist_ok=True)
-        for name, data in partial.items():
-            (qdir / name).write_bytes(data)
+        for name, path in staged.items():
+            os.replace(path, qdir / name)
 
     try:
         for path in config.referenced_paths():
@@ -300,7 +313,7 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
         chunks, results = extract_corpus(config, documents)
         timings["extract_s"] = time.perf_counter() - tick
         triples = [t for r in results for t in r.triples]
-        partial["triples.jsonl"] = triples_to_jsonl(triples)
+        write_staged("triples.jsonl", triples_to_jsonl(triples))
 
         stage = "aggregate"
         tick = time.perf_counter()
@@ -310,8 +323,9 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
 
         stage = "discover"
         tick = time.perf_counter()
-        rules = load_rules(config.rules_path) if config.rules_path else []
-        senses = load_senses(config.senses_path) if config.senses_path else {}
+        policy = config.normalization
+        rules = load_rules(config.rules_path, policy) if config.rules_path else []
+        senses = load_senses(config.senses_path, policy) if config.senses_path else {}
         graph = discover(
             graph,
             rules=rules,
@@ -325,9 +339,7 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
         tick = time.perf_counter()
         graph_name = f"graph.{'graphml' if config.export_format == 'graphml' else 'json'}"
         kept = filter_for_export(graph, config.confidence_threshold)
-        exported = serialize_graph(kept, config.export_format)
-        (out / "triples.jsonl").write_bytes(partial["triples.jsonl"])
-        (out / graph_name).write_bytes(exported)
+        graph_file = write_staged(graph_name, serialize_graph(kept, config.export_format))
         timings["export_s"] = time.perf_counter() - tick
 
         evaluation = None
@@ -337,16 +349,13 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
             from .evaluation import evaluate_run
 
             report = evaluate_run(
-                out / graph_name,
+                graph_file,
                 config.gold_path,
                 policy=config.eval_policy,
                 normalization=config.normalization,
             )
             evaluation = report.to_dict()
-            (out / "report.json").write_text(
-                json.dumps(evaluation, indent=2, ensure_ascii=False) + "\n",
-                encoding="utf-8",
-            )
+            write_staged("report.json", _json_bytes(evaluation))
             timings["evaluate_s"] = time.perf_counter() - tick
 
         stage = "summarize"
@@ -384,9 +393,9 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
             },
             "evaluation": evaluation,
         }
-        (out / "summary.json").write_text(
-            json.dumps(summary, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-        )
+        write_staged("summary.json", _json_bytes(summary))
+        for name, path in staged.items():
+            os.replace(path, out / name)
         return summary
     except StageError:
         quarantine()

@@ -11,8 +11,11 @@ Three capabilities, all pure graph-in/graph-out:
   in the edge's provenance for auditing.
 
 Path search is a bidirectional breadth-first search (frontiers expanded from
-both endpoints, meeting in the middle), followed by a deterministic
-lexicographic reconstruction so equal graphs always yield equal paths.
+both endpoints, meeting in the middle) run to the end of the level on which
+they meet. The path is then read off the search's own levels: walking back
+from the meeting nodes over the source side, and down the target side's
+distances, it takes the lexicographically smallest node sequence, so equal
+graphs always yield equal paths. No second search runs.
 
 All searches over one graph walk the graph's own
 :class:`~lightkg.graph.AdjacencyIndex` (node -> neighbor -> sorted ids of the
@@ -21,7 +24,8 @@ builds once per graph and direction mode. Edges are excluded from a search
 (the scored edge itself, and the edges of supports already found) by a check
 against the ``used`` id set during neighbor expansion and hop-edge choice,
 never by rebuilding the index; nodes no used edge touches keep their
-neighbor maps as they are.
+neighbor maps as they are. The set of touched nodes grows with each support
+found, once per :func:`edge_disjoint_paths` call.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
+from .aggregation import DEFAULT_POLICY, EmptyLabelError, NormalizationPolicy, normalize_label
 from .graph import (
     ContextMap,
     Edge,
@@ -138,46 +143,26 @@ class SenseSignature:
 # --- path search ----------------------------------------------------------------
 
 
-def _bidirectional_distance(
-    source: str,
-    target: str,
-    forward: Callable[[str], Iterable[str]],
-    backward: Callable[[str], Iterable[str]],
-    max_len: int,
-) -> int | None:
-    """Shortest source-to-target distance not exceeding ``max_len``, found by
-    expanding breadth-first frontiers from both ends until they meet."""
-    dist_s = {source: 0}
-    dist_t = {target: 0}
-    frontier_s = [source]
-    frontier_t = [target]
-    depth_s = depth_t = 0
-    while frontier_s and frontier_t:
-        if depth_s + depth_t >= max_len:
-            return None
-        if len(frontier_s) <= len(frontier_t):
-            depth_s += 1
-            next_frontier = []
-            for u in frontier_s:
-                for v in forward(u):
-                    if v not in dist_s:
-                        dist_s[v] = depth_s
-                        if v in dist_t:
-                            return depth_s + dist_t[v]
-                        next_frontier.append(v)
-            frontier_s = next_frontier
-        else:
-            depth_t += 1
-            next_frontier = []
-            for u in frontier_t:
-                for v in backward(u):
-                    if v not in dist_t:
-                        dist_t[v] = depth_t
-                        if v in dist_s:
-                            return dist_s[v] + depth_t
-                        next_frontier.append(v)
-            frontier_t = next_frontier
-    return None
+def _expand(
+    frontier: list[str],
+    step: Callable[[str], Iterable[str]],
+    dist: dict[str, int],
+    depth: int,
+    other: Mapping[str, int],
+    meet: list[str],
+) -> list[str]:
+    """One breadth-first level: record every node first reached from
+    ``frontier`` at ``depth`` in ``dist``, append those ``other`` already
+    holds to ``meet``, and return the new frontier."""
+    next_frontier = []
+    for u in frontier:
+        for v in step(u):
+            if v not in dist:
+                dist[v] = depth
+                next_frontier.append(v)
+                if v in other:
+                    meet.append(v)
+    return next_frontier
 
 
 def _bounded_distances(
@@ -188,13 +173,7 @@ def _bounded_distances(
     depth = 0
     while frontier and depth < limit:
         depth += 1
-        next_frontier = []
-        for u in frontier:
-            for v in step(u):
-                if v not in dist:
-                    dist[v] = depth
-                    next_frontier.append(v)
-        frontier = next_frontier
+        frontier = _expand(frontier, step, dist, depth, {}, [])
     return dist
 
 
@@ -205,16 +184,12 @@ def _shortest_path(
     max_len: int,
     undirected: bool,
     exclude: set[str] | frozenset[str],
+    touched: set[str],
 ) -> PathEvidence | None:
+    """Shortest source-to-target path of at most ``max_len`` hops avoiding
+    the ``exclude`` edge ids; ``touched`` must hold every endpoint of an
+    excluded edge (other nodes walk their neighbor maps unfiltered)."""
     index = g.adjacency(undirected)
-    # Only nodes that an excluded edge touches need their neighbors filtered;
-    # every other node walks its precomputed neighbor map as it is.
-    touched = set()
-    for eid in exclude:
-        edge = g.edges.get(eid)
-        if edge is not None:
-            touched.add(edge.source)
-            touched.add(edge.target)
     empty: dict[str, list[str]] = {}
 
     def stepper(adjacency: dict[str, dict[str, list[str]]]):
@@ -228,31 +203,62 @@ def _shortest_path(
 
     forward, backward = stepper(index.forward), stepper(index.backward)
 
-    length = _bidirectional_distance(source, target, forward, backward, max_len)
-    if length is None:
-        return None
-    # Reconstruction only asks for remaining distances 0..length-1.
-    dist_t = _bounded_distances(target, backward, length - 1)
-    # Greedy reconstruction: at position i pick the smallest neighbor that can
-    # still finish in length - i - 1 hops. This yields the lexicographically
-    # smallest node sequence among all shortest paths, and since the remaining
-    # distance strictly decreases the walk never revisits a node.
+    # Bidirectional BFS, always growing the smaller frontier, run to the end
+    # of the level on which the frontiers meet. No node was in both maps
+    # before that level, so every meeting node lies at depth_s on the source
+    # side and depth_t on the target side, and both maps are complete to
+    # those depths.
+    dist_s = {source: 0}
+    dist_t = {target: 0}
+    frontier_s = [source]
+    frontier_t = [target]
+    depth_s = depth_t = 0
+    meet: list[str] = []
+    while not meet:
+        if not (frontier_s and frontier_t) or depth_s + depth_t >= max_len:
+            return None
+        if len(frontier_s) <= len(frontier_t):
+            depth_s += 1
+            frontier_s = _expand(frontier_s, forward, dist_s, depth_s, dist_t, meet)
+        else:
+            depth_t += 1
+            frontier_t = _expand(frontier_t, backward, dist_t, depth_t, dist_s, meet)
+    length = depth_s + depth_t
+
+    # The nodes a shortest path can hold at positions 1..depth_s: the meeting
+    # nodes, then, walking back, the source-side nodes one level up with an
+    # unused edge into the set below. Past depth_s, a node at position i
+    # qualifies when dist_t says it is length - i hops from the target.
+    levels = {depth_s: set(meet)}
+    for position in range(depth_s - 1, 0, -1):
+        levels[position] = {
+            u for w in levels[position + 1] for u in backward(w) if dist_s.get(u) == position
+        }
+
+    # Greedy walk: at each position take the smallest qualifying neighbor,
+    # over its smallest unused edge id. This yields the lexicographically
+    # smallest node sequence among all shortest paths, and since the
+    # remaining distance strictly decreases the walk never revisits a node.
     nodes = [source]
-    current = source
-    for step_index in range(length):
-        needed = length - step_index - 1
-        candidates = [v for v in forward(current) if dist_t.get(v) == needed]
-        if not candidates:
+    edge_ids = []
+    for position in range(1, length + 1):
+        level = levels.get(position)
+        best = hop = None
+        for v, ids in index.forward.get(nodes[-1], empty).items():
+            if (best is None or v < best) and (
+                v in level if level is not None else dist_t.get(v) == length - position
+            ):
+                for eid in ids:
+                    if eid not in exclude:
+                        best, hop = v, eid
+                        break
+        if best is None:
             raise RuntimeError(
                 f"path reconstruction failed between {source!r} and {target!r}"
             )
-        current = min(candidates)
-        nodes.append(current)
-    edge_ids = tuple(
-        next(eid for eid in index.forward[u][v] if eid not in exclude)
-        for u, v in zip(nodes, nodes[1:])
-    )
-    return PathEvidence(tuple(nodes), edge_ids)
+        nodes.append(best)
+        edge_ids.append(hop)
+    return PathEvidence(tuple(nodes), tuple(edge_ids))
 
 
 def edge_disjoint_paths(
@@ -278,13 +284,20 @@ def edge_disjoint_paths(
     if source == target:
         raise ValueError("source and target must differ")
     used = set(exclude_edges)
+    # Endpoints of used edges: only their neighbor maps need filtering.
+    touched: set[str] = set()
+    for eid in used:
+        edge = g.edges.get(eid)
+        if edge is not None:
+            touched.update((edge.source, edge.target))
     found: list[PathEvidence] = []
     while max_paths is None or len(found) < max_paths:
-        path = _shortest_path(g, source, target, max_len, undirected, used)
+        path = _shortest_path(g, source, target, max_len, undirected, used, touched)
         if path is None:
             break
         found.append(path)
         used.update(path.edges)
+        touched.update(path.nodes)
     found.sort(key=lambda p: (p.length, p.nodes))
     return found
 
@@ -539,31 +552,52 @@ def _attach_senses(
 # --- input files ----------------------------------------------------------------
 
 
-def load_rules(path) -> list[InferenceRule]:
-    """Read a JSON list of {name, pattern, inferred_predicate, discount}."""
+def load_rules(path, policy: NormalizationPolicy = DEFAULT_POLICY) -> list[InferenceRule]:
+    """Read a JSON list of {name, pattern, inferred_predicate, discount};
+    predicates are normalized with ``policy``, as graph labels are."""
     payload = read_json(path, RuleFileError)
     if not isinstance(payload, list):
         raise RuleFileError(f"{path}: expected a json list of rules")
+
+    def build(pattern, inferred_predicate, **rest) -> InferenceRule:
+        return InferenceRule(
+            pattern=tuple(normalize_label(p, policy) for p in pattern),
+            inferred_predicate=normalize_label(inferred_predicate, policy),
+            **rest,
+        )
+
     return [
-        decode_record(record, "rule", InferenceRule, RuleFileError, f"{path}: rule #{index}")
+        decode_record(record, "rule", build, RuleFileError, f"{path}: rule #{index}")
         for index, record in enumerate(payload)
     ]
 
 
-def load_senses(path) -> dict[str, list[SenseSignature]]:
-    """Read a JSON map node_label -> list of {sense_label, cues}."""
+def load_senses(
+    path, policy: NormalizationPolicy = DEFAULT_POLICY
+) -> dict[str, list[SenseSignature]]:
+    """Read a JSON map node_label -> list of {sense_label, cues}; node labels
+    and cues are normalized with ``policy``, as graph labels are. Entries of
+    labels that normalize alike are joined in file order."""
     payload = read_json(path, RuleFileError)
     if not isinstance(payload, dict):
         raise RuleFileError(f"{path}: expected a json object keyed by node label")
+
+    def build(sense_label, cues) -> SenseSignature:
+        return SenseSignature(sense_label, frozenset(normalize_label(c, policy) for c in cues))
+
     senses_by_node: dict[str, list[SenseSignature]] = {}
     for label, entries in payload.items():
         if not isinstance(entries, list):
             raise RuleFileError(f"{path}: senses for {label!r} must be a json list")
-        senses_by_node[label] = [
+        try:
+            node = normalize_label(label, policy)
+        except EmptyLabelError as exc:
+            raise RuleFileError(f"{path}: senses for {label!r}: {exc}") from exc
+        senses_by_node.setdefault(node, []).extend(
             decode_record(
-                record, "sense", lambda sense_label, cues: SenseSignature(sense_label, cues),
+                record, "sense", build,
                 RuleFileError, f"{path}: senses for {label!r}, entry #{index}",
             )
             for index, record in enumerate(entries)
-        ]
+        )
     return senses_by_node

@@ -213,11 +213,13 @@ def reference_edge_disjoint_paths(
     source: str,
     target: str,
     max_len: int,
-    max_paths: int | None,
-    undirected: bool,
+    max_paths: int | None = None,
+    undirected: bool = True,
     exclude_edges=(),
 ) -> list[PathEvidence]:
-    """Greedy edge-disjoint paths over :func:`reference_shortest_path`."""
+    """Greedy edge-disjoint paths over :func:`reference_shortest_path`; it
+    can stand in for ``lightkg.topology.edge_disjoint_paths`` when
+    ``max_len`` is given."""
     used = set(exclude_edges)
     found: list[PathEvidence] = []
     while max_paths is None or len(found) < max_paths:
@@ -512,6 +514,41 @@ def multigraphs(draw, max_nodes: int = 7, max_edges: int = 16):
             inferred=draw(st.booleans()) and draw(st.booleans()),
         )
         edges[edge.edge_id] = edge
+    return KnowledgeGraph({n: Node(n) for n in node_ids}, edges)
+
+
+@st.composite
+def hub_multigraphs(draw, min_nodes: int = 20, max_nodes: int = 40):
+    """Hub-heavy multigraphs: one to three star hubs, each linked to most
+    nodes by single, antiparallel or parallel edges, plus a few edges
+    anywhere (self-loops and inferred edges among them)."""
+    node_ids = [f"n{i:02d}" for i in range(draw(st.integers(min_nodes, max_nodes)))]
+    predicates = st.sampled_from(["p", "q", "r"])
+    edges: dict[str, Edge] = {}
+
+    def add(source: str, target: str, predicate: str, inferred: bool = False) -> None:
+        edge = Edge(source=source, target=target, predicate=predicate, inferred=inferred)
+        edges[edge.edge_id] = edge
+
+    hubs = draw(st.lists(st.sampled_from(node_ids), min_size=1, max_size=3, unique=True))
+    for hub in hubs:
+        # Per node: 0-1 no link, 2 out of the hub, 3 into it, 4 both ways,
+        # 5 two parallel edges out of it.
+        links = draw(st.lists(st.integers(0, 5), min_size=len(node_ids), max_size=len(node_ids)))
+        for node, link in zip(node_ids, links):
+            if node == hub or link < 2:
+                continue
+            if link in (2, 4, 5):
+                add(hub, node, draw(predicates))
+            if link in (3, 4):
+                add(node, hub, draw(predicates))
+            if link == 5:
+                add(hub, node, "s")
+    extras = st.tuples(
+        st.sampled_from(node_ids), st.sampled_from(node_ids), predicates, st.booleans()
+    )
+    for source, target, predicate, inferred in draw(st.lists(extras, max_size=20)):
+        add(source, target, predicate, inferred and draw(st.booleans()))
     return KnowledgeGraph({n: Node(n) for n in node_ids}, edges)
 
 

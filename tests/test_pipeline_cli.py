@@ -177,6 +177,46 @@ class TestRunPipeline:
         assert (quarantine / "graph_aggregated.json").exists()
         assert not (tmp_path / "out" / "graph.json").exists()
 
+    def test_failed_evaluate_leaves_no_primary_output(self, tmp_path):
+        bad_gold = tmp_path / "gold.jsonl"
+        bad_gold.write_text("{broken json\n")
+        out = tmp_path / "out"
+        with pytest.raises(StageError) as err:
+            run_pipeline(pattern_config(gold_path=str(bad_gold)), DATA / "demo_corpus.jsonl", out)
+        assert err.value.stage == "evaluate"
+        assert sorted(p.name for p in out.iterdir()) == ["quarantine"]
+        quarantined = sorted(p.name for p in (out / "quarantine").iterdir())
+        assert quarantined == ["graph.json", "graph_aggregated.json", "triples.jsonl"]
+
+    def test_successful_run_leaves_only_the_outputs(self, tmp_path):
+        out = tmp_path / "out"
+        summary = run_pipeline(pattern_config(), DATA / "demo_corpus.jsonl", out)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "graph.json", "report.json", "summary.json", "triples.jsonl",
+        ]
+        assert summary["outputs"]["graph"] == str(out / "graph.json")
+        assert (out / "graph.json").read_bytes() == (GOLDEN / "pattern_graph.json").read_bytes()
+        assert json.loads((out / "report.json").read_text()) == summary["evaluation"]
+
+    def test_rule_and_sense_labels_normalized_like_graph_labels(self, tmp_path):
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps([
+            {"name": "lineage", "pattern": ["Mentored", " ADVISED"],
+             "inferred_predicate": "Scientific  Lineage", "discount": 0.9},
+        ]))
+        senses = tmp_path / "senses.json"
+        senses.write_text(json.dumps(
+            {" Radium ": [{"sense_label": "element", "cues": [" Heavy  Metals "]}]}
+        ))
+        config = pattern_config(rules_path=str(rules), senses_path=str(senses), gold_path=None)
+        run_pipeline(config, DATA / "demo_corpus.jsonl", tmp_path / "out")
+        g = deserialize_graph((tmp_path / "out" / "graph.json").read_bytes())
+        inferred = [e for e in g.edges.values() if e.inferred]
+        assert [(e.source, e.predicate, e.target) for e in inferred] == [
+            ("marie curie", "scientific lineage", "otto frisch")
+        ]
+        assert g.nodes["radium"].attributes.get("sense") == frozenset({"element"})
+
     def test_quarantine_serialization_error_keeps_stage_error(self, tmp_path, monkeypatch, caplog):
         def broken(*args, **kwargs):
             raise RuntimeError("serializer broke")
@@ -511,6 +551,31 @@ class TestCli:
             ["discover", str(graph), "--rules", str(DATA / "demo_rules.json"), "-o", str(tmp_path / "o.json")]
         )
         assert code == EXIT_INPUT
+
+    def test_discover_normalizes_rules_with_the_config_policy(self, tmp_path):
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps(
+            [{"name": "r", "pattern": ["Mentored", "ADVISED"], "inferred_predicate": "Lineage  Of"}]
+        ))
+        payload = json.loads((DATA / "demo_config_pattern.json").read_text())
+        payload["normalization"] = {"collapse_whitespace": False}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        out = tmp_path / "out.json"
+        assert main(["discover", str(GOLDEN / "pattern_graph.json"), "--rules", str(rules),
+                     "-c", str(config), "-o", str(out)]) == EXIT_OK
+        g = deserialize_graph(out.read_bytes())
+        assert "lineage  of" in {e.predicate for e in g.edges.values() if e.inferred}
+
+    def test_rule_label_empty_after_normalization_is_input_error(self, tmp_path, capsys):
+        rules = tmp_path / "rules.json"
+        rules.write_text(
+            json.dumps([{"name": "r", "pattern": ["a", "..."], "inferred_predicate": "x"}])
+        )
+        code = main(["discover", str(GOLDEN / "pattern_graph.json"), "--rules", str(rules),
+                     "-o", str(tmp_path / "o.json")])
+        assert code == EXIT_INPUT
+        assert "rule #0: label '...' is empty after normalization" in capsys.readouterr().err
 
     def test_unreachable_endpoint_is_endpoint_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LIGHTKG_API_BASE", "http://127.0.0.1:9/v1")

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import support
 from lightkg import graph as graph_module
 from lightkg import topology
+from lightkg.aggregation import NormalizationPolicy
 from lightkg.graph import (
     Edge,
     Extractor,
@@ -551,6 +552,54 @@ class TestRuleAndSenseFiles:
         with pytest.raises(RuleFileError, match=fragment):
             loader(path)
 
+    def test_labels_normalized_with_the_policy(self, tmp_path):
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps(
+            [{"name": "r", "pattern": ["Mentored", "advised."], "inferred_predicate": " X  Y"}]
+        ))
+        senses = tmp_path / "senses.json"
+        senses.write_text(json.dumps({
+            "Radium": [{"sense_label": "Element", "cues": [" Heavy  Metals "]}],
+            "radium ": [{"sense_label": "brand", "cues": ["Company"]}],
+        }))
+        (rule,) = load_rules(rules)
+        assert (rule.pattern, rule.inferred_predicate) == (("mentored", "advised"), "x y")
+        assert load_senses(senses) == {
+            "radium": [
+                SenseSignature("Element", frozenset({"heavy metals"})),
+                SenseSignature("brand", frozenset({"company"})),
+            ]
+        }
+        keep_spaces = NormalizationPolicy(collapse_whitespace=False)
+        (rule,) = load_rules(rules, keep_spaces)
+        assert rule.inferred_predicate == "x  y"
+        assert load_senses(senses, keep_spaces)["radium"][0].cue_labels == {"heavy  metals"}
+
+    @pytest.mark.parametrize(
+        "loader, payload",
+        [
+            pytest.param(
+                load_rules, [{"name": "r", "pattern": ["a", "..."], "inferred_predicate": "x"}],
+                id="rule-pattern",
+            ),
+            pytest.param(
+                load_rules, [{"name": "r", "pattern": ["a", "b"], "inferred_predicate": "?!"}],
+                id="rule-inferred-predicate",
+            ),
+            pytest.param(
+                load_senses, {" - ": [{"sense_label": "s", "cues": ["a"]}]}, id="sense-node"
+            ),
+            pytest.param(
+                load_senses, {"x": [{"sense_label": "s", "cues": ["a", "..."]}]}, id="sense-cue"
+            ),
+        ],
+    )
+    def test_label_that_normalizes_to_nothing_rejected(self, tmp_path, loader, payload):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(RuleFileError, match="empty after normalization"):
+            loader(path)
+
 
 class TestConfigValidation:
     def test_bounds(self):
@@ -611,6 +660,24 @@ class TestSharedIndexMatchesReference:
             [shortest] if shortest else []
         )
 
+    @pytest.mark.parametrize("undirected", [True, False])
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_edge_disjoint_paths_on_hub_graphs(self, data, undirected):
+        g = data.draw(support.hub_multigraphs())
+        source, target = data.draw(
+            st.lists(st.sampled_from(sorted(g.nodes)), min_size=2, max_size=2, unique=True)
+        )
+        max_len = data.draw(st.integers(1, 5))
+        max_paths = data.draw(st.none() | st.integers(1, 3))
+        exclude = data.draw(st.lists(st.sampled_from(sorted(g.edges) or ["none"]), max_size=3))
+        expected = support.reference_edge_disjoint_paths(
+            g, source, target, max_len, max_paths, undirected, exclude
+        )
+        assert edge_disjoint_paths(
+            g, source, target, max_len, max_paths, undirected, exclude
+        ) == expected
+
     @settings(max_examples=150)
     @given(
         g=support.multigraphs(),
@@ -619,7 +686,22 @@ class TestSharedIndexMatchesReference:
     )
     def test_reinforce_confidence(self, g, undirected, max_len):
         config = TopologyConfig(max_path_length=max_len, undirected_paths=undirected)
-        with mock.patch.object(topology, "_shortest_path", support.reference_shortest_path):
+        with mock.patch.object(
+            topology, "edge_disjoint_paths", support.reference_edge_disjoint_paths
+        ):
+            expected = reinforce_confidence(g, config)
+        actual = reinforce_confidence(g, config)
+        assert actual == expected
+        assert serialize_graph(actual) == serialize_graph(expected)
+
+    @pytest.mark.parametrize("undirected", [True, False])
+    @settings(max_examples=40)
+    @given(g=support.hub_multigraphs(), max_len=st.integers(2, 5))
+    def test_reinforce_confidence_on_hub_graphs(self, g, max_len, undirected):
+        config = TopologyConfig(max_path_length=max_len, undirected_paths=undirected)
+        with mock.patch.object(
+            topology, "edge_disjoint_paths", support.reference_edge_disjoint_paths
+        ):
             expected = reinforce_confidence(g, config)
         actual = reinforce_confidence(g, config)
         assert actual == expected
@@ -630,9 +712,33 @@ class TestSharedIndexMatchesReference:
     def test_reinforce_confidence_larger_graphs(self, seed, undirected):
         g = random_sparse_graph(random.Random(seed), nodes=40, edges=90)
         config = TopologyConfig(undirected_paths=undirected)
-        with mock.patch.object(topology, "_shortest_path", support.reference_shortest_path):
+        with mock.patch.object(
+            topology, "edge_disjoint_paths", support.reference_edge_disjoint_paths
+        ):
             expected = reinforce_confidence(g, config)
         assert reinforce_confidence(g, config) == expected
+
+
+class TestOneSearchPerSupport:
+    """Reinforcement reads each support path off its own bidirectional
+    search, with no second breadth-first search to rebuild it."""
+
+    def test_reinforce_confidence_never_runs_bounded_distances(self, monkeypatch):
+        g = random_sparse_graph(random.Random(15), nodes=40, edges=90)
+        counts = {"_bounded_distances": 0, "_shortest_path": 0}
+        for name in counts:
+            original = getattr(topology, name)
+
+            def counting(*args, _original=original, _name=name):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(topology, name, counting)
+        reinforce_confidence(g)
+        assert counts["_shortest_path"] > g.edge_count
+        assert counts["_bounded_distances"] == 0
+        disambiguate_entity(g, "n000", [SenseSignature("s", frozenset({"n001"}))])
+        assert counts["_bounded_distances"] == 1
 
 
 class TestIndexBuiltOncePerCall:
