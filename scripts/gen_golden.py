@@ -87,6 +87,12 @@ def main() -> int:
         with tempfile.TemporaryDirectory() as out_dir:
             summary = run_pipeline(config, DATA / "demo_corpus.jsonl", out_dir)
             graph_bytes = Path(summary["outputs"]["graph"]).read_bytes()
+            triples_bytes = Path(summary["outputs"]["triples"]).read_bytes()
+        if name == "pattern":
+            # Pins the triples JSONL writer's bytes.
+            target = golden / "pattern_triples.jsonl"
+            target.write_bytes(triples_bytes)
+            print(f"wrote {target} ({summary['counts']['triples']} triples)")
         target = golden / f"{name}_graph.json"
         target.write_bytes(graph_bytes)
         counts = summary["counts"]

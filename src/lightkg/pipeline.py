@@ -8,7 +8,8 @@ extractor, whose time per chunk is spent waiting on HTTP, sends up to
 (source_id, chunk_index), so non-model extractors produce byte-identical
 artifacts on every run. Failures are wrapped in :class:`StageError`;
 whatever was produced so far goes to a quarantine directory, never to the
-primary output names.
+primary output names, and an earlier run's files under those names move
+there too.
 """
 
 from __future__ import annotations
@@ -253,6 +254,10 @@ def filter_for_export(g: KnowledgeGraph, threshold: float) -> KnowledgeGraph:
     return KnowledgeGraph(g.nodes, kept)
 
 
+# Every name run_pipeline writes a finished output under.
+_PRIMARY_OUTPUTS = ("graph.json", "graph.graphml", "triples.jsonl", "report.json", "summary.json")
+
+
 def _json_bytes(payload: Any) -> bytes:
     return (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
@@ -264,8 +269,10 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
     ``summary.json`` and, with a gold file, ``report.json`` into ``out_dir``
     and returns the summary. Each file is written under a temporary name
     first and moved to its own name only once every stage has succeeded. On
-    failure, partial artifacts go under ``out_dir/quarantine`` instead, and
-    a :class:`StageError` naming the stage is raised.
+    failure, partial artifacts go under ``out_dir/quarantine`` instead, an
+    earlier run's outputs move to ``out_dir/quarantine/previous`` so no
+    primary name is left describing another run, and a :class:`StageError`
+    naming the stage is raised.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -291,12 +298,17 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
                 logging.getLogger(__name__).warning(
                     "could not serialize the aggregated graph for quarantine", exc_info=True
                 )
-        if not staged:
+        earlier = [name for name in _PRIMARY_OUTPUTS if (out / name).exists()]
+        if not (staged or earlier):
             return
         qdir = out / "quarantine"
         qdir.mkdir(parents=True, exist_ok=True)
         for name, path in staged.items():
             os.replace(path, qdir / name)
+        if earlier:
+            (qdir / "previous").mkdir(exist_ok=True)
+            for name in earlier:
+                os.replace(out / name, qdir / "previous" / name)
 
     try:
         for path in config.referenced_paths():

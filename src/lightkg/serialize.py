@@ -4,6 +4,14 @@ of extracted triples (JSONL).
 Output is byte-identical across runs for equal graphs: nodes and edges are
 emitted in sorted-key order and all collections are sorted before writing.
 Both formats round-trip losslessly.
+
+Each triples JSONL line is joined from its fixed keys and separators and
+from json's own string encoder, the one a compact ``JSONEncoder`` calls, so
+its bytes equal one ``JSONEncoder`` call per line with no encoder or dict
+built per line. Every triple of one chunk carries the same provenance
+record, so each read (one graph, GraphML document or triples file) decodes
+a provenance record once and reuses the :class:`Provenance` for every equal
+record; the memo lasts only that read call.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ import json
 import os
 import re
 import xml.etree.ElementTree as ET
+from functools import partial
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -48,6 +57,9 @@ class GraphParseError(ValueError):
 # One encoder for every compact JSON written here (graph JSON, GraphML
 # provenance, triples JSONL): json.dumps would build a new one per call.
 _encode_compact = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+
+# The function that encoder writes each str with (ensure_ascii=False).
+_encode_string = json.encoder.encode_basestring
 
 # Line ends of JSONL input: the ones text-mode file reading splits at. Not
 # str.splitlines(), which also splits at U+0085, U+2028, U+2029 and others
@@ -191,12 +203,29 @@ def decode_record(record: Any, shape: str, build, error: type[Exception], where:
         raise error(f"{where}: {exc}") from exc
 
 
-def _edge(source, target, predicate, context=None, confidence=0.5, inferred=False,
+def _provenance(record: Any, where: str, memo: dict) -> Provenance:
+    """``decode_record(record, "provenance", Provenance, ValueError, where)``,
+    stored in ``memo`` under the record's three fields when each has exactly
+    a type the shape accepts, and taken from there for every equal record.
+    Any other record is decoded uncached; a failed decode is never stored."""
+    key = None
+    if type(record) is dict:
+        key = (record.get("source_id"), record.get("chunk_index"), record.get("extractor"))
+        # Not bool or float: True == 1 == 1.0 as dict keys.
+        if not (type(key[0]) is str and type(key[1]) is int
+                and (key[2] is None or type(key[2]) is str)):
+            key = None
+    found = memo.get(key)
+    if found is None:
+        found = decode_record(record, "provenance", Provenance, ValueError, where)
+        if key is not None:
+            memo[key] = found
+    return found
+
+
+def _edge(memo, source, target, predicate, context=None, confidence=0.5, inferred=False,
           provenance=(), id="") -> Edge:
-    provenance = tuple(
-        decode_record(p, "provenance", Provenance, ValueError, f"provenance #{i}")
-        for i, p in enumerate(provenance)
-    )
+    provenance = tuple(_provenance(p, f"provenance #{i}", memo) for i, p in enumerate(provenance))
     return Edge(
         source, target, predicate, ContextMap(context), confidence, provenance, inferred, id
     )
@@ -247,8 +276,9 @@ def graph_from_dict(payload: Any) -> KnowledgeGraph:
             raise GraphParseError(f"duplicate node id {node.id!r}")
         nodes[node.id] = node
     edges: dict[str, Edge] = {}
+    build_edge = partial(_edge, {})
     for index, record in enumerate(records.get("edges", ())):
-        edge = decode_record(record, "edge", _edge, GraphParseError, f"edge #{index}")
+        edge = decode_record(record, "edge", build_edge, GraphParseError, f"edge #{index}")
         if edge.edge_id in edges:
             raise GraphParseError(f"duplicate edge id {edge.edge_id!r}")
         edges[edge.edge_id] = edge
@@ -501,15 +531,34 @@ def triple_to_dict(t: ContextTriple) -> dict[str, Any]:
     }
 
 
-def _triple(subject, predicate, object, provenance, context=None) -> ContextTriple:
+def _triple(memo, subject, predicate, object, provenance, context=None) -> ContextTriple:
     return ContextTriple(
         subject, predicate, object, ContextMap(context),
-        decode_record(provenance, "provenance", Provenance, ValueError, "provenance"),
+        _provenance(provenance, "provenance", memo),
+    )
+
+
+def _context_json(cm: ContextMap) -> str:
+    """``_encode_compact(cm.to_dict())``."""
+    return "{" + ",".join(
+        f"{_encode_string(key)}:[{','.join(map(_encode_string, sorted(values)))}]"
+        for key, values in cm.items()
+    ) + "}"
+
+
+def _triple_json(t: ContextTriple) -> str:
+    """``_encode_compact(triple_to_dict(t))``; ``Provenance`` guarantees that
+    ``chunk_index`` is an int."""
+    s, p = _encode_string, t.provenance
+    return (
+        f'{{"subject":{s(t.subject)},"predicate":{s(t.predicate)},"object":{s(t.object)},'
+        f'"context":{_context_json(t.context)},"provenance":{{"source_id":{s(p.source_id)},'
+        f'"chunk_index":{int.__repr__(p.chunk_index)},"extractor":{s(p.extractor.value)}}}}}'
     )
 
 
 def triples_to_jsonl(triples: Iterable[ContextTriple]) -> bytes:
-    lines = [_encode_compact(triple_to_dict(t)) for t in triples]
+    lines = [_triple_json(t) for t in triples]
     return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
 
 
@@ -521,4 +570,5 @@ def triples_from_jsonl(data: bytes | str | os.PathLike) -> list[ContextTriple]:
     if isinstance(data, str):
         data = data.encode("utf-8")
     records = read_jsonl(data, GraphParseError)
-    return [decode_record(r, "triple", _triple, GraphParseError, where) for where, r in records]
+    build = partial(_triple, {})
+    return [decode_record(r, "triple", build, GraphParseError, where) for where, r in records]

@@ -9,6 +9,7 @@ these, never against themselves.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from collections import deque
 
@@ -25,6 +26,7 @@ from lightkg.graph import (
     Node,
     Provenance,
 )
+from lightkg.serialize import decode_record
 from lightkg.topology import PathEvidence
 
 PROV = Provenance("fixture", 0, Extractor.PATTERN)
@@ -297,6 +299,36 @@ def union_graphs(*graphs: KnowledgeGraph) -> KnowledgeGraph:
     return KnowledgeGraph(nodes, edges)
 
 
+# --- serialization oracles -----------------------------------------------------
+
+
+def reference_triples_to_jsonl(triples) -> bytes:
+    """The per-line JSONL writer: one compact ``JSONEncoder`` call over a
+    dict per triple."""
+    encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+    lines = [
+        encode({
+            "subject": t.subject,
+            "predicate": t.predicate,
+            "object": t.object,
+            "context": t.context.to_dict(),
+            "provenance": {
+                "source_id": t.provenance.source_id,
+                "chunk_index": t.provenance.chunk_index,
+                "extractor": t.provenance.extractor.value,
+            },
+        })
+        for t in triples
+    ]
+    return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
+
+
+def uncached_provenance(record, where: str, memo: dict) -> Provenance:
+    """Stands in for ``serialize._provenance``: decodes every provenance
+    record anew and ignores ``memo``."""
+    return decode_record(record, "provenance", Provenance, ValueError, where)
+
+
 def reference_pattern_extract(chunk: extraction.TextChunk) -> extraction.ExtractionResult:
     """The pattern extractor with its ``such as`` scan run on every sentence,
     with no gate in front of it; the rules are the library's own."""
@@ -531,24 +563,28 @@ def hub_multigraphs(draw, min_nodes: int = 20, max_nodes: int = 40):
         edges[edge.edge_id] = edge
 
     hubs = draw(st.lists(st.sampled_from(node_ids), min_size=1, max_size=3, unique=True))
+    # Each hub's links are one list with the same draws per node, whatever
+    # the link, so a shrink step that changes one link shifts no other draw.
+    # Link 0-1 no link, 2 out of the hub, 3 into it, 4 both ways, 5 two
+    # parallel edges out of it; then the predicates out of and into the hub.
+    link = st.tuples(st.integers(0, 5), predicates, predicates)
     for hub in hubs:
-        # Per node: 0-1 no link, 2 out of the hub, 3 into it, 4 both ways,
-        # 5 two parallel edges out of it.
-        links = draw(st.lists(st.integers(0, 5), min_size=len(node_ids), max_size=len(node_ids)))
-        for node, link in zip(node_ids, links):
-            if node == hub or link < 2:
+        links = draw(st.lists(link, min_size=len(node_ids), max_size=len(node_ids)))
+        for node, (kind, out_predicate, in_predicate) in zip(node_ids, links):
+            if node == hub or kind < 2:
                 continue
-            if link in (2, 4, 5):
-                add(hub, node, draw(predicates))
-            if link in (3, 4):
-                add(node, hub, draw(predicates))
-            if link == 5:
+            if kind in (2, 4, 5):
+                add(hub, node, out_predicate)
+            if kind in (3, 4):
+                add(node, hub, in_predicate)
+            if kind == 5:
                 add(hub, node, "s")
     extras = st.tuples(
-        st.sampled_from(node_ids), st.sampled_from(node_ids), predicates, st.booleans()
+        st.sampled_from(node_ids), st.sampled_from(node_ids), predicates,
+        st.booleans(), st.booleans(),
     )
-    for source, target, predicate, inferred in draw(st.lists(extras, max_size=20)):
-        add(source, target, predicate, inferred and draw(st.booleans()))
+    for source, target, predicate, inferred, kept in draw(st.lists(extras, max_size=20)):
+        add(source, target, predicate, inferred and kept)
     return KnowledgeGraph({n: Node(n) for n in node_ids}, edges)
 
 

@@ -74,6 +74,11 @@ class TestProvenance:
         with pytest.raises(ValueError):
             Provenance("doc", -1, Extractor.MODEL)
 
+    @pytest.mark.parametrize("chunk_index", [True, False, 1.5, 1.0, "1", None])
+    def test_chunk_index_that_is_not_an_int_rejected(self, chunk_index):
+        with pytest.raises(ValueError, match="chunk_index must be an int"):
+            Provenance("doc", chunk_index, Extractor.MODEL)
+
     def test_extractor_coerced_from_string(self):
         assert Provenance("doc", 0, "pattern").extractor is Extractor.PATTERN
 

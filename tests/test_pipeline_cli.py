@@ -188,6 +188,21 @@ class TestRunPipeline:
         quarantined = sorted(p.name for p in (out / "quarantine").iterdir())
         assert quarantined == ["graph.json", "graph_aggregated.json", "triples.jsonl"]
 
+    def test_failed_rerun_moves_the_earlier_outputs_aside(self, tmp_path):
+        out = tmp_path / "out"
+        run_pipeline(pattern_config(), DATA / "demo_corpus.jsonl", out)
+        earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+        bad_gold = tmp_path / "gold.jsonl"
+        bad_gold.write_text("{broken json\n")
+        config = pattern_config(gold_path=str(bad_gold), topology_enabled=False)
+        with pytest.raises(StageError) as err:
+            run_pipeline(config, DATA / "demo_corpus.jsonl", out)
+        assert err.value.stage == "evaluate"
+        assert sorted(p.name for p in out.iterdir()) == ["quarantine"]
+        previous = out / "quarantine" / "previous"
+        assert {p.name: p.read_bytes() for p in previous.iterdir()} == earlier
+        assert (out / "quarantine" / "graph.json").read_bytes() != earlier["graph.json"]
+
     def test_successful_run_leaves_only_the_outputs(self, tmp_path):
         out = tmp_path / "out"
         summary = run_pipeline(pattern_config(), DATA / "demo_corpus.jsonl", out)

@@ -3,13 +3,23 @@
 from __future__ import annotations
 
 import json
+from unittest import mock
+from xml.sax.saxutils import escape
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import support
-from lightkg.graph import ContextMap, GraphIntegrityError, KnowledgeGraph
+from lightkg import serialize
+from lightkg.graph import (
+    ContextMap,
+    ContextTriple,
+    Extractor,
+    GraphIntegrityError,
+    KnowledgeGraph,
+    Provenance,
+)
 from lightkg.serialize import (
     GraphParseError,
     deserialize_graph,
@@ -172,3 +182,139 @@ def test_triples_jsonl_round_trip_list():
 def test_triples_jsonl_bad_line():
     with pytest.raises(GraphParseError):
         triples_from_jsonl(b'{"subject": "a"}\n')
+
+
+# --- the JSONL writer and the provenance memo against the per-record algorithms
+
+# Text that JSON must escape or may write raw: quotes, backslashes, control
+# characters, U+2028/U+2029, astral characters and lone surrogates (which
+# UTF-8 cannot encode, so writing them raises).
+_awkward_text = st.text(
+    alphabet=st.one_of(
+        st.characters(),
+        st.sampled_from(
+            ['"', "\\", "\n", "\r", "\x00", "\x1f", "\x7f", "\u2028", "\u2029",
+             "\U0001f600", "\ud800", "\udfff"]
+        ),
+    ),
+    max_size=6,
+)
+_awkward_labels = _awkward_text.filter(str.strip)
+
+_awkward_triples = st.builds(
+    ContextTriple,
+    subject=_awkward_labels,
+    predicate=_awkward_labels,
+    object=_awkward_labels,
+    context=st.dictionaries(
+        _awkward_labels, st.lists(_awkward_text, max_size=3), max_size=3
+    ).map(ContextMap),
+    provenance=st.builds(
+        Provenance,
+        source_id=_awkward_text,
+        chunk_index=st.integers(0, 2**70),
+        extractor=st.sampled_from(Extractor),
+    ),
+)
+
+
+def _outcome(function, argument):
+    """What ``function(argument)`` returns, or the class and message of what
+    it raises."""
+    try:
+        return function(argument)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300)
+@given(ts=st.lists(_awkward_triples, max_size=4))
+@example(ts=[ContextTriple("a\ud800", "p", "o")])
+def test_triples_jsonl_bytes_match_the_per_line_encoder(ts):
+    written = _outcome(triples_to_jsonl, ts)
+    assert written == _outcome(support.reference_triples_to_jsonl, ts)
+    if isinstance(written, bytes):
+        assert triples_from_jsonl(written) == ts
+
+
+# Provenance records, valid ones repeated across edges and lines, next to
+# malformed ones that share all but one field with a valid one.
+_PROVENANCE_RECORDS = [
+    {"source_id": "doc-a", "chunk_index": 0, "extractor": "pattern"},
+    {"source_id": "doc-a", "chunk_index": 1},
+    {"source_id": "doc-a", "chunk_index": 1, "extractor": None},
+    {"source_id": "doc-a", "chunk_index": 1, "extractor": "model", "tags": [1, 2]},
+    {"source_id": "doc-b", "chunk_index": 2**70, "extractor": "model"},
+    {"source_id": "doc-a", "chunk_index": True},
+    {"source_id": "doc-a", "chunk_index": 1.0},
+    {"source_id": "doc-a", "chunk_index": -1},
+    {"source_id": "doc-a", "chunk_index": 0, "extractor": "bogus"},
+    {"source_id": ["doc-a"], "chunk_index": 0},
+    {"source_id": None, "chunk_index": 0},
+    {"source_id": "doc-a", "chunk_index": None},
+    "doc-a",
+]
+
+
+def _graph_json(edges: list[list]) -> bytes:
+    return json.dumps({
+        "nodes": [{"id": "a"}, {"id": "b"}],
+        "edges": [
+            {"source": "a", "target": "b", "predicate": f"p{i}", "provenance": records}
+            for i, records in enumerate(edges)
+        ],
+    }).encode()
+
+
+def _graphml(edges: list[list]) -> bytes:
+    rows = "".join(
+        f'<edge source="a" target="b"><data key="d1">p{i}</data>'
+        f"<data key=\"d5\">{escape(json.dumps(records))}</data></edge>"
+        for i, records in enumerate(edges)
+    )
+    return (
+        '<graphml><key id="d1" for="edge" attr.name="predicate"/>'
+        '<key id="d5" for="edge" attr.name="provenance"/>'
+        f'<graph><node id="a"/><node id="b"/>{rows}</graph></graphml>'
+    ).encode()
+
+
+def _triples_jsonl(edges: list[list]) -> bytes:
+    return "".join(
+        json.dumps({"subject": "a", "predicate": "p", "object": "b", "provenance": record}) + "\n"
+        for records in edges
+        for record in records
+    ).encode()
+
+
+_READERS = {
+    "graph json": (lambda data: deserialize_graph(data, "json"), _graph_json),
+    "graphml": (lambda data: deserialize_graph(data, "graphml"), _graphml),
+    "triples jsonl": (triples_from_jsonl, _triples_jsonl),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+@settings(max_examples=150)
+@given(edges=st.lists(st.lists(st.sampled_from(_PROVENANCE_RECORDS), max_size=4), max_size=6))
+def test_readers_match_the_uncached_provenance_decode(reader, edges):
+    read, render = _READERS[reader]
+    data = render(edges)
+    with mock.patch.object(serialize, "_provenance", support.uncached_provenance):
+        expected = _outcome(read, data)
+    assert _outcome(read, data) == expected
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_one_provenance_built_per_distinct_record_per_read(reader):
+    read, render = _READERS[reader]
+    distinct = [
+        {"source_id": f"doc-{i}", "chunk_index": j, "extractor": "pattern"}
+        for i in range(3) for j in range(2)
+    ]
+    data = render([[dict(record) for record in distinct] * 4 for _ in range(5)])
+    with mock.patch.object(serialize, "Provenance", wraps=Provenance) as built:
+        read(data)
+        assert built.call_count == len(distinct)
+        read(data)
+        assert built.call_count == 2 * len(distinct)
