@@ -87,12 +87,20 @@ def main() -> int:
         with tempfile.TemporaryDirectory() as out_dir:
             summary = run_pipeline(config, DATA / "demo_corpus.jsonl", out_dir)
             graph_bytes = Path(summary["outputs"]["graph"]).read_bytes()
-            triples_bytes = Path(summary["outputs"]["triples"]).read_bytes()
-        if name == "pattern":
-            # Pins the triples JSONL writer's bytes.
-            target = golden / "pattern_triples.jsonl"
-            target.write_bytes(triples_bytes)
-            print(f"wrote {target} ({summary['counts']['triples']} triples)")
+            if name == "pattern":
+                # Pin the triples JSONL writer's and the report's bytes, and
+                # the GraphML writer's from the same run exported as GraphML.
+                pinned = {
+                    "triples.jsonl": Path(summary["outputs"]["triples"]).read_bytes(),
+                    "report.json": (Path(out_dir) / "report.json").read_bytes(),
+                }
+                config.export_format = "graphml"
+                graphml = run_pipeline(config, DATA / "demo_corpus.jsonl", Path(out_dir) / "ml")
+                pinned["graph.graphml"] = Path(graphml["outputs"]["graph"]).read_bytes()
+                for suffix, data in pinned.items():
+                    target = golden / f"pattern_{suffix}"
+                    target.write_bytes(data)
+                    print(f"wrote {target} ({len(data)} bytes)")
         target = golden / f"{name}_graph.json"
         target.write_bytes(graph_bytes)
         counts = summary["counts"]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from .client import ChatClient, ChatMessage, CompletionParams
 from .graph import ContextMap, ContextTriple, Extractor, Provenance
@@ -300,6 +301,12 @@ def _split_conjunction(text: str) -> list[str]:
     return parts
 
 
+# Bounded: \d matches every Unicode decimal digit, so years are not few.
+@lru_cache(maxsize=1024)
+def _year_context(year: str) -> ContextMap:
+    return ContextMap({"year": [year]})
+
+
 def pattern_extract(chunk: TextChunk) -> ExtractionResult:
     """Deterministic rule-based extractor for offline runs and fixtures.
 
@@ -311,6 +318,9 @@ def pattern_extract(chunk: TextChunk) -> ExtractionResult:
        ``year`` context; the verb slot is a crude heuristic (an ``-ed``
        form or a short irregular list).
     c. ``X is a Y`` emits ``(X, is_a, Y)``; skipped when rule b fired.
+
+    Triples with equal years share one immutable ``year`` context, built
+    once per distinct year and kept in a bounded cache across calls.
     """
     provenance = Provenance(chunk.source_id, chunk.chunk_index, Extractor.PATTERN)
     triples: list[ContextTriple] = []
@@ -332,13 +342,13 @@ def pattern_extract(chunk: TextChunk) -> ExtractionResult:
                     )
         verb_match = _VERB_YEAR.search(body)
         if verb_match:
-            subject, verb, obj, year = (part.strip() for part in verb_match.groups())
+            subject, verb, obj, year = verb_match.groups()
             triples.append(
                 ContextTriple(
-                    subject,
-                    verb,
-                    obj,
-                    context=ContextMap({"year": [year]}),
+                    subject.strip(),
+                    verb.strip(),
+                    obj.strip(),
+                    context=_year_context(year.strip()),
                     provenance=provenance,
                 )
             )

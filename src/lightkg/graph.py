@@ -44,6 +44,8 @@ class Provenance:
     extractor: Extractor = Extractor.MODEL
 
     def __post_init__(self) -> None:
+        if not isinstance(self.source_id, str):
+            raise ValueError(f"source_id must be a str, got {self.source_id!r}")
         if not isinstance(self.chunk_index, int) or isinstance(self.chunk_index, bool):
             raise ValueError(f"chunk_index must be an int, got {self.chunk_index!r}")
         if self.chunk_index < 0:

@@ -258,8 +258,19 @@ def filter_for_export(g: KnowledgeGraph, threshold: float) -> KnowledgeGraph:
 _PRIMARY_OUTPUTS = ("graph.json", "graph.graphml", "triples.jsonl", "report.json", "summary.json")
 
 
-def _json_bytes(payload: Any) -> bytes:
-    return (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+def _json_text(payload: Any) -> str:
+    return json.dumps(payload, indent=2, ensure_ascii=False)
+
+
+def _summary_bytes(summary: dict[str, Any], evaluation_text: str) -> bytes:
+    """``summary`` as ``_json_text`` writes it, plus a newline, where its last
+    key is "evaluation" and ``evaluation_text`` is ``_json_text`` of that
+    value: the report is spliced in re-indented instead of encoded again.
+    Indented JSON holds no raw newline inside a string, so the re-indent is
+    exact."""
+    head = _json_text({k: v for k, v in summary.items() if k != "evaluation"})
+    tail = evaluation_text.replace("\n", "\n  ")
+    return f'{head[:-2]},\n  "evaluation": {tail}\n}}\n'.encode("utf-8")
 
 
 def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]:
@@ -354,7 +365,7 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
         graph_file = write_staged(graph_name, serialize_graph(kept, config.export_format))
         timings["export_s"] = time.perf_counter() - tick
 
-        evaluation = None
+        evaluation, evaluation_text = None, "null"
         if config.gold_path:
             stage = "evaluate"
             tick = time.perf_counter()
@@ -367,7 +378,8 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
                 normalization=config.normalization,
             )
             evaluation = report.to_dict()
-            write_staged("report.json", _json_bytes(evaluation))
+            evaluation_text = _json_text(evaluation)
+            write_staged("report.json", (evaluation_text + "\n").encode("utf-8"))
             timings["evaluate_s"] = time.perf_counter() - tick
 
         stage = "summarize"
@@ -405,7 +417,7 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
             },
             "evaluation": evaluation,
         }
-        write_staged("summary.json", _json_bytes(summary))
+        write_staged("summary.json", _summary_bytes(summary, evaluation_text))
         for name, path in staged.items():
             os.replace(path, out / name)
         return summary

@@ -5,13 +5,15 @@ Output is byte-identical across runs for equal graphs: nodes and edges are
 emitted in sorted-key order and all collections are sorted before writing.
 Both formats round-trip losslessly.
 
-Each triples JSONL line is joined from its fixed keys and separators and
-from json's own string encoder, the one a compact ``JSONEncoder`` calls, so
-its bytes equal one ``JSONEncoder`` call per line with no encoder or dict
-built per line. Every triple of one chunk carries the same provenance
-record, so each read (one graph, GraphML document or triples file) decodes
-a provenance record once and reuses the :class:`Provenance` for every equal
-record; the memo lasts only that read call.
+The graph JSON document and each triples JSONL line are joined from their
+fixed keys and separators and from json's own string encoder, the one a
+compact ``JSONEncoder`` calls, so their bytes equal one ``JSONEncoder`` call
+over the equivalent dicts with no encoder or dict built per record. Every
+triple of one chunk carries the same provenance record, and an aggregated
+edge repeats the records of its triples, so each graph JSON write encodes a
+distinct :class:`Provenance` once, and each read (one graph, GraphML
+document or triples file) decodes a provenance record once and reuses the
+:class:`Provenance` for every equal record. Each memo lasts only its call.
 """
 
 from __future__ import annotations
@@ -239,29 +241,52 @@ def _provenance_to_dict(p: Provenance) -> dict[str, Any]:
     }
 
 
-def _node_to_dict(node: Node) -> dict[str, Any]:
-    return {"id": node.id, "attributes": node.attributes.to_dict()}
+def _context_json(cm: ContextMap) -> str:
+    """``_encode_compact(cm.to_dict())``."""
+    return "{" + ",".join(
+        f"{_encode_string(key)}:[{','.join(map(_encode_string, sorted(values)))}]"
+        for key, values in cm.items()
+    ) + "}"
 
 
-def _edge_to_dict(edge: Edge) -> dict[str, Any]:
-    return {
-        "id": edge.edge_id,
-        "source": edge.source,
-        "target": edge.target,
-        "predicate": edge.predicate,
-        "context": edge.context.to_dict(),
-        "confidence": edge.confidence,
-        "inferred": edge.inferred,
-        "provenance": [_provenance_to_dict(p) for p in edge.provenance],
-    }
+def _provenance_json(p: Provenance) -> str:
+    """``_encode_compact(_provenance_to_dict(p))``; ``Provenance`` guarantees
+    that ``source_id`` is a str and ``chunk_index`` an int."""
+    s = _encode_string
+    return (
+        f'{{"source_id":{s(p.source_id)},"chunk_index":{int.__repr__(p.chunk_index)},'
+        f'"extractor":{s(p.extractor.value)}}}'
+    )
 
 
-def graph_to_dict(g: KnowledgeGraph) -> dict[str, Any]:
-    """JSON-ready dict with nodes sorted by id and edges by edge id."""
-    return {
-        "nodes": [_node_to_dict(g.nodes[nid]) for nid in sorted(g.nodes)],
-        "edges": [_edge_to_dict(g.edges[eid]) for eid in sorted(g.edges)],
-    }
+def _graph_json(g: KnowledgeGraph) -> str:
+    """The compact JSON of ``{"nodes": [...], "edges": [...]}``, nodes sorted
+    by id and edges by edge id, each provenance record encoded once."""
+    s, memo = _encode_string, {}
+
+    def provenance_json(p: Provenance) -> str:
+        text = memo.get(p)
+        if text is None:
+            text = memo[p] = _provenance_json(p)
+        return text
+
+    nodes = [
+        f'{{"id":{s(node.id)},"attributes":{_context_json(node.attributes)}}}'
+        for node in map(g.nodes.__getitem__, sorted(g.nodes))
+    ]
+    edges = []
+    for e in map(g.edges.__getitem__, sorted(g.edges)):
+        c = e.confidence
+        confidence = float.__repr__(c) if type(c) is float else _encode_compact(c)
+        i = e.inferred
+        inferred = "true" if i is True else "false" if i is False else _encode_compact(i)
+        edges.append(
+            f'{{"id":{s(e.edge_id)},"source":{s(e.source)},"target":{s(e.target)},'
+            f'"predicate":{s(e.predicate)},"context":{_context_json(e.context)},'
+            f'"confidence":{confidence},"inferred":{inferred},'
+            f'"provenance":[{",".join(map(provenance_json, e.provenance))}]}}'
+        )
+    return f'{{"nodes":[{",".join(nodes)}],"edges":[{",".join(edges)}]}}'
 
 
 def graph_from_dict(payload: Any) -> KnowledgeGraph:
@@ -475,7 +500,7 @@ def _graph_from_graphml(data: bytes) -> KnowledgeGraph:
 def serialize_graph(g: KnowledgeGraph, fmt: str = "json") -> bytes:
     """Serialize ``g``; deterministic byte output for equal graphs."""
     if fmt == "json":
-        return _encode_compact(graph_to_dict(g)).encode("utf-8")
+        return _graph_json(g).encode("utf-8")
     if fmt == "graphml":
         return _graph_to_graphml(g)
     raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
@@ -538,22 +563,12 @@ def _triple(memo, subject, predicate, object, provenance, context=None) -> Conte
     )
 
 
-def _context_json(cm: ContextMap) -> str:
-    """``_encode_compact(cm.to_dict())``."""
-    return "{" + ",".join(
-        f"{_encode_string(key)}:[{','.join(map(_encode_string, sorted(values)))}]"
-        for key, values in cm.items()
-    ) + "}"
-
-
 def _triple_json(t: ContextTriple) -> str:
-    """``_encode_compact(triple_to_dict(t))``; ``Provenance`` guarantees that
-    ``chunk_index`` is an int."""
-    s, p = _encode_string, t.provenance
+    """``_encode_compact(triple_to_dict(t))``."""
+    s = _encode_string
     return (
         f'{{"subject":{s(t.subject)},"predicate":{s(t.predicate)},"object":{s(t.object)},'
-        f'"context":{_context_json(t.context)},"provenance":{{"source_id":{s(p.source_id)},'
-        f'"chunk_index":{int.__repr__(p.chunk_index)},"extractor":{s(p.extractor.value)}}}}}'
+        f'"context":{_context_json(t.context)},"provenance":{_provenance_json(t.provenance)}}}'
     )
 
 

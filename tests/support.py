@@ -323,6 +323,36 @@ def reference_triples_to_jsonl(triples) -> bytes:
     return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
 
 
+def reference_graph_json(g: KnowledgeGraph) -> bytes:
+    """The dict-building graph JSON writer: one compact ``JSONEncoder`` call
+    over the whole graph as a dict, nodes sorted by id, edges by edge id."""
+    encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+
+    def provenance(p: Provenance) -> dict:
+        return {"source_id": p.source_id, "chunk_index": p.chunk_index,
+                "extractor": p.extractor.value}
+
+    def edge(e: Edge) -> dict:
+        return {
+            "id": e.edge_id,
+            "source": e.source,
+            "target": e.target,
+            "predicate": e.predicate,
+            "context": e.context.to_dict(),
+            "confidence": e.confidence,
+            "inferred": e.inferred,
+            "provenance": [provenance(p) for p in e.provenance],
+        }
+
+    return encode({
+        "nodes": [
+            {"id": g.nodes[nid].id, "attributes": g.nodes[nid].attributes.to_dict()}
+            for nid in sorted(g.nodes)
+        ],
+        "edges": [edge(g.edges[eid]) for eid in sorted(g.edges)],
+    }).encode("utf-8")
+
+
 def uncached_provenance(record, where: str, memo: dict) -> Provenance:
     """Stands in for ``serialize._provenance``: decodes every provenance
     record anew and ignores ``memo``."""
@@ -331,7 +361,8 @@ def uncached_provenance(record, where: str, memo: dict) -> Provenance:
 
 def reference_pattern_extract(chunk: extraction.TextChunk) -> extraction.ExtractionResult:
     """The pattern extractor with its ``such as`` scan run on every sentence,
-    with no gate in front of it; the rules are the library's own."""
+    with no gate in front of it, and a new ``year`` context built for every
+    sentence; the rules are the library's own."""
     provenance = Provenance(chunk.source_id, chunk.chunk_index, Extractor.PATTERN)
     triples: list[ContextTriple] = []
     for sentence in extraction.split_sentences(chunk.text):
@@ -615,6 +646,33 @@ pattern_texts = st.lists(
     min_size=1,
     max_size=8,
 ).map(" ".join)
+
+# Chunks of verb/year, "such as" and "is a" sentences. Years are four
+# decimal digits of any script (\d matches them all), drawn from a pool of
+# three so that equal years recur within one chunk.
+_year_words = st.sampled_from(["Curie", "radium", "the lab", "Meitner", "metals", "Gases"])
+
+
+@st.composite
+def year_texts(draw):
+    years = draw(st.lists(
+        st.text(st.characters(categories=["Nd"]), min_size=4, max_size=4),
+        min_size=1, max_size=3,
+    ))
+    sentences = draw(st.lists(
+        st.one_of(
+            st.builds(
+                "{} {} {} in {}".format, _year_words,
+                st.sampled_from(["discovered", "wrote", "Founded", "won"]),
+                _year_words, st.sampled_from(years),
+            ),
+            st.builds("{}, such as {} and {}".format, _year_words, _year_words, _year_words),
+            st.builds("{} is a {}".format, _year_words, _year_words),
+        ),
+        min_size=1, max_size=8,
+    ))
+    return ". ".join(sentences) + "."
+
 
 raw_triples = st.builds(
     ContextTriple,

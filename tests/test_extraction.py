@@ -305,6 +305,31 @@ class TestSuchAsGate:
         assert outcome(pattern_extract) == outcome(support.reference_pattern_extract)
 
 
+class TestYearContext:
+    """Equal years share one cached ``year`` context; the triples equal the
+    ones built with a new context per sentence."""
+
+    @settings(max_examples=200)
+    @given(text=support.year_texts())
+    def test_equals_reference_extractor(self, text):
+        ch = TextChunk("src", 1, text)
+        result = pattern_extract(ch)
+        assert result.triples == support.reference_pattern_extract(ch).triples
+        shared = {}
+        for t in result.triples:
+            for year in t.context.get("year"):
+                assert shared.setdefault(year, t.context) is t.context
+
+    def test_non_ascii_digit_year(self):
+        result = pattern_extract(chunk("Curie discovered radium in \u0661\u0668\u0669\u0668."))
+        assert result.triples[0].context.get("year") == {"\u0661\u0668\u0669\u0668"}
+
+    def test_year_cache_is_bounded(self):
+        from lightkg import extraction
+
+        assert extraction._year_context.cache_info().maxsize is not None
+
+
 class TestCorpus:
     def test_read_corpus(self, tmp_path):
         path = tmp_path / "corpus.jsonl"

@@ -79,6 +79,11 @@ class TestProvenance:
         with pytest.raises(ValueError, match="chunk_index must be an int"):
             Provenance("doc", chunk_index, Extractor.MODEL)
 
+    @pytest.mark.parametrize("source_id", [5, None, b"d", ["d"]])
+    def test_source_id_that_is_not_a_str_rejected(self, source_id):
+        with pytest.raises(ValueError, match="source_id must be a str"):
+            Provenance(source_id, 0, Extractor.MODEL)
+
     def test_extractor_coerced_from_string(self):
         assert Provenance("doc", 0, "pattern").extractor is Extractor.PATTERN
 

@@ -7,6 +7,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lightkg import pipeline
 from lightkg.cli import EXIT_ENDPOINT, EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
@@ -39,6 +41,47 @@ def write_corpus(tmp_path, lines) -> Path:
     path = tmp_path / "corpus.jsonl"
     path.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
     return path
+
+
+def indented_json_bytes(payload) -> bytes:
+    """One ``indent=2`` encode of ``payload`` plus a newline, as UTF-8."""
+    return (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+def outcome(function, *args):
+    """What ``function(*args)`` returns, or the class and message of what it
+    raises."""
+    try:
+        return function(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# JSON values with non-ASCII text (lone surrogates among it, which UTF-8
+# cannot encode), empty lists and objects, and nulls.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300)
+@given(
+    head=st.dictionaries(
+        st.text(max_size=6).filter(lambda key: key != "evaluation"), json_values,
+        min_size=1, max_size=4,
+    ),
+    evaluation=st.none() | st.dictionaries(st.text(max_size=6), json_values, max_size=4),
+)
+@example(head={"counts": {}}, evaluation={"matched": [], "missing": [[]], "p": 1.0})
+@example(head={"corpus": "Ōsaka"}, evaluation={"label": "a\nb\u2028\"c\"", "spurious": []})
+@example(head={"corpus": "x"}, evaluation={"label": "\ud800"})
+def test_summary_splice_equals_one_indented_encode(head, evaluation):
+    summary = {**head, "evaluation": evaluation}
+    spliced = outcome(pipeline._summary_bytes, summary, pipeline._json_text(evaluation))
+    assert spliced == outcome(indented_json_bytes, summary)
 
 
 class TestRunPipeline:
@@ -126,6 +169,28 @@ class TestRunPipeline:
         assert (tmp_path / "out" / "graph.json").read_bytes() == (
             GOLDEN / "fixture_graph.json"
         ).read_bytes()
+
+    def test_golden_pattern_report_is_byte_identical(self, tmp_path):
+        config = PipelineConfig.load(DATA / "demo_config_pattern.json")
+        run_pipeline(config, DATA / "demo_corpus.jsonl", tmp_path / "out")
+        assert (tmp_path / "out" / "report.json").read_bytes() == (
+            GOLDEN / "pattern_report.json"
+        ).read_bytes()
+
+    def test_golden_pattern_graphml_run_is_byte_identical(self, tmp_path):
+        config = PipelineConfig.load(DATA / "demo_config_pattern.json")
+        config.export_format = "graphml"
+        run_pipeline(config, DATA / "demo_corpus.jsonl", tmp_path / "out")
+        assert (tmp_path / "out" / "graph.graphml").read_bytes() == (
+            GOLDEN / "pattern_graph.graphml"
+        ).read_bytes()
+
+    @pytest.mark.parametrize("gold", [True, False])
+    def test_summary_bytes_equal_one_indented_encode(self, tmp_path, gold):
+        config = pattern_config(**({} if gold else {"gold_path": None}))
+        summary = run_pipeline(config, DATA / "demo_corpus.jsonl", tmp_path / "out")
+        assert (summary["evaluation"] is None) is not gold
+        assert (tmp_path / "out" / "summary.json").read_bytes() == indented_json_bytes(summary)
 
     def test_summary_echoes_config_and_evaluation(self, tmp_path):
         config = PipelineConfig.load(DATA / "demo_config_pattern.json")

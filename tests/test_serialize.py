@@ -15,9 +15,11 @@ from lightkg import serialize
 from lightkg.graph import (
     ContextMap,
     ContextTriple,
+    Edge,
     Extractor,
     GraphIntegrityError,
     KnowledgeGraph,
+    Node,
     Provenance,
 )
 from lightkg.serialize import (
@@ -235,6 +237,75 @@ def test_triples_jsonl_bytes_match_the_per_line_encoder(ts):
     assert written == _outcome(support.reference_triples_to_jsonl, ts)
     if isinstance(written, bytes):
         assert triples_from_jsonl(written) == ts
+
+
+# Edge endpoints and predicates are hashed as UTF-8 into the edge id, so they
+# hold no lone surrogate; node ids without edges, contexts and source ids may.
+_encodable_labels = _awkward_labels.filter(
+    lambda text: not any("\ud800" <= ch <= "\udfff" for ch in text)
+)
+_awkward_contexts = st.dictionaries(
+    _awkward_labels, st.lists(_awkward_text, max_size=3), max_size=2
+).map(ContextMap)
+# Records of one pool often share all fields but one.
+_awkward_provenances = st.builds(
+    Provenance,
+    source_id=st.sampled_from(["doc", "doc\u2028"]) | _awkward_text,
+    chunk_index=st.integers(0, 1) | st.integers(0, 2**70),
+    extractor=st.sampled_from(Extractor),
+)
+
+
+@st.composite
+def _awkward_graphs(draw):
+    """Graphs whose edges draw their provenance from a pool of one to three
+    records, so many edges share one; confidences are floats, ints or bools."""
+    linked = draw(st.lists(_encodable_labels, min_size=1, max_size=4, unique=True))
+    loose = draw(st.lists(_awkward_labels, max_size=2))
+    nodes = {i: Node(i, draw(_awkward_contexts)) for i in loose + linked}
+    pool = draw(st.lists(_awkward_provenances, min_size=1, max_size=3))
+    edges = {}
+    for _ in range(draw(st.integers(0, 6))):
+        edge = Edge(
+            draw(st.sampled_from(linked)),
+            draw(st.sampled_from(linked)),
+            draw(_encodable_labels),
+            draw(_awkward_contexts),
+            draw(st.one_of(st.floats(0, 1), st.integers(0, 1), st.booleans())),
+            tuple(draw(st.lists(st.sampled_from(pool), max_size=8))),
+            draw(st.booleans()),
+        )
+        edges[edge.edge_id] = edge
+    return KnowledgeGraph(nodes, edges)
+
+
+@settings(max_examples=300)
+@given(g=_awkward_graphs())
+@example(g=KnowledgeGraph())
+@example(g=KnowledgeGraph({"a\ud800": Node("a\ud800")}))
+@example(g=support.graph_of(("a", "p", "b", {"k": ["v\udfff"]})))
+def test_graph_json_bytes_match_the_dict_encoder(g):
+    written = _outcome(lambda graph: serialize_graph(graph, "json"), g)
+    assert written == _outcome(support.reference_graph_json, g)
+    # The reader takes a number, not a bool, for a confidence.
+    if isinstance(written, bytes) and bool not in {type(e.confidence) for e in g.edges.values()}:
+        assert deserialize_graph(written) == g
+
+
+def test_graph_json_encodes_each_distinct_provenance_once_per_call():
+    shared = [Provenance(f"doc-{i}", i, Extractor.PATTERN) for i in range(3)]
+    g = support.graph_of(*((f"n{i}", "p", f"n{i + 1}") for i in range(20)))
+    g = KnowledgeGraph(g.nodes, {
+        eid: Edge(e.source, e.target, e.predicate, provenance=shared * 2)
+        for eid, e in g.edges.items()
+    })
+    with mock.patch.object(
+        serialize, "_provenance_json", wraps=serialize._provenance_json
+    ) as encoded:
+        first = serialize_graph(g, "json")
+        assert encoded.call_count == len(shared)
+        assert serialize_graph(g, "json") == first
+        assert encoded.call_count == 2 * len(shared)
 
 
 # Provenance records, valid ones repeated across edges and lines, next to
