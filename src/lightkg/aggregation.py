@@ -95,10 +95,13 @@ def aggregate_triples(
             try:
                 result = normalize_label(raw, policy)
             except EmptyLabelError as exc:
-                result = exc
+                result = exc.with_traceback(None)
             canonical[raw] = result
         if isinstance(result, EmptyLabelError):
-            raise result.with_traceback(None)
+            # A fresh error: raising the stored one would attach this call's
+            # frames to it, a cycle that keeps every triple alive until the
+            # garbage collector runs.
+            raise EmptyLabelError(*result.args)
         return result
 
     nodes: dict[str, Node] = {}

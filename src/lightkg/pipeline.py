@@ -10,6 +10,14 @@ artifacts on every run. Failures are wrapped in :class:`StageError`;
 whatever was produced so far goes to a quarantine directory, never to the
 primary output names, and an earlier run's files under those names move
 there too.
+
+A run's peak memory follows its largest stage, not everything built so far:
+each stage's data is released once no later stage reads it. The documents
+and chunks go before ``triples.jsonl`` is written, and the extraction
+results, with their triples, as soon as aggregation returns; the summary
+keeps only their counts and rejected lines. The aggregated graph stays alive
+to the end, because a later stage's failure quarantines it as
+``graph_aggregated.json``.
 """
 
 from __future__ import annotations
@@ -335,13 +343,30 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
         tick = time.perf_counter()
         chunks, results = extract_corpus(config, documents)
         timings["extract_s"] = time.perf_counter() - tick
-        triples = [t for r in results for t in r.triples]
-        write_staged("triples.jsonl", triples_to_jsonl(triples))
+        rejected_lines = [
+            {"fragment": fragment, "reason": reason}
+            for r in results
+            for fragment, reason in r.rejected_lines
+        ]
+        counts = {
+            "documents": len(documents),
+            "chunks": len(chunks),
+            "triples": sum(len(r.triples) for r in results),
+            "rejected_lines": len(rejected_lines),
+            "rejected_triples": None,  # set once aggregate returns
+            "repaired_chunks": sum(1 for r in results if r.repaired),
+        }
+        del documents, chunks
+        tick = time.perf_counter()
+        write_staged("triples.jsonl", triples_to_jsonl(t for r in results for t in r.triples))
+        timings["write_triples_s"] = time.perf_counter() - tick
 
         stage = "aggregate"
         tick = time.perf_counter()
         outcome = aggregate(results, config.normalization, config.base_confidence)
         timings["aggregate_s"] = time.perf_counter() - tick
+        del results
+        counts["rejected_triples"] = len(outcome.rejected)
         graph = aggregated = outcome.graph
 
         stage = "discover"
@@ -388,23 +413,14 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
             "config": config.to_dict(),
             "corpus": str(corpus_path),
             "counts": {
-                "documents": len(documents),
-                "chunks": len(chunks),
-                "triples": len(triples),
-                "rejected_lines": sum(len(r.rejected_lines) for r in results),
-                "rejected_triples": len(outcome.rejected),
-                "repaired_chunks": sum(1 for r in results if r.repaired),
+                **counts,
                 "nodes": graph.node_count,
                 "edges": graph.edge_count,
                 "inferred_edges": sum(1 for e in graph.edges.values() if e.inferred),
                 "exported_edges": kept.edge_count,
             },
             "rejects": {
-                "lines": [
-                    {"fragment": fragment, "reason": reason}
-                    for r in results
-                    for fragment, reason in r.rejected_lines
-                ],
+                "lines": rejected_lines,
                 "triples": [
                     {"triple": triple_to_dict(t), "reason": reason}
                     for t, reason in outcome.rejected

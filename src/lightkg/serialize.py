@@ -10,10 +10,11 @@ fixed keys and separators and from json's own string encoder, the one a
 compact ``JSONEncoder`` calls, so their bytes equal one ``JSONEncoder`` call
 over the equivalent dicts with no encoder or dict built per record. Every
 triple of one chunk carries the same provenance record, and an aggregated
-edge repeats the records of its triples, so each graph JSON write encodes a
-distinct :class:`Provenance` once, and each read (one graph, GraphML
-document or triples file) decodes a provenance record once and reuses the
-:class:`Provenance` for every equal record. Each memo lasts only its call.
+edge repeats the records of its triples, so each graph JSON or triples
+JSONL write encodes a distinct :class:`Provenance` once, and each read (one
+graph, GraphML document or triples file) decodes a provenance record once and
+reuses the :class:`Provenance` for every equal record. Each memo lasts only
+its call.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import re
 import xml.etree.ElementTree as ET
 from functools import partial
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .graph import (
     ContextMap,
@@ -259,10 +260,10 @@ def _provenance_json(p: Provenance) -> str:
     )
 
 
-def _graph_json(g: KnowledgeGraph) -> str:
-    """The compact JSON of ``{"nodes": [...], "edges": [...]}``, nodes sorted
-    by id and edges by edge id, each provenance record encoded once."""
-    s, memo = _encode_string, {}
+def _provenance_json_once() -> Callable[[Provenance], str]:
+    """``_provenance_json``, encoding each distinct record once for as long
+    as the returned function lives."""
+    memo: dict[Provenance, str] = {}
 
     def provenance_json(p: Provenance) -> str:
         text = memo.get(p)
@@ -270,6 +271,13 @@ def _graph_json(g: KnowledgeGraph) -> str:
             text = memo[p] = _provenance_json(p)
         return text
 
+    return provenance_json
+
+
+def _graph_json(g: KnowledgeGraph) -> str:
+    """The compact JSON of ``{"nodes": [...], "edges": [...]}``, nodes sorted
+    by id and edges by edge id, each provenance record encoded once."""
+    s, provenance_json = _encode_string, _provenance_json_once()
     nodes = [
         f'{{"id":{s(node.id)},"attributes":{_context_json(node.attributes)}}}'
         for node in map(g.nodes.__getitem__, sorted(g.nodes))
@@ -506,6 +514,16 @@ def serialize_graph(g: KnowledgeGraph, fmt: str = "json") -> bytes:
     raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
+def _parse_json(text: str) -> Any:
+    """``json.loads(text)``; invalid JSON raises :class:`GraphParseError`."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GraphParseError(f"invalid json at offset {exc.pos}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
+        raise GraphParseError(f"invalid json: {exc}") from exc
+
+
 def deserialize_graph(data: bytes | str | os.PathLike, fmt: str = "json") -> KnowledgeGraph:
     """Parse bytes produced by :func:`serialize_graph` (or conforming to the
     documented schema) back into a graph: ``data`` itself if it is bytes or
@@ -517,23 +535,20 @@ def deserialize_graph(data: bytes | str | os.PathLike, fmt: str = "json") -> Kno
     """
     if isinstance(data, os.PathLike):
         try:
+            if fmt == "json":
+                # Parsed here, not through the call below, whose argument would
+                # keep the file's bytes alive for the whole parse. The bytes,
+                # then the text, are temporaries, each released once read.
+                return graph_from_dict(
+                    _parse_json(_decode(Path(data).read_bytes(), GraphParseError, "line "))
+                )
             return deserialize_graph(Path(data).read_bytes(), fmt)
         except (GraphParseError, GraphIntegrityError) as exc:
             raise type(exc)(f"{data}: {exc}") from exc
     if isinstance(data, str):
         data = data.encode("utf-8")
     if fmt == "json":
-        try:
-            payload = json.loads(_decode(data, GraphParseError, "line "))
-        except GraphParseError:  # undecodable bytes, already reported with their line
-            raise
-        except json.JSONDecodeError as exc:
-            raise GraphParseError(
-                f"invalid json at offset {exc.pos}: {exc.msg}"
-            ) from exc
-        except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
-            raise GraphParseError(f"invalid json: {exc}") from exc
-        return graph_from_dict(payload)
+        return graph_from_dict(_parse_json(_decode(data, GraphParseError, "line ")))
     if fmt == "graphml":
         return _graph_from_graphml(data)
     raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
@@ -563,18 +578,30 @@ def _triple(memo, subject, predicate, object, provenance, context=None) -> Conte
     )
 
 
-def _triple_json(t: ContextTriple) -> str:
-    """``_encode_compact(triple_to_dict(t))``."""
+def _triple_json(provenance_json: Callable[[Provenance], str], t: ContextTriple) -> str:
+    """``_encode_compact(triple_to_dict(t))``, its provenance encoded by
+    ``provenance_json``."""
     s = _encode_string
     return (
         f'{{"subject":{s(t.subject)},"predicate":{s(t.predicate)},"object":{s(t.object)},'
-        f'"context":{_context_json(t.context)},"provenance":{_provenance_json(t.provenance)}}}'
+        f'"context":{_context_json(t.context)},"provenance":{provenance_json(t.provenance)}}}'
     )
 
 
 def triples_to_jsonl(triples: Iterable[ContextTriple]) -> bytes:
-    lines = [_triple_json(t) for t in triples]
-    return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
+    """One ``_triple_json`` line per triple, each ending in a newline.
+
+    At most two whole copies of the output are alive at once: the lines and
+    their join, then the joined text and its bytes. The text is encoded in
+    one call, so an unencodable character is reported at its position in
+    the whole document."""
+    # The provenance memo dies with the partial, before the join.
+    lines = list(map(partial(_triple_json, _provenance_json_once()), triples))
+    if lines:
+        lines.append("")  # the join then ends in a newline, with no second copy
+    text = "\n".join(lines)
+    del lines
+    return text.encode("utf-8")
 
 
 def triples_from_jsonl(data: bytes | str | os.PathLike) -> list[ContextTriple]:

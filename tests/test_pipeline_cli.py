@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lightkg import pipeline
+from lightkg.aggregation import aggregate
 from lightkg.cli import EXIT_ENDPOINT, EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
 from lightkg.extraction import CorpusDocument, read_corpus
 from lightkg.pipeline import (
@@ -20,7 +23,8 @@ from lightkg.pipeline import (
     extract_corpus,
     run_pipeline,
 )
-from lightkg.serialize import deserialize_graph
+from lightkg.serialize import deserialize_graph, triples_to_jsonl
+from lightkg.topology import discover
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -325,6 +329,86 @@ class TestRunPipeline:
         run_pipeline(pattern_config(), DATA / "demo_corpus.jsonl", tmp_path / "out")
         assert formats == ["json"]
         assert not (tmp_path / "out" / "quarantine").exists()
+
+    def test_extract_failure_quarantines_nothing_and_moves_earlier_outputs(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"id": "d1", "text": "Ada Lovelace wrote \\ud800 notes in 1843."}\n')
+        out = tmp_path / "out"
+
+        def failed_run():
+            with pytest.raises(StageError) as err:
+                run_pipeline(pattern_config(), corpus, out)
+            assert err.value.stage == "extract"
+            cause = err.value.__cause__
+            assert type(cause) is UnicodeEncodeError
+            assert str(cause) == (
+                "'utf-8' codec can't encode character '\\ud800' in position 56: "
+                "surrogates not allowed"
+            )
+            assert not list(out.rglob(".partial-*"))
+
+        failed_run()
+        assert list(out.iterdir()) == []
+        run_pipeline(pattern_config(), DATA / "demo_corpus.jsonl", out)
+        earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+        failed_run()
+        assert sorted(p.name for p in out.iterdir()) == ["quarantine"]
+        assert sorted(p.name for p in (out / "quarantine").iterdir()) == ["previous"]
+        previous = out / "quarantine" / "previous"
+        assert {p.name: p.read_bytes() for p in previous.iterdir()} == earlier
+
+    def test_stage_data_is_released_once_no_later_stage_reads_it(self, tmp_path, monkeypatch):
+        """Documents and chunks die before the triples write, and every
+        extracted triple but the rejected ones before discover runs."""
+        refs: dict[str, list[weakref.ref]] = {}
+        seen: dict[str, object] = {}
+
+        def extracting(config, documents):
+            chunks, results = extract_corpus(config, documents)
+            refs["documents"] = [weakref.ref(d) for d in documents]
+            refs["chunks"] = [weakref.ref(c) for c in chunks]
+            refs["triples"] = [weakref.ref(t) for r in results for t in r.triples]
+            return chunks, results
+
+        def writing(triples):
+            seen["alive at write"] = [
+                ref() for ref in refs["documents"] + refs["chunks"] if ref() is not None
+            ]
+            return triples_to_jsonl(triples)
+
+        def aggregating(*args, **kwargs):
+            seen["outcome"] = aggregate(*args, **kwargs)
+            return seen["outcome"]
+
+        def discovering(graph, **kwargs):
+            rejected = {id(t) for t, _ in seen["outcome"].rejected}
+            seen["alive at discover"] = [
+                t for t in (ref() for ref in refs["triples"])
+                if t is not None and id(t) not in rejected
+            ]
+            return discover(graph, **kwargs)
+
+        monkeypatch.setattr(pipeline, "extract_corpus", extracting)
+        monkeypatch.setattr(pipeline, "triples_to_jsonl", writing)
+        monkeypatch.setattr(pipeline, "aggregate", aggregating)
+        monkeypatch.setattr(pipeline, "discover", discovering)
+        corpus = write_corpus(tmp_path, [
+            {"id": "d1", "text": "Marie Curie discovered radium in 1898."},
+            {"id": "d2", "text": 'Radium is a "--".'},
+            {"id": "d3", "text": "Pierre Curie married Marie Curie in 1895."},
+        ])
+        # Reference counting alone must free them: no collection may run.
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            run_pipeline(pattern_config(gold_path=None), corpus, tmp_path / "out")
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert refs["documents"] and refs["chunks"] and seen["outcome"].rejected
+        assert len(refs["triples"]) > len(seen["outcome"].rejected)
+        assert seen["alive at write"] == []
+        assert seen["alive at discover"] == []
 
     def test_model_extractor_against_loopback_server(self, tmp_path, monkeypatch):
         import threading

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from unittest import mock
 from xml.sax.saxutils import escape
 
@@ -306,6 +307,57 @@ def test_graph_json_encodes_each_distinct_provenance_once_per_call():
         assert encoded.call_count == len(shared)
         assert serialize_graph(g, "json") == first
         assert encoded.call_count == 2 * len(shared)
+
+
+def test_triples_jsonl_encodes_each_distinct_provenance_once_per_call():
+    shared = [Provenance(f"doc-{i}", i, Extractor.PATTERN) for i in range(3)]
+    ts = [ContextTriple(f"s{i}", "p", f"o{i}", provenance=shared[i % 3]) for i in range(20)]
+    with mock.patch.object(
+        serialize, "_provenance_json", wraps=serialize._provenance_json
+    ) as encoded:
+        first = triples_to_jsonl(ts)
+        assert encoded.call_count == len(shared)
+        assert triples_to_jsonl(ts) == first
+        assert encoded.call_count == 2 * len(shared)
+    assert first == support.reference_triples_to_jsonl(ts)
+
+
+def _peak_bytes(function, *args) -> tuple[object, int]:
+    """``function(*args)`` and the peak of the memory traced during it."""
+    tracemalloc.start()
+    try:
+        return function(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_triples_jsonl_peak_is_at_most_two_and_a_half_times_its_output():
+    # Each triple from a chunk of its own: the provenance memo grows to one
+    # record per line.
+    ts = [
+        ContextTriple(
+            f"person {i}", "wrote", f"work {i % 97}", ContextMap({"year": [str(1800 + i % 200)]}),
+            Provenance(f"doc-{i // 10}", i % 10, Extractor.PATTERN),
+        )
+        for i in range(5000)
+    ]
+    written, peak = _peak_bytes(triples_to_jsonl, ts)
+    assert len(written) >= 500_000
+    assert peak <= 2.5 * len(written)
+
+
+def test_graph_file_read_holds_no_copy_of_the_file_past_its_decode(tmp_path):
+    g = support.graph_of(*((f"n{i}", "p", f"n{(i * 7) % 3000}", {"year": [str(i)]})
+                           for i in range(3000)))
+    path = tmp_path / "graph.json"
+    path.write_bytes(serialize_graph(g, "json"))
+    data = path.read_bytes()
+    assert len(data) >= 500_000
+    deserialize_graph(data)  # warm up the decoders before tracing
+    in_memory, in_memory_peak = _peak_bytes(deserialize_graph, data)
+    from_file, from_file_peak = _peak_bytes(deserialize_graph, path)
+    assert from_file == in_memory == g
+    assert from_file_peak - in_memory_peak <= 0.05 * len(data)
 
 
 # Provenance records, valid ones repeated across edges and lines, next to
