@@ -277,15 +277,24 @@ def extract_chunk(
 
 # --- pattern extractor ----------------------------------------------------------
 
-_SUCH_AS = re.compile(r"([^,.;:]+),\s+such\s+as\s+([^,.;:]+)", re.IGNORECASE)
+# Starts only at the first character of a run of non-separators, which
+# changes no match: group 1 must be followed by ",", so it ends at its run's
+# end wherever in the run it starts, and a match from inside a run is also
+# one from the run's first character.
+_SUCH_AS = re.compile(r"(?<![^,.;:])([^,.;:]+),\s+such\s+as\s+([^,.;:]+)", re.IGNORECASE)
 
 # Verb slot: a regular past-tense form, or one of a few common irregulars.
 _IRREGULAR_VERBS = (
     "wrote", "won", "built", "made", "met", "led", "ran", "held",
     "taught", "sold", "bought", "began", "became", "left",
 )
+# Starts only at a line start, which changes no match: "." takes any
+# character but "\n", so a match starting after any other character also
+# starts one character earlier, and the leftmost match starts where "^"
+# matches under MULTILINE.
 _VERB_YEAR = re.compile(
-    r"(.+?)\s+((?:[A-Za-z]+ed)|" + "|".join(_IRREGULAR_VERBS) + r")\s+(.+?)\s+in\s+(\d{4})\b"
+    r"^(.+?)\s+((?:[A-Za-z]+ed)|" + "|".join(_IRREGULAR_VERBS) + r")\s+(.+?)\s+in\s+(\d{4})\b",
+    re.MULTILINE,
 )
 _IS_A = re.compile(r"(.+?)\s+(?:is|was|are|were)\s+(?:a|an|the)\s+(.+)", re.IGNORECASE)
 _CONJUNCTION_SPLIT = re.compile(r"\s+(?:and|or)\s+", re.IGNORECASE)
@@ -321,6 +330,10 @@ def pattern_extract(chunk: TextChunk) -> ExtractionResult:
 
     Triples with equal years share one immutable ``year`` context, built
     once per distinct year and kept in a bounded cache across calls.
+
+    The ``such as`` scan is linear in the sentence. The verb/year scan
+    starts only at a line start, so a line it rejects costs about its
+    length times its verb-like words, not the cube of its length.
     """
     provenance = Provenance(chunk.source_id, chunk.chunk_index, Extractor.PATTERN)
     triples: list[ContextTriple] = []
@@ -328,9 +341,9 @@ def pattern_extract(chunk: TextChunk) -> ExtractionResult:
         body = sentence.strip().rstrip(".!?").strip()
         if not body:
             continue
-        # The scan is quadratic in the sentence, so run it only where it can
-        # match: casefold maps every character that IGNORECASE equates with a
-        # letter of "such" (the long s included) onto that letter.
+        # Skip the scan where it cannot match: casefold maps every character
+        # that IGNORECASE equates with a letter of "such" (the long s
+        # included) onto that letter.
         if "such" in body.casefold():
             for match in _SUCH_AS.finditer(body):
                 hypernym = match.group(1).strip()

@@ -146,9 +146,10 @@ class ContextTriple:
     provenance: Provenance = field(default=Provenance("unknown", 0, Extractor.MODEL))
 
     def __post_init__(self) -> None:
-        for name in ("subject", "predicate", "object"):
-            if not getattr(self, name).strip():
-                raise ValueError(f"triple {name} must be non-empty")
+        if not (self.subject.strip() and self.predicate.strip() and self.object.strip()):
+            for name in ("subject", "predicate", "object"):
+                if not getattr(self, name).strip():
+                    raise ValueError(f"triple {name} must be non-empty")
 
 
 @dataclass(frozen=True)

@@ -206,11 +206,13 @@ def decode_record(record: Any, shape: str, build, error: type[Exception], where:
         raise error(f"{where}: {exc}") from exc
 
 
-def _provenance(record: Any, where: str, memo: dict) -> Provenance:
+def _provenance(record: Any, memo: dict, index: int | None = None) -> Provenance:
     """``decode_record(record, "provenance", Provenance, ValueError, where)``,
     stored in ``memo`` under the record's three fields when each has exactly
     a type the shape accepts, and taken from there for every equal record.
-    Any other record is decoded uncached; a failed decode is never stored."""
+    Any other record is decoded uncached; a failed decode is never stored.
+    ``where`` is "provenance", or "provenance #index" for a list item; it is
+    built only for a record the memo does not hold."""
     key = None
     if type(record) is dict:
         key = (record.get("source_id"), record.get("chunk_index"), record.get("extractor"))
@@ -220,6 +222,7 @@ def _provenance(record: Any, where: str, memo: dict) -> Provenance:
             key = None
     found = memo.get(key)
     if found is None:
+        where = "provenance" if index is None else f"provenance #{index}"
         found = decode_record(record, "provenance", Provenance, ValueError, where)
         if key is not None:
             memo[key] = found
@@ -228,7 +231,7 @@ def _provenance(record: Any, where: str, memo: dict) -> Provenance:
 
 def _edge(memo, source, target, predicate, context=None, confidence=0.5, inferred=False,
           provenance=(), id="") -> Edge:
-    provenance = tuple(_provenance(p, f"provenance #{i}", memo) for i, p in enumerate(provenance))
+    provenance = tuple(_provenance(p, memo, i) for i, p in enumerate(provenance))
     return Edge(
         source, target, predicate, ContextMap(context), confidence, provenance, inferred, id
     )
@@ -574,7 +577,7 @@ def triple_to_dict(t: ContextTriple) -> dict[str, Any]:
 def _triple(memo, subject, predicate, object, provenance, context=None) -> ContextTriple:
     return ContextTriple(
         subject, predicate, object, ContextMap(context),
-        _provenance(provenance, "provenance", memo),
+        _provenance(provenance, memo),
     )
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import re
 from collections import deque
 
 from hypothesis import strategies as st
@@ -353,29 +354,40 @@ def reference_graph_json(g: KnowledgeGraph) -> bytes:
     }).encode("utf-8")
 
 
-def uncached_provenance(record, where: str, memo: dict) -> Provenance:
+def uncached_provenance(record, memo: dict, index: int | None = None) -> Provenance:
     """Stands in for ``serialize._provenance``: decodes every provenance
     record anew and ignores ``memo``."""
+    where = "provenance" if index is None else f"provenance #{index}"
     return decode_record(record, "provenance", Provenance, ValueError, where)
+
+
+# The pattern extractor's "such as" and verb/year rules with no anchor:
+# the regex engine tries every position of a sentence as a match start.
+REFERENCE_SUCH_AS = re.compile(r"([^,.;:]+),\s+such\s+as\s+([^,.;:]+)", re.IGNORECASE)
+REFERENCE_VERB_YEAR = re.compile(
+    r"(.+?)\s+((?:[A-Za-z]+ed)|wrote|won|built|made|met|led|ran|held|taught|sold|bought"
+    r"|began|became|left)\s+(.+?)\s+in\s+(\d{4})\b"
+)
 
 
 def reference_pattern_extract(chunk: extraction.TextChunk) -> extraction.ExtractionResult:
     """The pattern extractor with its ``such as`` scan run on every sentence,
     with no gate in front of it, and a new ``year`` context built for every
-    sentence; the rules are the library's own."""
+    sentence; its ``such as`` and verb/year rules are the unanchored
+    ``REFERENCE_*`` patterns above."""
     provenance = Provenance(chunk.source_id, chunk.chunk_index, Extractor.PATTERN)
     triples: list[ContextTriple] = []
     for sentence in extraction.split_sentences(chunk.text):
         body = sentence.strip().rstrip(".!?").strip()
         if not body:
             continue
-        for match in extraction._SUCH_AS.finditer(body):
+        for match in REFERENCE_SUCH_AS.finditer(body):
             hypernym = match.group(1).strip()
             if not hypernym:
                 continue
             for hyponym in extraction._split_conjunction(match.group(2)):
                 triples.append(ContextTriple(hyponym, "is_a", hypernym, provenance=provenance))
-        verb_match = extraction._VERB_YEAR.search(body)
+        verb_match = REFERENCE_VERB_YEAR.search(body)
         if verb_match:
             subject, verb, obj, year = (part.strip() for part in verb_match.groups())
             triples.append(
@@ -672,6 +684,47 @@ def year_texts(draw):
         min_size=1, max_size=8,
     ))
     return ". ".join(sentences) + "."
+
+
+# Text for comparing the library's anchored "such as" and verb/year patterns
+# with the REFERENCE_* ones: clauses shaped like either rule, with near misses
+# in every slot (spellings of "such", verb-like words, digit runs of any
+# script around the four a year needs) and gaps that "\s" or "." do or do not
+# cross, joined by separators and line breaks.
+_rule_words = st.sampled_from(["x", "the lab", "metals", "such", "as", "in", "ed", "1898"])
+_rule_gaps = st.sampled_from([" ", " ", " ", "  ", "\t", "\n", "\r", "\x85", "\u2028", ""])
+
+
+def _rule_clause(*slots):
+    """Each slot followed by a gap, joined into one string."""
+    return st.tuples(*(st.tuples(slot, _rule_gaps) for slot in slots)).map(
+        lambda pairs: "".join(slot + gap for slot, gap in pairs)
+    )
+
+
+_verb_year_clause = _rule_clause(
+    _rule_words,
+    st.sampled_from(["walked", "Founded", "wrote", "won", "left", "lefted", "became", "wed"]),
+    _rule_words,
+    st.sampled_from(["in", "IN", "on"]),
+    st.one_of(
+        st.sampled_from(["1898", "\u0661\u0668\u0669\u0668", "1898x", "189"]),
+        st.text(st.characters(categories=["Nd"]), min_size=3, max_size=5),
+    ),
+)
+_such_as_clause = _rule_clause(
+    _rule_words.map(lambda word: word + ","),
+    st.sampled_from(["such", "SUCH", "\u017fuch", "much"]),
+    st.sampled_from(["as", "As", "at"]),
+    _rule_words,
+)
+rule_texts = st.lists(
+    st.tuples(
+        st.one_of(_verb_year_clause, _such_as_clause, _rule_words),
+        st.sampled_from([" ", "\n", "\r", "\x85", ", ", ",", ";", ":", ".", ""]),
+    ),
+    max_size=6,
+).map(lambda pairs: "".join(clause + after for clause, after in pairs))
 
 
 raw_triples = st.builds(

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
+from lightkg import extraction
 from lightkg.client import CompletionParams, MockChatClient, prompt_fingerprint
 from lightkg.extraction import (
+    DEFAULT_MAX_CHUNK_CHARS,
     CorpusFormatError,
     TextChunk,
     build_extraction_prompt,
@@ -303,6 +307,52 @@ class TestSuchAsGate:
                 return repr(exc)
 
         assert outcome(pattern_extract) == outcome(support.reference_pattern_extract)
+
+
+class TestAnchoredRules:
+    """The ``such as`` and verb/year patterns start only where a match can
+    start; they find what the unanchored reference patterns find."""
+
+    @staticmethod
+    def found(matches) -> list:
+        return [
+            [m.span(group) for group in range(m.re.groups + 1)] + [m.groups()]
+            for m in matches
+            if m is not None
+        ]
+
+    @settings(max_examples=1000)
+    @given(text=support.rule_texts)
+    def test_equal_spans_and_groups(self, text):
+        assert self.found([extraction._VERB_YEAR.search(text)]) == self.found(
+            [support.REFERENCE_VERB_YEAR.search(text)]
+        )
+        assert self.found(extraction._SUCH_AS.finditer(text)) == self.found(
+            support.REFERENCE_SUCH_AS.finditer(text)
+        )
+
+    @pytest.mark.parametrize(
+        "words, bound",
+        [
+            # Many verb-like words and no "in <year>" tail: the unanchored
+            # verb/year scan is cubic in the sentence and takes seconds.
+            (["Curie", "walked", "the", "lab", "painted"], 0.2),
+            # "such" but no "X, such as": the unanchored scan is quadratic
+            # and takes tens of milliseconds.
+            (["metals", "such", "radium", "as", "glow"], 0.02),
+        ],
+    )
+    def test_long_unmatched_sentence_is_fast(self, words, bound):
+        text = " ".join(words * 400)[:DEFAULT_MAX_CHUNK_CHARS]
+        timings = []
+        for _ in range(3):  # best of three, against a stall of the host
+            start = time.perf_counter()
+            result = pattern_extract(chunk(text))
+            timings.append(time.perf_counter() - start)
+            assert result.triples == []
+            if timings[-1] < bound:
+                break
+        assert min(timings) < bound, f"{min(timings):.4f} s for {len(text)} characters"
 
 
 class TestYearContext:

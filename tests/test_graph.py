@@ -90,12 +90,15 @@ class TestProvenance:
 
 class TestTripleAndNode:
     def test_blank_fields_rejected(self):
-        for kwargs in (
-            {"subject": " ", "predicate": "p", "object": "o"},
-            {"subject": "s", "predicate": "", "object": "o"},
-            {"subject": "s", "predicate": "p", "object": "\t"},
+        # The message names the first blank field, in field order.
+        for kwargs, name in (
+            ({"subject": " ", "predicate": "p", "object": "o"}, "subject"),
+            ({"subject": "s", "predicate": "", "object": "o"}, "predicate"),
+            ({"subject": "s", "predicate": "p", "object": "\t"}, "object"),
+            ({"subject": "s", "predicate": " ", "object": ""}, "predicate"),
+            ({"subject": "", "predicate": "", "object": ""}, "subject"),
         ):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"^triple {name} must be non-empty$"):
                 ContextTriple(provenance=support.PROV, **kwargs)
 
     def test_blank_node_id_rejected(self):

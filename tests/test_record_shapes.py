@@ -201,6 +201,16 @@ MALFORMED = {
         ).encode(),
         "edge #0: provenance #0: chunk_index must be a json integer",
     ),
+    "graph-provenance-after-cached-records": (
+        "graph",
+        json.dumps(
+            replaced(
+                GRAPH,
+                edges=[replaced(EDGE, provenance=[PROVENANCE, PROVENANCE, {"source_id": 5}])],
+            )
+        ).encode(),
+        "edge #0: provenance #2: source_id must be a json string, got 5",
+    ),
     "rule-inferred-predicate-number": (
         "rules",
         json.dumps([replaced(RULE, inferred_predicate=5)]).encode(),
