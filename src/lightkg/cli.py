@@ -8,7 +8,6 @@ runnable; ``pipeline`` chains them. Exit codes: 1 usage, 2 input parse,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -23,6 +22,8 @@ from .pipeline import (
     ConfigError,
     PipelineConfig,
     StageError,
+    _json_text,
+    discover_stage,
     extract_corpus,
     filter_for_export,
     run_pipeline,
@@ -35,7 +36,7 @@ from .serialize import (
     triples_from_jsonl,
     triples_to_jsonl,
 )
-from .topology import RuleFileError, discover, load_rules, load_senses
+from .topology import RuleFileError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -52,6 +53,10 @@ class _UsageError(Exception):
     pass
 
 
+# A directory where a file is expected, for input or output, is a usage error.
+_USAGE_ERRORS = (_UsageError, ConfigError, IsADirectoryError)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # exit code 1, not argparse's 2
         raise _UsageError(f"{message}\n{self.format_usage()}")
@@ -61,6 +66,8 @@ def _existing(path: str, what: str) -> Path:
     p = Path(path)
     if not p.exists():
         raise _UsageError(f"{what} not found: {path}")
+    if p.is_dir():
+        raise _UsageError(f"{what} is a directory: {path}")
     return p
 
 
@@ -147,16 +154,9 @@ def _cmd_discover(args) -> int:
     config = _load_config(args)
     graph_path = _existing(args.graph, "graph file")
     graph = deserialize_graph(graph_path, format_for_path(graph_path))
-    policy = config.normalization
-    rules = load_rules(_existing(args.rules, "rules file"), policy)
-    senses = load_senses(_existing(args.senses, "senses file"), policy) if args.senses else {}
-    result = discover(
-        graph,
-        rules=rules,
-        senses_by_node=senses,
-        config=config.topology,
-        enabled=config.topology_enabled,
-    )
+    rules = _existing(args.rules, "rules file")
+    senses = _existing(args.senses, "senses file") if args.senses else None
+    result = discover_stage(config, graph, rules, senses)
     fmt = format_for_path(args.output)
     Path(args.output).write_bytes(
         serialize_graph(filter_for_export(result, config.confidence_threshold), fmt)
@@ -174,10 +174,7 @@ def _cmd_eval(args) -> int:
     )
     print(report.render_table())
     if args.output:
-        Path(args.output).write_text(
-            json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n",
-            encoding="utf-8",
-        )
+        Path(args.output).write_bytes((_json_text(report.to_dict()) + "\n").encode("utf-8"))
     return EXIT_OK
 
 
@@ -194,7 +191,7 @@ def _cmd_pipeline(args) -> int:
 
 
 def _exit_code_for(exc: BaseException) -> int:
-    if isinstance(exc, (_UsageError, ConfigError)):
+    if isinstance(exc, _USAGE_ERRORS):
         return EXIT_USAGE
     if isinstance(exc, _PARSE_ERRORS):
         return EXIT_INPUT
@@ -209,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.handler(args)
-    except (_UsageError, StageError, ConfigError, *_PARSE_ERRORS, ModelClientError) as exc:
+    except (*_USAGE_ERRORS, StageError, *_PARSE_ERRORS, ModelClientError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
     except Exception as exc:  # anything else is an internal failure

@@ -23,6 +23,7 @@ ENV_MODEL = "LIGHTKG_MODEL"
 
 _ROLES = ("system", "user", "assistant")
 _RETRY_STATUSES = (429, 500, 502, 503, 504)
+_BACKOFF_BASE_S = 0.5  # the wait after the first failed attempt; each later one doubles
 
 
 class ModelClientError(Exception):
@@ -132,7 +133,6 @@ class HttpChatClient(ChatClient):
         base_url: str,
         api_key: str | None = None,
         retry_count: int = 2,
-        backoff_base: float = 0.5,
         sleep: Callable[[float], None] = time.sleep,
         post: Callable = requests.post,
     ) -> None:
@@ -141,7 +141,6 @@ class HttpChatClient(ChatClient):
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key
         self.retry_count = max(0, retry_count)
-        self.backoff_base = backoff_base
         self._sleep = sleep
         self._post = post
 
@@ -187,7 +186,7 @@ class HttpChatClient(ChatClient):
                     raise error
                 last_error = error
             if attempt + 1 < attempts:
-                self._sleep(self.backoff_base * (2**attempt))
+                self._sleep(_BACKOFF_BASE_S * (2**attempt))
         raise last_error
 
     @staticmethod

@@ -49,7 +49,6 @@ class TextChunk:
 @dataclass
 class ExtractionResult:
     triples: list[ContextTriple] = field(default_factory=list)
-    raw_response: str = ""
     repaired: bool = False
     rejected_lines: list[tuple[str, str]] = field(default_factory=list)
 
@@ -235,7 +234,7 @@ def parse_extraction_response(raw: str, provenance: Provenance) -> ExtractionRes
     ``rejected_lines`` with a reason. Surface strings are trimmed but not
     canonicalized (that is aggregation's job); context keys are lowercased.
     """
-    result = ExtractionResult(raw_response=raw)
+    result = ExtractionResult()
     for line in raw.splitlines():
         stripped = line.strip()
         if not stripped:

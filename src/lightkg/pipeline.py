@@ -48,11 +48,10 @@ from .extraction import (
     read_corpus,
 )
 from .graph import ContextMap, KnowledgeGraph
-from .serialize import read_json, serialize_graph, triple_to_dict, triples_to_jsonl
+from .serialize import FORMATS, read_json, serialize_graph, triple_to_dict, triples_to_jsonl
 from .topology import TopologyConfig, discover, load_rules, load_senses
 
 EXTRACTORS = ("model", "pattern", "fixture")
-EXPORT_FORMATS = ("json", "graphml")
 
 
 class ConfigError(ValueError):
@@ -97,9 +96,9 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.extractor not in EXTRACTORS:
             raise ConfigError(f"extractor must be one of {EXTRACTORS}, got {self.extractor!r}")
-        if self.export_format not in EXPORT_FORMATS:
+        if self.export_format not in FORMATS:
             raise ConfigError(
-                f"export_format must be one of {EXPORT_FORMATS}, got {self.export_format!r}"
+                f"export_format must be one of {FORMATS}, got {self.export_format!r}"
             )
         if not 0.0 <= self.confidence_threshold <= 1.0:
             raise ConfigError("confidence_threshold must be in [0, 1]")
@@ -184,7 +183,7 @@ def _check_kinds(cls, payload: dict[str, Any], prefix: str = "") -> None:
 
 
 # The fields naming input files; ``load`` resolves them against the config
-# file's directory and ``run_pipeline`` checks that they exist.
+# file's directory and ``run_pipeline`` checks that none is missing or a directory.
 _PATH_FIELDS = tuple(f.name for f in fields(PipelineConfig) if f.name.endswith("_path"))
 
 
@@ -251,6 +250,18 @@ def extract_corpus(
     with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
         results = list(pool.map(runner, chunks))
     return chunks, results
+
+
+def discover_stage(
+    config: PipelineConfig, graph: KnowledgeGraph, rules_path, senses_path
+) -> KnowledgeGraph:
+    """The discover stage of ``run_pipeline`` and ``lightkg discover``: the
+    rules and senses files (either may be None) read with the config's
+    normalization, then :func:`~lightkg.topology.discover` with its settings."""
+    policy = config.normalization
+    rules = load_rules(rules_path, policy) if rules_path else []
+    senses = load_senses(senses_path, policy) if senses_path else {}
+    return discover(graph, rules, senses, config.topology, config.topology_enabled)
 
 
 def filter_for_export(g: KnowledgeGraph, threshold: float) -> KnowledgeGraph:
@@ -333,6 +344,8 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
         for path in config.referenced_paths():
             if not Path(path).exists():
                 raise ConfigError(f"configured file does not exist: {path}")
+            if Path(path).is_dir():
+                raise ConfigError(f"configured file is a directory: {path}")
 
         stage = "read-corpus"
         tick = time.perf_counter()
@@ -371,21 +384,12 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
 
         stage = "discover"
         tick = time.perf_counter()
-        policy = config.normalization
-        rules = load_rules(config.rules_path, policy) if config.rules_path else []
-        senses = load_senses(config.senses_path, policy) if config.senses_path else {}
-        graph = discover(
-            graph,
-            rules=rules,
-            senses_by_node=senses,
-            config=config.topology,
-            enabled=config.topology_enabled,
-        )
+        graph = discover_stage(config, graph, config.rules_path, config.senses_path)
         timings["discover_s"] = time.perf_counter() - tick
 
         stage = "export"
         tick = time.perf_counter()
-        graph_name = f"graph.{'graphml' if config.export_format == 'graphml' else 'json'}"
+        graph_name = f"graph.{config.export_format}"
         kept = filter_for_export(graph, config.confidence_threshold)
         graph_file = write_staged(graph_name, serialize_graph(kept, config.export_format))
         timings["export_s"] = time.perf_counter() - tick

@@ -529,14 +529,14 @@ def _parse_json(text: str) -> Any:
 
 def deserialize_graph(data: bytes | str | os.PathLike, fmt: str = "json") -> KnowledgeGraph:
     """Parse bytes produced by :func:`serialize_graph` (or conforming to the
-    documented schema) back into a graph: ``data`` itself if it is bytes or
-    text, else the file at the path ``data``.
+    documented schema) back into a graph: ``data`` itself if it is bytes,
+    else the file at the path ``data``.
 
     Raises :class:`GraphParseError` on malformed input and
     :class:`~lightkg.graph.GraphIntegrityError` when an edge references a
     missing node; for a file, the message starts with its path.
     """
-    if isinstance(data, os.PathLike):
+    if not isinstance(data, bytes):
         try:
             if fmt == "json":
                 # Parsed here, not through the call below, whose argument would
@@ -548,8 +548,6 @@ def deserialize_graph(data: bytes | str | os.PathLike, fmt: str = "json") -> Kno
             return deserialize_graph(Path(data).read_bytes(), fmt)
         except (GraphParseError, GraphIntegrityError) as exc:
             raise type(exc)(f"{data}: {exc}") from exc
-    if isinstance(data, str):
-        data = data.encode("utf-8")
     if fmt == "json":
         return graph_from_dict(_parse_json(_decode(data, GraphParseError, "line ")))
     if fmt == "graphml":
@@ -608,12 +606,10 @@ def triples_to_jsonl(triples: Iterable[ContextTriple]) -> bytes:
 
 
 def triples_from_jsonl(data: bytes | str | os.PathLike) -> list[ContextTriple]:
-    """Parse ``triples_to_jsonl`` output: ``data`` itself if it is bytes or
-    text, else the file at the path ``data``. A line that is undecodable,
-    invalid JSON or no triple raises :class:`GraphParseError` with a message
-    that starts ``line N:``, or ``path:N:`` for a file."""
-    if isinstance(data, str):
-        data = data.encode("utf-8")
+    """Parse ``triples_to_jsonl`` output: ``data`` itself if it is bytes,
+    else the file at the path ``data``. A line that is undecodable, invalid
+    JSON or no triple raises :class:`GraphParseError` with a message that
+    starts ``line N:``, or ``path:N:`` for a file."""
     records = read_jsonl(data, GraphParseError)
     build = partial(_triple, {})
     return [decode_record(r, "triple", build, GraphParseError, where) for where, r in records]

@@ -165,18 +165,6 @@ def _expand(
     return next_frontier
 
 
-def _bounded_distances(
-    start: str, step: Callable[[str], Iterable[str]], limit: int
-) -> dict[str, int]:
-    dist = {start: 0}
-    frontier = [start]
-    depth = 0
-    while frontier and depth < limit:
-        depth += 1
-        frontier = _expand(frontier, step, dist, depth, {}, [])
-    return dist
-
-
 def _shortest_path(
     g: KnowledgeGraph,
     source: str,
@@ -349,25 +337,15 @@ def reinforce_confidence(
 
 
 def disambiguate_entity(
-    g: KnowledgeGraph,
-    node_id: str,
-    senses: Sequence[SenseSignature],
-    radius: int = 1,
+    g: KnowledgeGraph, node_id: str, senses: Sequence[SenseSignature]
 ) -> list[tuple[str, float]]:
-    """Rank candidate senses by cue coverage in the node's neighborhood.
-
-    score(sense) = |cues seen within radius| / |cues|; descending, with ties
-    broken by input order.
-    """
+    """Rank candidate senses by cue coverage among the node's direct
+    neighbours, over edges of either direction: score(sense) = |cues among
+    them| / |cues|; descending, with ties broken by input order."""
     g.require_node(node_id)
     if not senses:
         raise ValueError("senses must be non-empty")
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
-    neighbors = g.adjacency(undirected=True).forward
-    empty: dict[str, list[str]] = {}
-    dist = _bounded_distances(node_id, lambda n: neighbors.get(n, empty), radius)
-    near = dist.keys() - {node_id}
+    near = g.adjacency(True).forward.get(node_id, {}).keys() - {node_id}
     ranked = sorted(
         (
             (sense.sense_label, len(sense.cue_labels & near) / len(sense.cue_labels), position)

@@ -134,7 +134,6 @@ def test_triples_with_line_separators_round_trip():
     assert all(sep.encode() in data for sep in SEPARATORS)  # written raw
     assert data.count(b"\n") == len(ts)
     assert triples_from_jsonl(data) == ts
-    assert triples_from_jsonl(data.decode("utf-8")) == ts
 
 
 def test_stage_chain_equals_pipeline_on_line_separators(tmp_path):

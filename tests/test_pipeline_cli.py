@@ -47,6 +47,24 @@ def write_corpus(tmp_path, lines) -> Path:
     return path
 
 
+def stage_chain(tmp_path, config_path, senses: bool) -> bytes:
+    """The graph bytes of ``lightkg extract``, ``aggregate`` and ``discover``
+    run in turn on the demo corpus with one config, the demo rules and, with
+    ``senses``, the demo senses."""
+    triples, aggregated, final = (tmp_path / n for n in ("t.jsonl", "agg.json", "final.json"))
+    config = ["-c", str(config_path)]
+    assert main(
+        ["extract", str(DATA / "demo_corpus.jsonl"), *config, "-o", str(triples)]
+    ) == EXIT_OK
+    assert main(["aggregate", str(triples), *config, "-o", str(aggregated)]) == EXIT_OK
+    senses_args = ["--senses", str(DATA / "demo_senses.json")] if senses else []
+    assert main(
+        ["discover", str(aggregated), "--rules", str(DATA / "demo_rules.json"), *senses_args,
+         *config, "-o", str(final)]
+    ) == EXIT_OK
+    return final.read_bytes()
+
+
 def indented_json_bytes(payload) -> bytes:
     """One ``indent=2`` encode of ``payload`` plus a newline, as UTF-8."""
     return (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
@@ -234,6 +252,15 @@ class TestRunPipeline:
             run_pipeline(config, DATA / "demo_corpus.jsonl", tmp_path / "out")
         assert isinstance(err.value.__cause__, ConfigError)
 
+    def test_directory_as_referenced_file_fails_before_work(self, tmp_path):
+        config = pattern_config(rules_path=str(tmp_path), gold_path=None)
+        with pytest.raises(StageError) as err:
+            run_pipeline(config, DATA / "demo_corpus.jsonl", tmp_path / "out")
+        assert err.value.stage == "configure"
+        assert isinstance(err.value.__cause__, ConfigError)
+        assert f"configured file is a directory: {tmp_path}" in str(err.value)
+        assert not (tmp_path / "out" / "triples.jsonl").exists()
+
     def test_failed_stage_quarantines_partials(self, tmp_path):
         bad_rules = tmp_path / "rules.json"
         bad_rules.write_text("{broken json")
@@ -380,13 +407,13 @@ class TestRunPipeline:
             seen["outcome"] = aggregate(*args, **kwargs)
             return seen["outcome"]
 
-        def discovering(graph, **kwargs):
+        def discovering(graph, *args, **kwargs):
             rejected = {id(t) for t, _ in seen["outcome"].rejected}
             seen["alive at discover"] = [
                 t for t in (ref() for ref in refs["triples"])
                 if t is not None and id(t) not in rejected
             ]
-            return discover(graph, **kwargs)
+            return discover(graph, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, "extract_corpus", extracting)
         monkeypatch.setattr(pipeline, "triples_to_jsonl", writing)
@@ -619,26 +646,21 @@ class TestCli:
         assert "7 nodes" in capsys.readouterr().out
 
     def test_stage_chain_equals_pipeline(self, tmp_path):
-        config_path = str(DATA / "demo_config_pattern.json")
-        triples = tmp_path / "triples.jsonl"
-        aggregated = tmp_path / "agg.json"
-        final = tmp_path / "final.json"
-        assert main(
-            ["extract", str(DATA / "demo_corpus.jsonl"), "-c", config_path, "-o", str(triples)]
-        ) == EXIT_OK
-        assert main(
-            ["aggregate", str(triples), "-c", config_path, "-o", str(aggregated)]
-        ) == EXIT_OK
-        assert main(
-            [
-                "discover", str(aggregated),
-                "--rules", str(DATA / "demo_rules.json"),
-                "--senses", str(DATA / "demo_senses.json"),
-                "-c", config_path,
-                "-o", str(final),
-            ]
-        ) == EXIT_OK
-        assert final.read_bytes() == (GOLDEN / "pattern_graph.json").read_bytes()
+        final = stage_chain(tmp_path, DATA / "demo_config_pattern.json", senses=True)
+        assert final == (GOLDEN / "pattern_graph.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"senses_path": None}, {"topology_enabled": False}],
+        ids=["no-senses", "no-topology"],
+    )
+    def test_discover_subcommand_equals_pipeline(self, tmp_path, overrides):
+        config = pattern_config(**overrides)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config.to_dict()))
+        run_pipeline(config, DATA / "demo_corpus.jsonl", tmp_path / "run")
+        final = stage_chain(tmp_path, config_path, senses=bool(config.senses_path))
+        assert final == (tmp_path / "run" / "graph.json").read_bytes()
 
     def test_eval_subcommand(self, tmp_path, capsys):
         code = main(
@@ -654,6 +676,17 @@ class TestCli:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["entity"]["f1"] == 1.0
         assert report["relation"]["f1"] == 1.0
+
+    def test_eval_report_equals_pipeline_report_bytes(self, tmp_path):
+        report = tmp_path / "r.json"
+        assert main(
+            [
+                "eval", str(GOLDEN / "pattern_graph.json"),
+                "--gold", str(DATA / "demo_gold.jsonl"),
+                "-o", str(report),
+            ]
+        ) == EXIT_OK
+        assert report.read_bytes() == (GOLDEN / "pattern_report.json").read_bytes()
 
     def test_eval_relaxed_policy_flag(self, capsys):
         code = main(
@@ -686,6 +719,42 @@ class TestCli:
         )
         assert code == EXIT_USAGE
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "case", ["config", "gold", "rules_path", "fixtures_path", "output"]
+    )
+    def test_directory_where_a_file_is_expected_is_usage_error(self, tmp_path, capsys, case):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        config = tmp_path / "config.json"
+        if case == "fixtures_path":
+            config.write_text(json.dumps({"extractor": "fixture", "fixtures_path": str(folder)}))
+        else:
+            config.write_text(json.dumps({"rules_path": str(folder)}))
+        corpus = str(DATA / "demo_corpus.jsonl")
+        out_dir = tmp_path / "out"
+        argv, message = {
+            "config": (
+                ["pipeline", corpus, "-c", str(folder), "-o", str(out_dir)],
+                f"config file is a directory: {folder}",
+            ),
+            "gold": (
+                ["eval", str(GOLDEN / "pattern_graph.json"), "--gold", str(folder)],
+                f"gold file is a directory: {folder}",
+            ),
+            "rules_path": (
+                ["pipeline", corpus, "-c", str(config), "-o", str(out_dir)],
+                f"configured file is a directory: {folder}",
+            ),
+            "fixtures_path": (
+                ["extract", corpus, "-c", str(config), "-o", str(tmp_path / "t")],
+                f"Is a directory: '{folder}'",
+            ),
+            "output": (["extract", corpus, "-o", str(folder)], f"Is a directory: '{folder}'"),
+        }[case]
+        assert main(argv) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not (out_dir / "triples.jsonl").exists()
 
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"

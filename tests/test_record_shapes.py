@@ -258,7 +258,7 @@ def test_valid_records_of_every_kind_exit_0(tmp_path):
         "senses": json.dumps({"radium": [SENSE]}).encode(),
         "triples": jsonl(TRIPLE),
         "graph": json.dumps(GRAPH).encode(),
-        "graphml": serialize_graph(deserialize_graph(json.dumps(GRAPH)), "graphml"),
+        "graphml": serialize_graph(deserialize_graph(json.dumps(GRAPH).encode()), "graphml"),
     }
     for kind, content in valid.items():
         assert run_cli(kind, content, tmp_path) == (EXIT_OK, ""), kind
@@ -283,7 +283,7 @@ class TestDecoding:
         nulls = dict.fromkeys(("id", "context", "confidence", "inferred", "provenance"))
         edge = replaced(EDGE, **nulls)
         nodes = [{"id": "ada", "attributes": None}, {"id": "charles"}]
-        g = deserialize_graph(json.dumps({"nodes": nodes, "edges": [edge]}))
+        g = deserialize_graph(json.dumps({"nodes": nodes, "edges": [edge]}).encode())
         (loaded,) = g.edges.values()
         assert g.nodes["ada"].attributes == ContextMap()
         assert (loaded.context, loaded.confidence, loaded.inferred, loaded.provenance) == (
@@ -291,7 +291,9 @@ class TestDecoding:
         )
 
     def test_integer_number_reads_as_float(self):
-        g = deserialize_graph(json.dumps(replaced(GRAPH, edges=[replaced(EDGE, confidence=1)])))
+        g = deserialize_graph(
+            json.dumps(replaced(GRAPH, edges=[replaced(EDGE, confidence=1)])).encode()
+        )
         (edge,) = g.edges.values()
         assert type(edge.confidence) is float
         assert b'"confidence":1.0' in serialize_graph(g)
@@ -306,7 +308,7 @@ class TestDecoding:
             triples_from_jsonl(jsonl(replaced(TRIPLE, provenance=bogus)))
 
     def test_number_past_float_range_is_a_parse_error(self):
-        payload = json.dumps(replaced(GRAPH, edges=[replaced(EDGE, confidence=10**400)]))
+        payload = json.dumps(replaced(GRAPH, edges=[replaced(EDGE, confidence=10**400)])).encode()
         with pytest.raises(GraphParseError, match="^edge #0: "):
             deserialize_graph(payload)
 
@@ -337,7 +339,7 @@ FUZZED = {
     "config": CONFIG,
     "fixtures": FIXTURES,
 }
-GRAPHML = serialize_graph(deserialize_graph(json.dumps(GRAPH)), "graphml")
+GRAPHML = serialize_graph(deserialize_graph(json.dumps(GRAPH).encode()), "graphml")
 
 GRAPH_ERRORS = (GraphParseError, GraphIntegrityError)
 

@@ -324,25 +324,27 @@ class TestDisambiguate:
         ]
         assert disambiguate_entity(g, "x", senses) == [("first", 1.0), ("second", 1.0)]
 
-    def test_radius_two_reaches_further(self):
-        g = support.graph_of(("x", "p", "mid"), ("mid", "p", "far"))
-        senses = [SenseSignature("deep", frozenset({"far"}))]
-        assert disambiguate_entity(g, "x", senses, radius=1)[0][1] == 0.0
-        assert disambiguate_entity(g, "x", senses, radius=2)[0][1] == 1.0
+    def test_two_hop_node_is_not_a_neighbour(self):
+        g = support.graph_of(("x", "p", "mid"), ("far", "p", "mid"))
+        senses = [
+            SenseSignature("deep", frozenset({"far"})),
+            SenseSignature("near", frozenset({"mid"})),
+        ]
+        assert disambiguate_entity(g, "x", senses) == [("near", 1.0), ("deep", 0.0)]
+        assert disambiguate_entity(g, "mid", senses) == [("deep", 1.0), ("near", 0.0)]
 
     @settings(max_examples=150)
-    @given(g=support.graphs(max_nodes=7, max_edges=12), radius=st.integers(1, 3))
-    def test_neighborhood_matches_bfs_oracle(self, g, radius):
+    @given(g=support.graphs(max_nodes=7, max_edges=12))
+    def test_neighborhood_matches_bfs_oracle(self, g):
         # One single-cue sense per node: a sense scores 1 exactly when its
-        # node lies within ``radius`` undirected hops of the scored node.
+        # node lies one undirected hop from the scored node.
         pairs = support.edge_pairs(g)
         for node_id in g.nodes:
             senses = [SenseSignature(n, frozenset({n})) for n in sorted(g.nodes)]
-            scores = dict(disambiguate_entity(g, node_id, senses, radius))
+            scores = dict(disambiguate_entity(g, node_id, senses))
             for n in g.nodes:
                 dist = support.oracle_shortest_len(pairs, node_id, n, True)
-                within = n != node_id and dist is not None and dist <= radius
-                assert scores[n] == (1.0 if within else 0.0)
+                assert scores[n] == (1.0 if dist == 1 else 0.0)
 
     def test_preconditions(self):
         g = support.graph_of(("a", "p", "b"))
@@ -729,22 +731,26 @@ class TestOneSearchPerSupport:
     """Reinforcement reads each support path off its own bidirectional
     search, with no second breadth-first search to rebuild it."""
 
-    def test_reinforce_confidence_never_runs_bounded_distances(self, monkeypatch):
+    def test_reinforce_confidence_runs_one_search_per_support(self, monkeypatch):
+        # Each edge's search loop finds its supports one search each, then
+        # runs one last search that finds none.
         g = random_sparse_graph(random.Random(15), nodes=40, edges=90)
-        counts = {"_bounded_distances": 0, "_shortest_path": 0}
-        for name in counts:
-            original = getattr(topology, name)
+        expected = sum(
+            1 + len(edge_disjoint_paths(g, e.source, e.target, exclude_edges=(eid,)))
+            for eid, e in g.edges.items()
+            if e.source != e.target
+        )
+        calls = []
+        original = topology._shortest_path
 
-            def counting(*args, _original=original, _name=name):
-                counts[_name] += 1
-                return _original(*args)
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
 
-            monkeypatch.setattr(topology, name, counting)
+        monkeypatch.setattr(topology, "_shortest_path", counting)
         reinforce_confidence(g)
-        assert counts["_shortest_path"] > g.edge_count
-        assert counts["_bounded_distances"] == 0
-        disambiguate_entity(g, "n000", [SenseSignature("s", frozenset({"n001"}))])
-        assert counts["_bounded_distances"] == 1
+        assert expected > g.edge_count
+        assert len(calls) == expected
 
 
 class TestIndexBuiltOncePerCall:
