@@ -10,7 +10,8 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass, field
-from typing import Iterable
+from operator import attrgetter
+from typing import Callable, Iterable
 
 from .graph import (
     ContextMap,
@@ -64,6 +65,34 @@ def normalize_label(raw: str, policy: NormalizationPolicy = DEFAULT_POLICY) -> s
     return s
 
 
+def label_normalizer(policy: NormalizationPolicy = DEFAULT_POLICY) -> Callable[[str], str]:
+    """:func:`normalize_label` under ``policy``, run once per distinct raw
+    label for as long as the returned function lives; a label that
+    normalizes to nothing raises a new :class:`EmptyLabelError` each time."""
+    canonical: dict[str, str | EmptyLabelError] = {}
+
+    def label(raw: str) -> str:
+        result = canonical.get(raw)
+        if result is None:
+            try:
+                result = normalize_label(raw, policy)
+            except EmptyLabelError as exc:
+                result = exc.with_traceback(None)
+            canonical[raw] = result
+        if isinstance(result, EmptyLabelError):
+            # A fresh error: raising the stored one would attach this call's
+            # frames to it, a cycle that keeps the caller's data alive until
+            # the garbage collector runs.
+            raise EmptyLabelError(*result.args)
+        return result
+
+    return label
+
+
+# The fold's order: by source, then chunk; sorted() keeps input order within.
+_FOLD_ORDER = attrgetter("provenance.source_id", "provenance.chunk_index")
+
+
 @dataclass
 class AggregationResult:
     graph: KnowledgeGraph
@@ -80,38 +109,36 @@ def aggregate_triples(
 
     Subject and object become nodes; triples with the same canonical
     (source, predicate, target) collapse onto one edge, unioning context
-    and keeping provenance in fold order. Each distinct raw label or
-    context value is normalized once; context values that normalize to
+    and keeping provenance in fold order. Each distinct raw label is
+    normalized once, and each distinct context's values once, however many
+    triples carry an equal context; context values that normalize to
     nothing are dropped. A triple whose subject, predicate or object
     normalizes to nothing is dropped and reported, never fatal, and leaves
     no node behind. The fold runs over plain containers; each edge is built
     once, in first-seen order, and the graph is validated once, at the end.
     """
-    canonical: dict[str, str | EmptyLabelError] = {}
+    label = label_normalizer(policy)
+    # context -> its keys, each with the labels of its values; a value that
+    # normalizes to nothing is dropped
+    contexts: dict[ContextMap, list[tuple[str, set[str]]]] = {}
 
-    def label(raw: str) -> str:
-        result = canonical.get(raw)
-        if result is None:
-            try:
-                result = normalize_label(raw, policy)
-            except EmptyLabelError as exc:
-                result = exc.with_traceback(None)
-            canonical[raw] = result
-        if isinstance(result, EmptyLabelError):
-            # A fresh error: raising the stored one would attach this call's
-            # frames to it, a cycle that keeps every triple alive until the
-            # garbage collector runs.
-            raise EmptyLabelError(*result.args)
-        return result
+    def context_labels(cm: ContextMap) -> list[tuple[str, set[str]]]:
+        pairs = []
+        for key, values in cm.items():
+            kept = set()
+            for value in values:
+                try:
+                    kept.add(label(value))
+                except EmptyLabelError:
+                    continue
+            pairs.append((key, kept))
+        return pairs
 
     nodes: dict[str, Node] = {}
     # (source, predicate, target) -> (context key -> values, provenance)
     facts: dict[tuple[str, str, str], tuple[dict[str, set[str]], list[Provenance]]] = {}
     rejected: list[tuple[ContextTriple, str]] = []
-    # sorted() is stable, so equal keys keep their input position.
-    for triple in sorted(
-        triples, key=lambda t: (t.provenance.source_id, t.provenance.chunk_index)
-    ):
+    for triple in sorted(triples, key=_FOLD_ORDER):
         try:
             spo = (label(triple.subject), label(triple.predicate), label(triple.object))
         except EmptyLabelError as exc:
@@ -124,13 +151,11 @@ def aggregate_triples(
                 if node_id not in nodes:
                     nodes[node_id] = Node(node_id)
         context, provenance = fact
-        for key, values in triple.context.items():
-            kept = context.setdefault(key, set())
-            for value in values:
-                try:
-                    kept.add(label(value))
-                except EmptyLabelError:
-                    continue  # values that normalize to nothing are dropped
+        pairs = contexts.get(triple.context)
+        if pairs is None:
+            pairs = contexts[triple.context] = context_labels(triple.context)
+        for key, kept in pairs:
+            context.setdefault(key, set()).update(kept)
         provenance.append(triple.provenance)
 
     edges = (

@@ -53,8 +53,11 @@ class _UsageError(Exception):
     pass
 
 
-# A directory where a file is expected, for input or output, is a usage error.
-_USAGE_ERRORS = (_UsageError, ConfigError, IsADirectoryError)
+# A directory where a file is expected, for input or output, and a file where
+# a directory is expected, are usage errors; each message names the path.
+_USAGE_ERRORS = (
+    _UsageError, ConfigError, IsADirectoryError, NotADirectoryError, FileExistsError
+)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .aggregation import DEFAULT_POLICY, NormalizationPolicy, normalize_label
+from .aggregation import DEFAULT_POLICY, NormalizationPolicy, label_normalizer
 from .graph import KnowledgeGraph
 from .serialize import decode_record, deserialize_graph, format_for_path, read_jsonl
 
@@ -176,10 +176,12 @@ class EvalReport:
 
 def load_gold(path, policy: NormalizationPolicy = DEFAULT_POLICY) -> GoldSet:
     """Load gold JSONL: triple objects ``{"subject","predicate","object"}``
-    plus optional ``{"entity": ...}`` lines, normalized like aggregation."""
+    plus optional ``{"entity": ...}`` lines, normalized like aggregation,
+    each distinct raw label once per call."""
+    label = label_normalizer(policy)
 
     def labels(**fields: str) -> tuple[str, ...]:
-        return tuple(normalize_label(label, policy) for label in fields.values())
+        return tuple(map(label, fields.values()))
 
     entities: set[str] = set()
     triples: set[Triple] = set()

@@ -35,9 +35,19 @@ class CorpusFormatError(ValueError):
 
 @dataclass(frozen=True)
 class TextChunk:
+    """One chunk of a document's text.
+
+    ``sentences`` is the list of sentences :func:`chunk_document` joined
+    into ``text``, handed over so the pattern extractor need not split the
+    text again; it is None for a chunk built by hand and for one that holds
+    a slice of a hard-split sentence. It takes no part in equality or
+    ``repr``.
+    """
+
     source_id: str
     chunk_index: int
     text: str
+    sentences: list[str] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.chunk_index < 0:
@@ -81,35 +91,45 @@ def chunk_document(
 
     Sentences longer than the budget are hard-split. Chunk texts concatenate
     back to the input modulo boundary whitespace; indexes count up from 0.
+    A chunk of whole sentences carries the list of them as ``sentences``:
+    splitting its text again would give the same list. A chunk that holds a
+    hard-split slice carries None, because its text can split differently:
+    a slice that ends in no sentence terminator merges into what follows.
     """
     if max_chunk_chars < 1:
         raise ValueError("max_chunk_chars must be >= 1")
     body = text.strip()
     if not body:
         return []
-    pieces: list[str] = []
-    for sentence in split_sentences(body):
-        if len(sentence) <= max_chunk_chars:
-            pieces.append(sentence)
-        else:
-            for start in range(0, len(sentence), max_chunk_chars):
-                slice_ = sentence[start : start + max_chunk_chars].strip()
-                if slice_:
-                    pieces.append(slice_)
-    chunks: list[str] = []
+    chunks: list[TextChunk] = []
     current: list[str] = []
     current_len = 0
-    for piece in pieces:
-        candidate = current_len + len(piece) + (1 if current else 0)
-        if current and candidate > max_chunk_chars:
-            chunks.append(" ".join(current))
-            current, current_len = [piece], len(piece)
-        else:
-            current.append(piece)
-            current_len = candidate
+    whole = True  # no piece of current is a slice of a hard-split sentence
+
+    def close() -> None:
+        chunks.append(
+            TextChunk(source_id, len(chunks), " ".join(current), current if whole else None)
+        )
+
+    for sentence in split_sentences(body):
+        sliced = len(sentence) > max_chunk_chars
+        pieces = (sentence,) if not sliced else [
+            piece
+            for start in range(0, len(sentence), max_chunk_chars)
+            if (piece := sentence[start : start + max_chunk_chars].strip())
+        ]
+        for piece in pieces:
+            candidate = current_len + len(piece) + (1 if current else 0)
+            if current and candidate > max_chunk_chars:
+                close()
+                current, current_len, whole = [piece], len(piece), not sliced
+            else:
+                current.append(piece)
+                current_len = candidate
+                whole = whole and not sliced
     if current:
-        chunks.append(" ".join(current))
-    return [TextChunk(source_id, index, chunk) for index, chunk in enumerate(chunks)]
+        close()
+    return chunks
 
 
 # --- prompting ----------------------------------------------------------------
@@ -327,8 +347,11 @@ def pattern_extract(chunk: TextChunk) -> ExtractionResult:
        form or a short irregular list).
     c. ``X is a Y`` emits ``(X, is_a, Y)``; skipped when rule b fired.
 
-    Triples with equal years share one immutable ``year`` context, built
-    once per distinct year and kept in a bounded cache across calls.
+    The sentences are the chunk's ``sentences`` when
+    :func:`chunk_document` handed them over, else ``chunk.text`` split
+    again; both give the same list. Triples with equal years share one
+    immutable ``year`` context, built once per distinct year and kept in a
+    bounded cache across calls.
 
     The ``such as`` scan is linear in the sentence. The verb/year scan
     starts only at a line start, so a line it rejects costs about its
@@ -336,7 +359,8 @@ def pattern_extract(chunk: TextChunk) -> ExtractionResult:
     """
     provenance = Provenance(chunk.source_id, chunk.chunk_index, Extractor.PATTERN)
     triples: list[ContextTriple] = []
-    for sentence in split_sentences(chunk.text):
+    sentences = chunk.sentences
+    for sentence in split_sentences(chunk.text) if sentences is None else sentences:
         body = sentence.strip().rstrip(".!?").strip()
         if not body:
             continue

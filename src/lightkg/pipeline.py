@@ -183,12 +183,24 @@ def _check_kinds(cls, payload: dict[str, Any], prefix: str = "") -> None:
 
 
 # The fields naming input files; ``load`` resolves them against the config
-# file's directory and ``run_pipeline`` checks that none is missing or a directory.
+# file's directory and ``run_pipeline`` checks each with ``configured_file``.
 _PATH_FIELDS = tuple(f.name for f in fields(PipelineConfig) if f.name.endswith("_path"))
 
 
+def configured_file(path):
+    """``path``, the value of a ``*_path`` field, once it is known to name a
+    file; :class:`ConfigError` naming it if nothing or a directory is there.
+    ``run_pipeline`` checks every such field before any stage runs, and
+    ``load_fixtures`` checks its own, for ``lightkg extract``."""
+    if not Path(path).exists():
+        raise ConfigError(f"configured file does not exist: {path}")
+    if Path(path).is_dir():
+        raise ConfigError(f"configured file is a directory: {path}")
+    return path
+
+
 def load_fixtures(path) -> dict[str, str]:
-    payload = read_json(path, ConfigError)
+    payload = read_json(configured_file(path), ConfigError)
     if not isinstance(payload, dict) or not all(
         isinstance(v, str) for v in payload.values()
     ):
@@ -342,10 +354,7 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
 
     try:
         for path in config.referenced_paths():
-            if not Path(path).exists():
-                raise ConfigError(f"configured file does not exist: {path}")
-            if Path(path).is_dir():
-                raise ConfigError(f"configured file is a directory: {path}")
+            configured_file(path)
 
         stage = "read-corpus"
         tick = time.perf_counter()

@@ -13,8 +13,11 @@ triple of one chunk carries the same provenance record, and an aggregated
 edge repeats the records of its triples, so each graph JSON or triples
 JSONL write encodes a distinct :class:`Provenance` once, and each read (one
 graph, GraphML document or triples file) decodes a provenance record once and
-reuses the :class:`Provenance` for every equal record. Each memo lasts only
-its call.
+reuses the :class:`Provenance` for every equal record. Extracted triples
+share few distinct contexts (a ``year`` among a few hundred), so each
+triples JSONL write also encodes a distinct :class:`ContextMap` once. The
+write memos are keyed by value, not by object, and each memo lasts only its
+call.
 """
 
 from __future__ import annotations
@@ -263,24 +266,25 @@ def _provenance_json(p: Provenance) -> str:
     )
 
 
-def _provenance_json_once() -> Callable[[Provenance], str]:
-    """``_provenance_json``, encoding each distinct record once for as long
-    as the returned function lives."""
-    memo: dict[Provenance, str] = {}
+def _once(encode: Callable[[Any], str]) -> Callable[[Any], str]:
+    """``encode``, called once per distinct value for as long as the returned
+    function lives. The memo is keyed by value, so equal values that are
+    separate objects share one entry."""
+    memo: dict[Any, str] = {}
 
-    def provenance_json(p: Provenance) -> str:
-        text = memo.get(p)
+    def encoded(value: Any) -> str:
+        text = memo.get(value)
         if text is None:
-            text = memo[p] = _provenance_json(p)
+            text = memo[value] = encode(value)
         return text
 
-    return provenance_json
+    return encoded
 
 
 def _graph_json(g: KnowledgeGraph) -> str:
     """The compact JSON of ``{"nodes": [...], "edges": [...]}``, nodes sorted
     by id and edges by edge id, each provenance record encoded once."""
-    s, provenance_json = _encode_string, _provenance_json_once()
+    s, provenance_json = _encode_string, _once(_provenance_json)
     nodes = [
         f'{{"id":{s(node.id)},"attributes":{_context_json(node.attributes)}}}'
         for node in map(g.nodes.__getitem__, sorted(g.nodes))
@@ -579,13 +583,17 @@ def _triple(memo, subject, predicate, object, provenance, context=None) -> Conte
     )
 
 
-def _triple_json(provenance_json: Callable[[Provenance], str], t: ContextTriple) -> str:
+def _triple_json(
+    provenance_json: Callable[[Provenance], str],
+    context_json: Callable[[ContextMap], str],
+    t: ContextTriple,
+) -> str:
     """``_encode_compact(triple_to_dict(t))``, its provenance encoded by
-    ``provenance_json``."""
+    ``provenance_json`` and its context by ``context_json``."""
     s = _encode_string
     return (
         f'{{"subject":{s(t.subject)},"predicate":{s(t.predicate)},"object":{s(t.object)},'
-        f'"context":{_context_json(t.context)},"provenance":{provenance_json(t.provenance)}}}'
+        f'"context":{context_json(t.context)},"provenance":{provenance_json(t.provenance)}}}'
     )
 
 
@@ -596,8 +604,10 @@ def triples_to_jsonl(triples: Iterable[ContextTriple]) -> bytes:
     their join, then the joined text and its bytes. The text is encoded in
     one call, so an unencodable character is reported at its position in
     the whole document."""
-    # The provenance memo dies with the partial, before the join.
-    lines = list(map(partial(_triple_json, _provenance_json_once()), triples))
+    # The memos die with the partial, before the join.
+    encode = partial(_triple_json, _once(_provenance_json), _once(_context_json))
+    lines = list(map(encode, triples))
+    del encode
     if lines:
         lines.append("")  # the join then ends in a newline, with no second copy
     text = "\n".join(lines)

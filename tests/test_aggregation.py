@@ -16,7 +16,7 @@ from lightkg.aggregation import (
 )
 from lightkg import aggregation
 from lightkg.extraction import ExtractionResult
-from lightkg.graph import Edge, KnowledgeGraph, content_equal
+from lightkg.graph import ContextMap, Edge, KnowledgeGraph, content_equal
 from lightkg.serialize import serialize_graph
 
 
@@ -218,6 +218,37 @@ class TestFoldWork:
         assert [reason for _, reason in outcome.rejected] == [
             "label '...' is empty after normalization"
         ] * 2
+
+    def test_each_distinct_context_read_and_normalized_once(self, monkeypatch):
+        calls, read = [], []
+        normalize, items = aggregation.normalize_label, ContextMap.items
+
+        def counting(raw, policy=aggregation.DEFAULT_POLICY):
+            calls.append(raw)
+            return normalize(raw, policy)
+
+        def counting_items(self):
+            read.append(self)
+            return items(self)
+
+        # Equal contexts as separate objects, over many facts; one value
+        # normalizes to nothing and is dropped.
+        triples = [
+            support.triple(
+                f"s{i}", "p", f"o{i % 7}", {"year": [f" {1900 + i % 3} "], "note": ["--"]}
+            )
+            for i in range(60)
+        ]
+        monkeypatch.setattr(aggregation, "normalize_label", counting)
+        monkeypatch.setattr(ContextMap, "items", counting_items)
+        outcome = aggregate_triples(triples)
+        monkeypatch.undo()
+        assert len(read) == len({t.context for t in triples}) == 3
+        distinct = {raw for t in triples for raw in (t.subject, t.predicate, t.object)}
+        distinct |= {value for t in triples for _, values in t.context.items() for value in values}
+        assert sorted(calls) == sorted(distinct)
+        assert {e.context.get("note") for e in outcome.graph.edges.values()} == {frozenset()}
+        assert content_equal(outcome.graph, support.reference_aggregate(triples)[0])
 
 
 class TestMonotoneCoexistence:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
+from lightkg import aggregation
 from lightkg.evaluation import (
     EvalReport,
     GoldFormatError,
@@ -183,6 +184,26 @@ class TestGoldSet:
         gold = load_gold(path)
         assert gold.entities == frozenset({"marie curie", "radium", "polonium"})
         assert gold.triples == frozenset({("marie curie", "discovered", "radium")})
+
+    def test_load_gold_normalizes_each_distinct_raw_label_once(self, tmp_path, monkeypatch):
+        calls = []
+        normalize = aggregation.normalize_label
+
+        def counting(raw, policy=aggregation.DEFAULT_POLICY):
+            calls.append(raw)
+            return normalize(raw, policy)
+
+        monkeypatch.setattr(aggregation, "normalize_label", counting)
+        records = [
+            {"subject": f"Author {i % 4}", "predicate": "Wrote", "object": f"Book {i}"}
+            for i in range(12)
+        ] + [{"entity": "Author 0"}, {"entity": "Paris"}] * 3
+        path = tmp_path / "gold.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        gold = load_gold(path)
+        assert sorted(calls) == sorted({raw for r in records for raw in r.values()})
+        assert len(gold.triples) == 12
+        assert gold.entities >= {"author 0", "paris", "book 11"}
 
     def test_load_gold_bad_line(self, tmp_path):
         path = tmp_path / "gold.jsonl"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from lightkg import extraction
 from lightkg.client import CompletionParams, MockChatClient, prompt_fingerprint
 from lightkg.extraction import (
     DEFAULT_MAX_CHUNK_CHARS,
+    CorpusDocument,
     CorpusFormatError,
     TextChunk,
     build_extraction_prompt,
@@ -25,6 +27,7 @@ from lightkg.extraction import (
     split_sentences,
 )
 from lightkg.graph import Extractor, Provenance
+from lightkg.pipeline import PipelineConfig, extract_corpus
 from lightkg.serialize import triples_to_jsonl
 
 PARAMS = CompletionParams(model_name="mock")
@@ -378,6 +381,77 @@ class TestYearContext:
         from lightkg import extraction
 
         assert extraction._year_context.cache_info().maxsize is not None
+
+
+class TestSentencesHandedOver:
+    """``chunk_document`` hands each chunk of whole sentences its list of
+    sentences, and ``pattern_extract`` reads them instead of splitting the
+    text again; a chunk holding a hard-split slice is read from its text."""
+
+    @staticmethod
+    def outcome(extract, ch: TextChunk):
+        # Should a rule capture only blanks, both raise; compare that too.
+        try:
+            return extract(ch).triples
+        except ValueError as exc:
+            return repr(exc)
+
+    @settings(max_examples=300)
+    @given(
+        text=st.lists(
+            st.one_of(support.pattern_texts, support.year_texts(), st.just(" " * 12)),
+            min_size=1,
+            max_size=5,
+        ).map(" ".join),
+        budget=st.integers(3, 60),
+    )
+    def test_equals_reference_extractor_over_chunked_text(self, text, budget):
+        for ch in chunk_document("src", text, max_chunk_chars=budget):
+            if ch.sentences is not None:
+                assert ch.sentences == split_sentences(ch.text)
+            assert self.outcome(pattern_extract, ch) == self.outcome(
+                support.reference_pattern_extract, ch
+            )
+
+    def test_slices_and_a_whole_sentence_read_as_the_resplit_text(self):
+        # The first slice is "Curie wrote" and its padding; both slices and
+        # the next sentence fit one chunk, whose text splits into two
+        # sentences, not the three pieces the chunk was joined from.
+        text = "Curie wrote" + " " * 29 + "radium in 1898. Ra is a gas."
+        [ch] = chunk_document("src", text, max_chunk_chars=40)
+        assert ch.text == "Curie wrote radium in 1898. Ra is a gas."
+        assert ch.sentences is None
+        assert spo(pattern_extract(ch)) == [
+            ("Curie", "wrote", "radium"), ("Ra", "is_a", "gas")
+        ]
+        assert pattern_extract(ch).triples == support.reference_pattern_extract(ch).triples
+
+    def test_sentences_take_no_part_in_equality_or_repr(self):
+        [handed] = chunk_document("d", MARIE + " Radium is a metal.")
+        assert handed.sentences == [MARIE, "Radium is a metal."]
+        by_hand = TextChunk("d", 0, handed.text)
+        assert by_hand.sentences is None
+        assert handed == by_hand
+        assert hash(handed) == hash(by_hand)
+        assert repr(handed) == repr(by_hand) == (
+            f"TextChunk(source_id='d', chunk_index=0, text={handed.text!r})"
+        )
+
+    def test_extract_corpus_splits_each_document_once(self):
+        documents = [
+            CorpusDocument(f"doc-{i}", " ".join([MARIE, "Radium is a metal."] * 6))
+            for i in range(3)
+        ]
+        config = PipelineConfig(max_chunk_chars=60)
+        with mock.patch.object(
+            extraction, "split_sentences", wraps=extraction.split_sentences
+        ) as split:
+            chunks, results = extract_corpus(config, documents)
+        assert split.call_count == len(documents)
+        assert len(chunks) > len(documents)
+        assert [r.triples for r in results] == [
+            support.reference_pattern_extract(ch).triples for ch in chunks
+        ]
 
 
 class TestCorpus:

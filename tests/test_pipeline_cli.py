@@ -748,13 +748,43 @@ class TestCli:
             ),
             "fixtures_path": (
                 ["extract", corpus, "-c", str(config), "-o", str(tmp_path / "t")],
-                f"Is a directory: '{folder}'",
+                f"configured file is a directory: {folder}",
             ),
             "output": (["extract", corpus, "-o", str(folder)], f"Is a directory: '{folder}'"),
         }[case]
         assert main(argv) == EXIT_USAGE
         assert message in capsys.readouterr().err
         assert not (out_dir / "triples.jsonl").exists()
+
+    @pytest.mark.parametrize("case", ["pipeline", "extract"])
+    def test_file_where_a_directory_is_expected_is_usage_error(self, tmp_path, capsys, case):
+        afile = tmp_path / "afile"
+        afile.write_text("keep me")
+        corpus = str(DATA / "demo_corpus.jsonl")
+        argv, message = {
+            "pipeline": (
+                ["pipeline", corpus, "-c", str(DATA / "demo_config_pattern.json"),
+                 "-o", str(afile)],
+                f"File exists: '{afile}'",
+            ),
+            "extract": (
+                ["extract", corpus, "-o", str(afile / "x")],
+                f"Not a directory: '{afile / 'x'}'",
+            ),
+        }[case]
+        assert main(argv) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert afile.read_text() == "keep me"
+
+    def test_missing_fixtures_file_is_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"extractor": "fixture", "fixtures_path": str(missing)}))
+        out = tmp_path / "t.jsonl"
+        code = main(["extract", str(DATA / "demo_corpus.jsonl"), "-c", str(config), "-o", str(out)])
+        assert code == EXIT_USAGE
+        assert f"configured file does not exist: {missing}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -322,6 +322,26 @@ def test_triples_jsonl_encodes_each_distinct_provenance_once_per_call():
     assert first == support.reference_triples_to_jsonl(ts)
 
 
+def test_triples_jsonl_encodes_each_distinct_context_once_per_call():
+    # Equal contexts built as separate objects, as a reader builds them.
+    years = ["1898", "1903", "1911"]
+    ts = [
+        ContextTriple(
+            f"s{i}", "p", f"o{i}", ContextMap({"year": [years[i % 3]]}) if i % 4 else ContextMap(),
+            Provenance(f"doc-{i}", 0, Extractor.PATTERN),
+        )
+        for i in range(20)
+    ]
+    distinct = {t.context for t in ts}
+    assert len(distinct) == len(years) + 1
+    with mock.patch.object(serialize, "_context_json", wraps=serialize._context_json) as encoded:
+        first = triples_to_jsonl(ts)
+        assert encoded.call_count == len(distinct)
+        assert triples_to_jsonl(ts) == first
+        assert encoded.call_count == 2 * len(distinct)
+    assert first == support.reference_triples_to_jsonl(ts)
+
+
 def _peak_bytes(function, *args) -> tuple[object, int]:
     """``function(*args)`` and the peak of the memory traced during it."""
     tracemalloc.start()
