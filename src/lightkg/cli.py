@@ -55,6 +55,7 @@ class _UsageError(Exception):
 
 # A directory where a file is expected, for input or output, and a file where
 # a directory is expected, are usage errors; each message names the path.
+# So is an output path whose directory does not exist (``_write_output``).
 _USAGE_ERRORS = (
     _UsageError, ConfigError, IsADirectoryError, NotADirectoryError, FileExistsError
 )
@@ -72,6 +73,13 @@ def _existing(path: str, what: str) -> Path:
     if p.is_dir():
         raise _UsageError(f"{what} is a directory: {path}")
     return p
+
+
+def _write_output(path: str, data: bytes) -> None:
+    try:
+        Path(path).write_bytes(data)
+    except FileNotFoundError as exc:
+        raise _UsageError(f"output directory does not exist: {path}") from exc
 
 
 def _load_config(args) -> PipelineConfig:
@@ -134,7 +142,7 @@ def _cmd_extract(args) -> int:
     documents = read_corpus(_existing(args.corpus, "corpus"))
     _, results = extract_corpus(config, documents)
     triples = [t for r in results for t in r.triples]
-    Path(args.output).write_bytes(triples_to_jsonl(triples))
+    _write_output(args.output, triples_to_jsonl(triples))
     rejected = sum(len(r.rejected_lines) for r in results)
     print(f"extracted {len(triples)} triples ({rejected} rejected lines) -> {args.output}")
     return EXIT_OK
@@ -145,7 +153,7 @@ def _cmd_aggregate(args) -> int:
     triples = triples_from_jsonl(_existing(args.triples, "triples file"))
     outcome = aggregate_triples(triples, config.normalization, config.base_confidence)
     fmt = format_for_path(args.output)
-    Path(args.output).write_bytes(serialize_graph(outcome.graph, fmt))
+    _write_output(args.output, serialize_graph(outcome.graph, fmt))
     print(
         f"aggregated {outcome.graph.node_count} nodes, {outcome.graph.edge_count} edges "
         f"({len(outcome.rejected)} rejected triples) -> {args.output}"
@@ -161,8 +169,9 @@ def _cmd_discover(args) -> int:
     senses = _existing(args.senses, "senses file") if args.senses else None
     result = discover_stage(config, graph, rules, senses)
     fmt = format_for_path(args.output)
-    Path(args.output).write_bytes(
-        serialize_graph(filter_for_export(result, config.confidence_threshold), fmt)
+    _write_output(
+        args.output,
+        serialize_graph(filter_for_export(result, config.confidence_threshold), fmt),
     )
     inferred = sum(1 for e in result.edges.values() if e.inferred)
     print(f"discovered {inferred} inferred edges -> {args.output}")
@@ -177,7 +186,7 @@ def _cmd_eval(args) -> int:
     )
     print(report.render_table())
     if args.output:
-        Path(args.output).write_bytes((_json_text(report.to_dict()) + "\n").encode("utf-8"))
+        _write_output(args.output, (_json_text(report.to_dict()) + "\n").encode("utf-8"))
     return EXIT_OK
 
 

@@ -15,8 +15,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-import requests
-
 ENV_API_BASE = "LIGHTKG_API_BASE"
 ENV_API_KEY = "LIGHTKG_API_KEY"
 ENV_MODEL = "LIGHTKG_MODEL"
@@ -125,6 +123,12 @@ class HttpChatClient(ChatClient):
     protocol. Retries transient failures (connection errors, timeouts,
     429/5xx) with exponential backoff; at most ``1 + retry_count`` attempts.
 
+    ``post`` defaults to ``requests.post``. ``requests`` is imported when a
+    client is built, not when lightkg is, and not on any request. Whatever
+    ``post`` is, ``requests.Timeout`` from it maps to
+    :class:`CompletionTimeoutError` and any other ``requests.RequestException``
+    to :class:`EndpointUnreachableError`.
+
     The API key is read from the environment only, never from config files.
     """
 
@@ -134,15 +138,18 @@ class HttpChatClient(ChatClient):
         api_key: str | None = None,
         retry_count: int = 2,
         sleep: Callable[[float], None] = time.sleep,
-        post: Callable = requests.post,
+        post: Callable | None = None,
     ) -> None:
         if not base_url:
             raise ValueError("base_url must be non-empty")
+        import requests
+
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key
         self.retry_count = max(0, retry_count)
         self._sleep = sleep
-        self._post = post
+        self._requests = requests
+        self._post = requests.post if post is None else post
 
     @classmethod
     def from_env(cls, retry_count: int = 2) -> HttpChatClient:
@@ -173,9 +180,9 @@ class HttpChatClient(ChatClient):
                 response = self._post(
                     url, json=body, headers=headers, timeout=params.timeout
                 )
-            except requests.Timeout as exc:
+            except self._requests.Timeout as exc:
                 last_error = CompletionTimeoutError(str(exc))
-            except requests.RequestException as exc:
+            except self._requests.RequestException as exc:
                 last_error = EndpointUnreachableError(str(exc))
             else:
                 if response.status_code == 200:

@@ -27,6 +27,7 @@ import os
 import re
 import xml.etree.ElementTree as ET
 from functools import partial
+from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -281,27 +282,50 @@ def _once(encode: Callable[[Any], str]) -> Callable[[Any], str]:
     return encoded
 
 
+def _json_array(records: Iterable[str]) -> list[str]:
+    """Parts whose concatenation is ``"[" + ",".join(records) + "]"``. The
+    records are joined 1,024 at a time, so no more than one block of them
+    is alive as separate strings."""
+    records, parts = iter(records), []
+    while block := list(islice(records, 1024)):
+        parts += (",", ",".join(block))
+    parts[:1] = ["["]  # the first separator, or nothing if no records
+    parts.append("]")
+    return parts
+
+
+def _edge_json(provenance_json: Callable[[Provenance], str], e: Edge) -> str:
+    s, c, i = _encode_string, e.confidence, e.inferred
+    confidence = float.__repr__(c) if type(c) is float else _encode_compact(c)
+    inferred = "true" if i is True else "false" if i is False else _encode_compact(i)
+    return (
+        f'{{"id":{s(e.edge_id)},"source":{s(e.source)},"target":{s(e.target)},'
+        f'"predicate":{s(e.predicate)},"context":{_context_json(e.context)},'
+        f'"confidence":{confidence},"inferred":{inferred},'
+        f'"provenance":[{",".join(map(provenance_json, e.provenance))}]}}'
+    )
+
+
 def _graph_json(g: KnowledgeGraph) -> str:
     """The compact JSON of ``{"nodes": [...], "edges": [...]}``, nodes sorted
-    by id and edges by edge id, each provenance record encoded once."""
-    s, provenance_json = _encode_string, _once(_provenance_json)
-    nodes = [
-        f'{{"id":{s(node.id)},"attributes":{_context_json(node.attributes)}}}'
-        for node in map(g.nodes.__getitem__, sorted(g.nodes))
-    ]
-    edges = []
-    for e in map(g.edges.__getitem__, sorted(g.edges)):
-        c = e.confidence
-        confidence = float.__repr__(c) if type(c) is float else _encode_compact(c)
-        i = e.inferred
-        inferred = "true" if i is True else "false" if i is False else _encode_compact(i)
-        edges.append(
-            f'{{"id":{s(e.edge_id)},"source":{s(e.source)},"target":{s(e.target)},'
-            f'"predicate":{s(e.predicate)},"context":{_context_json(e.context)},'
-            f'"confidence":{confidence},"inferred":{inferred},'
-            f'"provenance":[{",".join(map(provenance_json, e.provenance))}]}}'
-        )
-    return f'{{"nodes":[{",".join(nodes)}],"edges":[{",".join(edges)}]}}'
+    by id and edges by edge id, each provenance record encoded once.
+
+    At most two whole copies of the output are alive at once: its parts and
+    their one join, then the joined text and its bytes. The provenance memo
+    dies with the edge records' map, before the join."""
+    s = _encode_string
+    return "".join([
+        '{"nodes":',
+        *_json_array(
+            f'{{"id":{s(node.id)},"attributes":{_context_json(node.attributes)}}}'
+            for node in map(g.nodes.__getitem__, sorted(g.nodes))
+        ),
+        ',"edges":',
+        *_json_array(map(
+            partial(_edge_json, _once(_provenance_json)), map(g.edges.__getitem__, sorted(g.edges))
+        )),
+        "}",
+    ])
 
 
 def graph_from_dict(payload: Any) -> KnowledgeGraph:

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import requests
 from hypothesis import given
 from hypothesis import strategies as st
 
+import lightkg
 from lightkg.client import (
     ChatMessage,
     CompletionHTTPError,
@@ -22,6 +27,7 @@ from lightkg.client import (
     prompt_fingerprint,
 )
 
+DATA = Path(__file__).parent / "data"
 PARAMS = CompletionParams(model_name="test-model", max_tokens=64, timeout=1.0)
 
 
@@ -220,6 +226,56 @@ class TestAgainstLoopbackServer:
         assert call["auth"] == "Bearer k3y"
         assert call["body"]["model"] == "test-model"
         assert call["body"]["messages"][-1]["content"] == "ping"
+
+    def test_default_transport_maps_refused_connection_to_unreachable(self):
+        import socket
+
+        with socket.socket() as probe:  # a port that was free a moment ago, now closed
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        waits = []
+        client = HttpChatClient(f"http://127.0.0.1:{port}", retry_count=1, sleep=waits.append)
+        with pytest.raises(EndpointUnreachableError):
+            client.complete(user("ping"), PARAMS)
+        assert waits == [0.5]  # two attempts, one wait between them
+
+
+_SRC = Path(lightkg.__file__).resolve().parents[1]
+_DEMO_RUN = f"""
+import sys
+from lightkg import PipelineConfig, evaluate_run, run_pipeline
+config = PipelineConfig.load({str(DATA / "demo_config_pattern.json")!r})
+run_pipeline(config, {str(DATA / "demo_corpus.jsonl")!r}, sys.argv[1])
+evaluate_run(sys.argv[1] + "/graph.json", {str(DATA / "demo_gold.jsonl")!r})
+"""
+
+
+class TestImportHygiene:
+    """The HTTP stack loads only when an HttpChatClient is built. Each check
+    runs in a fresh interpreter, so no other test's imports can hide a
+    regression."""
+
+    @pytest.mark.parametrize(
+        "code, loaded",
+        [
+            ("import lightkg", False),
+            ("import lightkg.cli", False),
+            (_DEMO_RUN, False),
+            ("from lightkg import HttpChatClient; HttpChatClient('http://127.0.0.1:1')", True),
+        ],
+        ids=["import", "import_cli", "pattern_run_and_eval", "http_client"],
+    )
+    def test_requests_loaded_only_by_http_client(self, tmp_path, code, loaded):
+        probe = code + "\nimport sys; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(_SRC), os.environ.get("PYTHONPATH")])
+        )}
+        done = subprocess.run(
+            [sys.executable, "-c", probe, str(tmp_path / "run")],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        expected = "['requests', 'urllib3']" if loaded else "[]"
+        assert done.stdout.strip() == expected
 
 
 class TestParams:

@@ -756,11 +756,17 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not (out_dir / "triples.jsonl").exists()
 
-    @pytest.mark.parametrize("case", ["pipeline", "extract"])
+    @pytest.mark.parametrize(
+        "case",
+        ["pipeline", "extract", "extract_no_dir", "aggregate_no_dir", "discover_no_dir",
+         "eval_no_dir"],
+    )
     def test_file_where_a_directory_is_expected_is_usage_error(self, tmp_path, capsys, case):
         afile = tmp_path / "afile"
         afile.write_text("keep me")
         corpus = str(DATA / "demo_corpus.jsonl")
+        graph = str(GOLDEN / "pattern_graph.json")
+        missing = tmp_path / "nodir" / "out.json"
         argv, message = {
             "pipeline": (
                 ["pipeline", corpus, "-c", str(DATA / "demo_config_pattern.json"),
@@ -771,10 +777,24 @@ class TestCli:
                 ["extract", corpus, "-o", str(afile / "x")],
                 f"Not a directory: '{afile / 'x'}'",
             ),
+            "extract_no_dir": (["extract", corpus, "-o", str(missing)], None),
+            "aggregate_no_dir": (
+                ["aggregate", str(GOLDEN / "pattern_triples.jsonl"), "-o", str(missing)], None
+            ),
+            "discover_no_dir": (
+                ["discover", graph, "--rules", str(DATA / "demo_rules.json"),
+                 "-o", str(missing)],
+                None,
+            ),
+            "eval_no_dir": (
+                ["eval", graph, "--gold", str(DATA / "demo_gold.jsonl"), "-o", str(missing)],
+                None,
+            ),
         }[case]
         assert main(argv) == EXIT_USAGE
-        assert message in capsys.readouterr().err
+        assert (message or f"output directory does not exist: {missing}") in capsys.readouterr().err
         assert afile.read_text() == "keep me"
+        assert not missing.parent.exists()
 
     def test_missing_fixtures_file_is_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"

@@ -351,17 +351,27 @@ def _peak_bytes(function, *args) -> tuple[object, int]:
         tracemalloc.stop()
 
 
-def test_triples_jsonl_peak_is_at_most_two_and_a_half_times_its_output():
-    # Each triple from a chunk of its own: the provenance memo grows to one
-    # record per line.
-    ts = [
+def _triples_one_chunk_each(n: int) -> list[ContextTriple]:
+    # Each triple from a chunk of its own: a provenance memo grows to one
+    # record per triple.
+    return [
         ContextTriple(
             f"person {i}", "wrote", f"work {i % 97}", ContextMap({"year": [str(1800 + i % 200)]}),
             Provenance(f"doc-{i // 10}", i % 10, Extractor.PATTERN),
         )
-        for i in range(5000)
+        for i in range(n)
     ]
-    written, peak = _peak_bytes(triples_to_jsonl, ts)
+
+
+def test_triples_jsonl_peak_is_at_most_two_and_a_half_times_its_output():
+    written, peak = _peak_bytes(triples_to_jsonl, _triples_one_chunk_each(5000))
+    assert len(written) >= 500_000
+    assert peak <= 2.5 * len(written)
+
+
+def test_graph_json_peak_is_at_most_two_and_a_half_times_its_output():
+    g, _ = support.reference_aggregate(_triples_one_chunk_each(5000))
+    written, peak = _peak_bytes(serialize_graph, g, "json")
     assert len(written) >= 500_000
     assert peak <= 2.5 * len(written)
 
