@@ -22,7 +22,6 @@ from .pipeline import (
     ConfigError,
     PipelineConfig,
     StageError,
-    _json_text,
     discover_stage,
     extract_corpus,
     filter_for_export,
@@ -186,7 +185,7 @@ def _cmd_eval(args) -> int:
     )
     print(report.render_table())
     if args.output:
-        _write_output(args.output, (_json_text(report.to_dict()) + "\n").encode("utf-8"))
+        _write_output(args.output, (report.to_json() + "\n").encode("utf-8"))
     return EXIT_OK
 
 

@@ -8,7 +8,10 @@ Each gold item is matched at most once; empty denominators score 0.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any
 
@@ -155,6 +158,37 @@ class EvalReport:
             "spurious": entity_items(self.entity.spurious)
             + relation_items(self.relation.spurious),
         }
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict(), indent=2, ensure_ascii=False)``, joined
+        from strings: an indented ``json.dumps`` runs the pure-Python encoder.
+        Strings go through ``encode_basestring``, the encoder it uses for them."""
+
+        def scores(result: MatchResult) -> str:
+            p, r, f1 = map(json.dumps, (result.precision, result.recall, result.f1))
+            return f'{{\n    "p": {p},\n    "r": {r},\n    "f1": {f1}\n  }}'
+
+        def items(name: str) -> str:
+            entities = (
+                '    {\n      "type": "entity",\n      "label": '
+                + encode_basestring(label)
+                + "\n    }"
+                for label in getattr(self.entity, name)
+            )
+            relations = (
+                '    {\n      "type": "relation",\n      "triple": [\n        '
+                + ",\n        ".join(map(encode_basestring, triple))
+                + "\n      ]\n    }"
+                for triple in getattr(self.relation, name)
+            )
+            listed = ",\n".join(chain(entities, relations))
+            return f"[\n{listed}\n  ]" if listed else "[]"
+
+        return (
+            f'{{\n  "entity": {scores(self.entity)},\n  "relation": {scores(self.relation)},\n'
+            f'  "matched": {items("matched")},\n  "missing": {items("missing")},\n'
+            f'  "spurious": {items("spurious")}\n}}'
+        )
 
     def render_table(self) -> str:
         rows = [

@@ -415,8 +415,7 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
                 policy=config.eval_policy,
                 normalization=config.normalization,
             )
-            evaluation = report.to_dict()
-            evaluation_text = _json_text(evaluation)
+            evaluation, evaluation_text = report.to_dict(), report.to_json()
             write_staged("report.json", (evaluation_text + "\n").encode("utf-8"))
             timings["evaluate_s"] = time.perf_counter() - tick
 

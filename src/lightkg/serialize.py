@@ -116,7 +116,11 @@ def read_jsonl(source, error: type[Exception]) -> Iterator[tuple[str, Any]]:
         data, where = source, "line "
     else:
         data, where = Path(source).read_bytes(), f"{source}:"
-    for lineno, line in enumerate(_LINE_BREAK.split(_decode(data, error, where)), 1):
+    text = _decode(data, error, where)
+    # Without "\r" the only line end is "\n": the same lines, split faster.
+    lines = _LINE_BREAK.split(text) if "\r" in text else text.split("\n")
+    del text  # hold the lines only, not the whole text as well
+    for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:
@@ -217,14 +221,14 @@ def _provenance(record: Any, memo: dict, index: int | None = None) -> Provenance
     Any other record is decoded uncached; a failed decode is never stored.
     ``where`` is "provenance", or "provenance #index" for a list item; it is
     built only for a record the memo does not hold."""
-    key = None
-    if type(record) is dict:
-        key = (record.get("source_id"), record.get("chunk_index"), record.get("extractor"))
-        # Not bool or float: True == 1 == 1.0 as dict keys.
-        if not (type(key[0]) is str and type(key[1]) is int
-                and (key[2] is None or type(key[2]) is str)):
-            key = None
-    found = memo.get(key)
+    try:
+        key = (record["source_id"], record["chunk_index"], record.get("extractor"))
+        # Not bool or float: True == 1 == 1.0 as dict keys. A stored key has
+        # exactly a type the shape accepts, and no other JSON value equals a
+        # str or None; an unhashable field raises TypeError.
+        found = memo.get(key) if type(key[1]) is int else None
+    except (KeyError, TypeError):  # a required field missing, no object, or unhashable
+        key = found = None
     if found is None:
         where = "provenance" if index is None else f"provenance #{index}"
         found = decode_record(record, "provenance", Provenance, ValueError, where)

@@ -27,7 +27,7 @@ from lightkg.graph import (
     Node,
     Provenance,
 )
-from lightkg.serialize import decode_record
+from lightkg.serialize import SHAPES
 from lightkg.topology import PathEvidence
 
 PROV = Provenance("fixture", 0, Extractor.PATTERN)
@@ -354,11 +354,50 @@ def reference_graph_json(g: KnowledgeGraph) -> bytes:
     }).encode("utf-8")
 
 
+def _reference_strings(value: list) -> bool:
+    return all(type(item) is str for item in value)
+
+
+# The item tests of the kinds that have one, written out apart from SHAPES's.
+_REFERENCE_ITEM_TESTS = {
+    "list of strings": _reference_strings,
+    "object of string lists": lambda value: all(
+        type(v) is list and _reference_strings(v) for v in value.values()
+    ),
+}
+_reference_encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+
+
+def reference_decode_record(record, shape: str, build, error: type[Exception], where: str):
+    """``serialize.decode_record(record, shape, build, error, where)``,
+    written apart from it, with its own item tests and encoder:
+    ``build(**fields)`` for the listed fields that are present and not null,
+    a number as a float; any failure raises ``error`` starting with ``where``."""
+    try:
+        if type(record) is not dict:
+            raise ValueError(f"expected a json object, got {_reference_encode(record):.60}")
+        fields = {}
+        for name, kind, types, _, required in SHAPES[shape]:
+            value = record.get(name)
+            items = _REFERENCE_ITEM_TESTS.get(kind)
+            if value is None:
+                if required:
+                    raise ValueError(f"missing field {name!r}")
+            elif type(value) not in types or (items is not None and not items(value)):
+                got = _reference_encode(value)
+                raise ValueError(f"{name} must be a json {kind}, got {got:.60}")
+            else:
+                fields[name] = float(value) if kind == "number" else value
+        return build(**fields)
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int past float range
+        raise error(f"{where}: {exc}") from exc
+
+
 def uncached_provenance(record, memo: dict, index: int | None = None) -> Provenance:
-    """Stands in for ``serialize._provenance``: decodes every provenance
-    record anew and ignores ``memo``."""
+    """Stands in for ``serialize._provenance``: checks every provenance
+    record anew with :func:`reference_decode_record` and ignores ``memo``."""
     where = "provenance" if index is None else f"provenance #{index}"
-    return decode_record(record, "provenance", Provenance, ValueError, where)
+    return reference_decode_record(record, "provenance", Provenance, ValueError, where)
 
 
 # The pattern extractor's "such as" and verb/year rules with no anchor:

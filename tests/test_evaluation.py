@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import support
@@ -14,6 +14,7 @@ from lightkg.evaluation import (
     EvalReport,
     GoldFormatError,
     GoldSet,
+    MatchResult,
     entity_f1,
     evaluate_run,
     load_gold,
@@ -29,6 +30,39 @@ def gold_of(entities=(), triples=()) -> GoldSet:
         ents.add(s)
         ents.add(o)
     return GoldSet(frozenset(ents), frozenset(triples))
+
+
+# Labels with the characters an encoder may escape or mangle: quotes,
+# backslashes, C0 controls, line separators and non-BMP characters.
+_report_labels = st.text(
+    st.sampled_from(
+        ['"', "\\", "\x00", "\x1f", "\n", "\u2028", "\x85", "\U0001f600", "a", "\u00e9"]
+    ),
+    max_size=5,
+)
+_scores = st.sampled_from([0.0, 1.0, 1 / 3]) | st.floats(0, 1)
+
+
+@st.composite
+def _match_results(draw, item):
+    return MatchResult(
+        draw(_scores), draw(_scores), draw(_scores),
+        *(tuple(draw(st.lists(item, max_size=3))) for _ in range(3)),
+    )
+
+
+@settings(max_examples=300)
+@given(
+    entity=_match_results(_report_labels),
+    relation=_match_results(st.tuples(_report_labels, _report_labels, _report_labels)),
+)
+@example(
+    entity=MatchResult(0.0, 1.0, 1 / 3, (), (), ()),
+    relation=MatchResult(1 / 3, 0.0, 1.0, (("a", "p", "b"),), (), ()),
+)
+def test_report_json_equals_the_indenting_encoder(entity, relation):
+    report = EvalReport(entity, relation)
+    assert report.to_json() == json.dumps(report.to_dict(), indent=2, ensure_ascii=False)
 
 
 class TestEntityF1:

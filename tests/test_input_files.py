@@ -4,9 +4,12 @@ same way, and reports a bad file as its own input error with a position."""
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import support
 from lightkg.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
@@ -16,6 +19,7 @@ from lightkg.pipeline import ConfigError, PipelineConfig, load_fixtures, run_pip
 from lightkg.serialize import (
     GraphParseError,
     deserialize_graph,
+    read_jsonl,
     triples_from_jsonl,
     triples_to_jsonl,
 )
@@ -123,6 +127,34 @@ def test_jsonl_lines_end_where_text_mode_reading_ends_them(tmp_path):
     path.write_bytes(lines[0] + b"\r\n" + lines[1] + b"\r" + lines[2] + b"\n")
     docs = read_corpus(path)
     assert [(d.doc_id, d.text) for d in docs] == [(r["id"], r["text"]) for r in records]
+
+
+# A raw "\r" or "\n" cannot stand inside a JSON string; these can.
+_jsonl_records = st.builds(
+    lambda text: json.dumps({"text": text}, ensure_ascii=False),
+    st.text(st.sampled_from(["a", " ", "\u2028", "\u0085", "\u2029", "\t"]), max_size=4),
+)
+
+
+@settings(max_examples=300)
+@given(
+    pieces=st.lists(
+        st.tuples(
+            st.one_of(_jsonl_records, st.sampled_from(["", " ", "\t"])),
+            st.sampled_from(["\n", "\r\n", "\r"]) | st.just("\n"),
+        ),
+        max_size=6,
+    ),
+    last=st.one_of(_jsonl_records, st.just("")),
+)
+def test_jsonl_lines_and_numbers_equal_the_line_break_split(pieces, last):
+    text = "".join(record + end for record, end in pieces) + last
+    expected = [
+        (f"line {lineno}", json.loads(line))
+        for lineno, line in enumerate(re.split(r"\r\n|\r|\n", text), 1)
+        if line.strip()
+    ]
+    assert list(read_jsonl(text.encode(), GraphParseError)) == expected
 
 
 def test_triples_with_line_separators_round_trip():

@@ -15,13 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import support
 from lightkg.cli import EXIT_ENDPOINT, EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
 from lightkg.evaluation import GoldFormatError, load_gold
 from lightkg.extraction import CorpusFormatError, read_corpus
 from lightkg.graph import ContextMap, GraphIntegrityError
 from lightkg.pipeline import ConfigError, PipelineConfig, load_fixtures
 from lightkg.serialize import (
+    SHAPES,
     GraphParseError,
+    decode_record,
     deserialize_graph,
     serialize_graph,
     triples_from_jsonl,
@@ -311,6 +314,70 @@ class TestDecoding:
         payload = json.dumps(replaced(GRAPH, edges=[replaced(EDGE, confidence=10**400)])).encode()
         with pytest.raises(GraphParseError, match="^edge #0: "):
             deserialize_graph(payload)
+
+
+# --- decode_record against the reference decoder --------------------------------
+
+_texts = st.text(max_size=3) | st.just("!")
+# Values of each JSON kind, near misses among them: integers past float
+# range, lists and objects holding a non-string.
+_KIND_VALUES = {
+    "string": _texts,
+    "integer": st.integers() | st.just(10**400),
+    "number": st.integers() | st.floats() | st.just(10**400) | st.just(-(10**400)),
+    "boolean": st.booleans(),
+    "list": st.lists(st.integers() | _texts, max_size=2),
+    "object": st.dictionaries(_texts, st.integers() | _texts, max_size=2),
+    "list of strings": st.lists(_texts, max_size=2) | st.lists(_texts | st.none(), max_size=2),
+    "object of string lists": st.dictionaries(
+        _texts,
+        st.lists(_texts, max_size=2) | st.lists(_texts | st.integers(), max_size=2) | _texts,
+        max_size=2,
+    ),
+}
+# Any value of any kind, or null, for a field of another kind.
+_any_value = st.none() | st.one_of(*_KIND_VALUES.values())
+
+
+@st.composite
+def _records(draw, shape: str):
+    """A record for ``SHAPES[shape]``: each field absent, null, of its own
+    kind or of any kind, plus an unlisted field at times; or no object."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_any_value | st.lists(_any_value, max_size=2))
+    record = {}
+    for name, kind, *_ in SHAPES[shape]:
+        choice = draw(st.integers(0, 5))
+        if choice < 4:
+            record[name] = draw(_KIND_VALUES[kind] if choice else _any_value)
+        elif choice == 4:
+            record[name] = None
+    if draw(st.booleans()):
+        record["unlisted"] = draw(_any_value)
+    return record
+
+
+def _fields(**fields):
+    """The fields a decoder passes, in order and with their types; a string
+    field "!" raises ValueError, as a constructor's own check would."""
+    if "!" in fields.values():
+        raise ValueError("a field is '!'")
+    return [(name, type(value), value) for name, value in fields.items()]
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@settings(max_examples=300)
+@given(data=st.data())
+def test_decode_record_equals_the_reference_decoder(shape, data):
+    record = data.draw(_records(shape), label="record")
+
+    def outcome(decode):
+        try:
+            return decode(record, shape, _fields, GraphParseError, "here")
+        except GraphParseError as exc:
+            return type(exc), str(exc), type(exc.__cause__)
+
+    assert outcome(decode_record) == outcome(support.reference_decode_record)
 
 
 # --- fuzz: every reader returns or raises its own error ---------------------------

@@ -400,8 +400,11 @@ _PROVENANCE_RECORDS = [
     {"source_id": "doc-b", "chunk_index": 2**70, "extractor": "model"},
     {"source_id": "doc-a", "chunk_index": True},
     {"source_id": "doc-a", "chunk_index": 1.0},
+    {"source_id": "doc-a", "chunk_index": True, "extractor": "model"},
+    {"source_id": "doc-a", "chunk_index": 1.0, "extractor": "model"},
     {"source_id": "doc-a", "chunk_index": -1},
     {"source_id": "doc-a", "chunk_index": 0, "extractor": "bogus"},
+    {"source_id": "doc-a", "chunk_index": 0, "extractor": ["pattern"]},
     {"source_id": ["doc-a"], "chunk_index": 0},
     {"source_id": None, "chunk_index": 0},
     {"source_id": "doc-a", "chunk_index": None},
@@ -464,7 +467,7 @@ def test_one_provenance_built_per_distinct_record_per_read(reader):
     distinct = [
         {"source_id": f"doc-{i}", "chunk_index": j, "extractor": "pattern"}
         for i in range(3) for j in range(2)
-    ]
+    ] + [{"source_id": f"doc-{i}", "chunk_index": 0} for i in range(2)]  # no extractor
     data = render([[dict(record) for record in distinct] * 4 for _ in range(5)])
     with mock.patch.object(serialize, "Provenance", wraps=Provenance) as built:
         read(data)
