@@ -10,20 +10,20 @@ review the diff before committing:
 from __future__ import annotations
 
 import json
-import random
 import sys
 import tempfile
 from pathlib import Path
 
-from lightkg.aggregation import aggregate_triples
 from lightkg.client import prompt_fingerprint
 from lightkg.extraction import build_extraction_prompt, chunk_document, read_corpus
-from lightkg.graph import ContextTriple, Extractor, KnowledgeGraph, Provenance
 from lightkg.pipeline import PipelineConfig, run_pipeline
 from lightkg.serialize import serialize_graph
-from lightkg.topology import reinforce_confidence
+from lightkg.topology import TopologyConfig, reinforce_confidence
 
-DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
+TESTS = Path(__file__).resolve().parent.parent / "tests"
+DATA = TESTS / "data"
+sys.path.insert(0, str(TESTS))
+from support import build_hub_graph  # noqa: E402  (the test suite's hub graph)
 
 # Model-style responses for each demo document (the fixture extractor replays
 # these through the full prompt/parse path).
@@ -48,28 +48,6 @@ def build_fixtures() -> dict[str, str]:
             prompt = build_extraction_prompt(chunk, include_context=True)
             fixtures[prompt_fingerprint(prompt)] = RESPONSES[document.doc_id]
     return fixtures
-
-
-def build_hub_graph(triple_count: int = 300, seed: int = 7) -> KnowledgeGraph:
-    """A seeded hub-heavy graph: ``triple_count`` triples over
-    ``triple_count / 2.5`` entities and 5 predicates, each endpoint drawn
-    with weight 1/(i+1) (a Zipf law), so a few entities are hubs and
-    parallel and antiparallel edges are common."""
-    rng = random.Random(seed)
-    entities = [f"e{i:03d}" for i in range(int(triple_count / 2.5))]
-    weights = [1.0 / (i + 1) for i in range(len(entities))]
-    predicates = [f"p{i}" for i in range(5)]
-    provenance = Provenance("hub", 0, Extractor.PATTERN)
-    triples = [
-        ContextTriple(
-            rng.choices(entities, weights)[0],
-            rng.choice(predicates),
-            rng.choices(entities, weights)[0],
-            provenance=provenance,
-        )
-        for _ in range(triple_count)
-    ]
-    return aggregate_triples(triples).graph
 
 
 def main() -> int:
@@ -113,12 +91,15 @@ def main() -> int:
             relation = summary["evaluation"]["relation"]["f1"]
             print(f"  eval: entity f1={entity:.3f} relation f1={relation:.3f}")
 
-    # Pins reinforcement (default settings) on hubs, where supports per edge
-    # run into the dozens.
-    hub = reinforce_confidence(build_hub_graph())
-    target = golden / "hub_reinforced.json"
-    target.write_bytes(serialize_graph(hub, "json"))
-    print(f"wrote {target} ({hub.node_count} nodes, {hub.edge_count} edges)")
+    # Pins reinforcement on hubs, where supports per edge run into the
+    # dozens: default settings, and the same with directed paths.
+    for suffix, undirected in (("", True), ("_directed", False)):
+        hub = reinforce_confidence(
+            build_hub_graph(), TopologyConfig(undirected_paths=undirected)
+        )
+        target = golden / f"hub_reinforced{suffix}.json"
+        target.write_bytes(serialize_graph(hub, "json"))
+        print(f"wrote {target} ({hub.node_count} nodes, {hub.edge_count} edges)")
     return 0
 
 

@@ -12,10 +12,12 @@ Three capabilities, all pure graph-in/graph-out:
 
 Path search is a bidirectional breadth-first search (frontiers expanded from
 both endpoints, meeting in the middle) run to the end of the level on which
-they meet. The path is then read off the search's own levels: walking back
-from the meeting nodes over the source side, and down the target side's
-distances, it takes the lexicographically smallest node sequence, so equal
-graphs always yield equal paths. No second search runs.
+they meet; on the last level that could still meet within the length bound,
+only the meeting nodes are recorded. The path is then read off the search's
+own levels: walking back from the meeting nodes over the source side, and
+down the target side's distances, it takes the lexicographically smallest
+node sequence, so equal graphs always yield equal paths. No second search
+runs.
 
 All searches over one graph walk the graph's own
 :class:`~lightkg.graph.AdjacencyIndex` (node -> neighbor -> sorted ids of the
@@ -32,10 +34,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .aggregation import DEFAULT_POLICY, EmptyLabelError, NormalizationPolicy, normalize_label
 from .graph import (
+    AdjacencyIndex,
     ContextMap,
     Edge,
     Extractor,
@@ -142,60 +145,27 @@ class SenseSignature:
 
 # --- path search ----------------------------------------------------------------
 
-
-def _expand(
-    frontier: list[str],
-    step: Callable[[str], Iterable[str]],
-    dist: dict[str, int],
-    depth: int,
-    other: Mapping[str, int],
-    meet: list[str],
-) -> list[str]:
-    """One breadth-first level: record every node first reached from
-    ``frontier`` at ``depth`` in ``dist``, append those ``other`` already
-    holds to ``meet``, and return the new frontier."""
-    next_frontier = []
-    for u in frontier:
-        for v in step(u):
-            if v not in dist:
-                dist[v] = depth
-                next_frontier.append(v)
-                if v in other:
-                    meet.append(v)
-    return next_frontier
+_NO_LINKS: dict[str, list[str]] = {}
 
 
 def _shortest_path(
-    g: KnowledgeGraph,
+    index: AdjacencyIndex,
     source: str,
     target: str,
     max_len: int,
-    undirected: bool,
-    exclude: set[str] | frozenset[str],
+    used: set[str],
     touched: set[str],
 ) -> PathEvidence | None:
     """Shortest source-to-target path of at most ``max_len`` hops avoiding
-    the ``exclude`` edge ids; ``touched`` must hold every endpoint of an
-    excluded edge (other nodes walk their neighbor maps unfiltered)."""
-    index = g.adjacency(undirected)
-    empty: dict[str, list[str]] = {}
-
-    def stepper(adjacency: dict[str, dict[str, list[str]]]):
-        def step(n: str):
-            links = adjacency.get(n, empty)
-            if n not in touched:
-                return links
-            return [v for v, ids in links.items() if not exclude.issuperset(ids)]
-
-        return step
-
-    forward, backward = stepper(index.forward), stepper(index.backward)
-
+    the ``used`` edge ids; ``touched`` must hold every endpoint of a used
+    edge (other nodes walk their neighbor maps unfiltered)."""
+    forward, backward = index
     # Bidirectional BFS, always growing the smaller frontier, run to the end
     # of the level on which the frontiers meet. No node was in both maps
     # before that level, so every meeting node lies at depth_s on the source
     # side and depth_t on the target side, and both maps are complete to
-    # those depths.
+    # those depths. On the last level that can still meet, only the meeting
+    # nodes are recorded: nothing reads the rest.
     dist_s = {source: 0}
     dist_t = {target: 0}
     frontier_s = [source]
@@ -205,12 +175,29 @@ def _shortest_path(
     while not meet:
         if not (frontier_s and frontier_t) or depth_s + depth_t >= max_len:
             return None
+        last = depth_s + depth_t + 1 == max_len
         if len(frontier_s) <= len(frontier_t):
             depth_s += 1
-            frontier_s = _expand(frontier_s, forward, dist_s, depth_s, dist_t, meet)
+            depth, frontier, links_of, dist, other = depth_s, frontier_s, forward, dist_s, dist_t
         else:
             depth_t += 1
-            frontier_t = _expand(frontier_t, backward, dist_t, depth_t, dist_s, meet)
+            depth, frontier, links_of, dist, other = depth_t, frontier_t, backward, dist_t, dist_s
+        grown = []
+        for u in frontier:
+            links = links_of.get(u, _NO_LINKS)
+            filtered = u in touched
+            for v in links:
+                if v not in dist and not (filtered and used.issuperset(links[v])):
+                    if v in other:
+                        dist[v] = depth
+                        meet.append(v)
+                    elif not last:
+                        dist[v] = depth
+                        grown.append(v)
+        if dist is dist_s:
+            frontier_s = grown
+        else:
+            frontier_t = grown
     length = depth_s + depth_t
 
     # The nodes a shortest path can hold at positions 1..depth_s: the meeting
@@ -220,7 +207,10 @@ def _shortest_path(
     levels = {depth_s: set(meet)}
     for position in range(depth_s - 1, 0, -1):
         levels[position] = {
-            u for w in levels[position + 1] for u in backward(w) if dist_s.get(u) == position
+            u
+            for w in levels[position + 1]
+            for u, ids in backward[w].items()
+            if dist_s.get(u) == position and not (w in touched and used.issuperset(ids))
         }
 
     # Greedy walk: at each position take the smallest qualifying neighbor,
@@ -232,12 +222,12 @@ def _shortest_path(
     for position in range(1, length + 1):
         level = levels.get(position)
         best = hop = None
-        for v, ids in index.forward.get(nodes[-1], empty).items():
+        for v, ids in forward.get(nodes[-1], _NO_LINKS).items():
             if (best is None or v < best) and (
                 v in level if level is not None else dist_t.get(v) == length - position
             ):
                 for eid in ids:
-                    if eid not in exclude:
+                    if eid not in used:
                         best, hop = v, eid
                         break
         if best is None:
@@ -271,6 +261,7 @@ def edge_disjoint_paths(
     g.require_node(target)
     if source == target:
         raise ValueError("source and target must differ")
+    index = g.adjacency(undirected)
     used = set(exclude_edges)
     # Endpoints of used edges: only their neighbor maps need filtering.
     touched: set[str] = set()
@@ -280,7 +271,7 @@ def edge_disjoint_paths(
             touched.update((edge.source, edge.target))
     found: list[PathEvidence] = []
     while max_paths is None or len(found) < max_paths:
-        path = _shortest_path(g, source, target, max_len, undirected, used, touched)
+        path = _shortest_path(index, source, target, max_len, used, touched)
         if path is None:
             break
         found.append(path)

@@ -13,11 +13,12 @@ import json
 import random
 import re
 from collections import deque
+from dataclasses import replace
 
 from hypothesis import strategies as st
 
 from lightkg import extraction
-from lightkg.aggregation import EmptyLabelError, normalize_label
+from lightkg.aggregation import EmptyLabelError, aggregate_triples, normalize_label
 from lightkg.graph import (
     ContextMap,
     ContextTriple,
@@ -28,7 +29,7 @@ from lightkg.graph import (
     Provenance,
 )
 from lightkg.serialize import SHAPES
-from lightkg.topology import PathEvidence
+from lightkg.topology import PathEvidence, TopologyConfig
 
 PROV = Provenance("fixture", 0, Extractor.PATTERN)
 
@@ -233,6 +234,31 @@ def reference_edge_disjoint_paths(
         used.update(path.edges)
     found.sort(key=lambda p: (p.length, p.nodes))
     return found
+
+
+def reference_reinforce_confidence(g: KnowledgeGraph, config: TopologyConfig) -> KnowledgeGraph:
+    """Reinforcement as its docstring states it: each non-inferred edge gets
+    a noisy-OR over the supports :func:`reference_edge_disjoint_paths` finds
+    with that edge excluded, one factor per path in path order, clamped to
+    [floor, ceiling]."""
+    edges = {}
+    for eid, edge in g.edges.items():
+        if edge.inferred:
+            edges[eid] = edge
+            continue
+        supports = [] if edge.source == edge.target else reference_edge_disjoint_paths(
+            g, edge.source, edge.target, config.max_path_length,
+            undirected=config.undirected_paths, exclude_edges=(eid,),
+        )
+        miss = 1.0
+        for path in supports:
+            miss *= 1.0 - config.base_path_weight**path.length
+        confidence = 1.0 - (1.0 - config.direct_edge_weight) * miss
+        edges[eid] = replace(
+            edge,
+            confidence=min(config.confidence_ceiling, max(config.confidence_floor, confidence)),
+        )
+    return KnowledgeGraph(g.nodes, edges)
 
 
 def add_triple(facts: dict, item: ContextTriple) -> dict:
@@ -668,6 +694,29 @@ def hub_multigraphs(draw, min_nodes: int = 20, max_nodes: int = 40):
     for source, target, predicate, inferred, kept in draw(st.lists(extras, max_size=20)):
         add(source, target, predicate, inferred and kept)
     return KnowledgeGraph({n: Node(n) for n in node_ids}, edges)
+
+
+def build_hub_graph(triple_count: int = 300, seed: int = 7) -> KnowledgeGraph:
+    """A seeded hub-heavy graph: ``triple_count`` triples over
+    ``triple_count / 2.5`` entities and 5 predicates, each endpoint drawn
+    with weight 1/(i+1) (a Zipf law), so a few entities are hubs and
+    parallel and antiparallel edges are common. The hub golden files are
+    this graph reinforced."""
+    rng = random.Random(seed)
+    entities = [f"e{i:03d}" for i in range(int(triple_count / 2.5))]
+    weights = [1.0 / (i + 1) for i in range(len(entities))]
+    predicates = [f"p{i}" for i in range(5)]
+    provenance = Provenance("hub", 0, Extractor.PATTERN)
+    triples = [
+        ContextTriple(
+            rng.choices(entities, weights)[0],
+            rng.choice(predicates),
+            rng.choices(entities, weights)[0],
+            provenance=provenance,
+        )
+        for _ in range(triple_count)
+    ]
+    return aggregate_triples(triples).graph
 
 
 # Surface labels that often merge after normalization, or normalize to nothing.

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from unittest import mock
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -42,6 +42,9 @@ from lightkg.topology import (
     reinforce_confidence,
     witness_is_valid,
 )
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
 
 def einstein_graph():
     return support.graph_of(
@@ -265,6 +268,17 @@ class TestReinforceConfidence:
             pytest.approx(0.745, abs=1e-9)
         )
         assert scored.edges[edge_key("einstein", "worked_at", "princeton")].confidence == 0.5
+
+    @pytest.mark.parametrize(
+        "undirected, name",
+        [(True, "hub_reinforced.json"), (False, "hub_reinforced_directed.json")],
+    )
+    def test_hub_graph_matches_golden(self, undirected, name):
+        # Hubs give edges dozens of supports of every length.
+        scored = reinforce_confidence(
+            support.build_hub_graph(), TopologyConfig(undirected_paths=undirected)
+        )
+        assert serialize_graph(scored, "json") == (GOLDEN / name).read_bytes()
 
     @settings(max_examples=150)
     @given(data=st.data())
@@ -694,10 +708,7 @@ class TestSharedIndexMatchesReference:
     )
     def test_reinforce_confidence(self, g, undirected, max_len):
         config = TopologyConfig(max_path_length=max_len, undirected_paths=undirected)
-        with mock.patch.object(
-            topology, "edge_disjoint_paths", support.reference_edge_disjoint_paths
-        ):
-            expected = reinforce_confidence(g, config)
+        expected = support.reference_reinforce_confidence(g, config)
         actual = reinforce_confidence(g, config)
         assert actual == expected
         assert serialize_graph(actual) == serialize_graph(expected)
@@ -707,10 +718,7 @@ class TestSharedIndexMatchesReference:
     @given(g=support.hub_multigraphs(), max_len=st.integers(2, 5))
     def test_reinforce_confidence_on_hub_graphs(self, g, max_len, undirected):
         config = TopologyConfig(max_path_length=max_len, undirected_paths=undirected)
-        with mock.patch.object(
-            topology, "edge_disjoint_paths", support.reference_edge_disjoint_paths
-        ):
-            expected = reinforce_confidence(g, config)
+        expected = support.reference_reinforce_confidence(g, config)
         actual = reinforce_confidence(g, config)
         assert actual == expected
         assert serialize_graph(actual) == serialize_graph(expected)
@@ -720,11 +728,26 @@ class TestSharedIndexMatchesReference:
     def test_reinforce_confidence_larger_graphs(self, seed, undirected):
         g = random_sparse_graph(random.Random(seed), nodes=40, edges=90)
         config = TopologyConfig(undirected_paths=undirected)
-        with mock.patch.object(
-            topology, "edge_disjoint_paths", support.reference_edge_disjoint_paths
-        ):
-            expected = reinforce_confidence(g, config)
+        expected = support.reference_reinforce_confidence(g, config)
         assert reinforce_confidence(g, config) == expected
+
+    def test_undirected_antiparallel_edges_keep_their_own_supports(self):
+        # Undirected, a->b and b->a join the same two nodes, but the search's
+        # tie-breaks depend on the end it starts from: from a it takes a-c-e-f-b and a-d-e-k-b, which leave no third path; from
+        # b it takes b-f-e-c-a, b-h-i-d-a and b-k-e-g-a.
+        g = support.graph_of(
+            ("a", "p4", "b"), ("b", "p2", "a"), ("a", "p2", "d"), ("a", "p4", "g"),
+            ("b", "p1", "k"), ("c", "p0", "a"), ("d", "p3", "e"), ("e", "p2", "c"),
+            ("e", "p0", "g"), ("e", "p4", "k"), ("f", "p2", "b"), ("f", "p4", "e"),
+            ("h", "p2", "b"), ("h", "p2", "i"), ("i", "p3", "d"),
+        )
+        scored = reinforce_confidence(g)
+        assert scored == support.reference_reinforce_confidence(g, DEFAULT_CONFIG)
+        miss_4 = 1.0 - 0.7**4
+        forward = scored.edges[edge_key("a", "p4", "b")].confidence
+        backward = scored.edges[edge_key("b", "p2", "a")].confidence
+        assert forward == pytest.approx(1.0 - 0.5 * 0.3 * miss_4**2)
+        assert backward == pytest.approx(1.0 - 0.5 * 0.3 * miss_4**3)
 
 
 class TestOneSearchPerSupport:
