@@ -3,15 +3,18 @@ of extracted triples (JSONL).
 
 Output is byte-identical across runs for equal graphs: nodes and edges are
 emitted in sorted-key order and all collections are sorted before writing.
-Both formats round-trip losslessly.
+Both formats round-trip losslessly. A GraphML data element holding a node's
+attributes, an edge's context or its provenance list holds the same compact
+JSON the graph JSON document writes for it, and is read back through the
+same record shapes, so a context and a provenance are spelled one way.
 
 The graph JSON document and each triples JSONL line are joined from their
 fixed keys and separators and from json's own string encoder, the one a
 compact ``JSONEncoder`` calls, so their bytes equal one ``JSONEncoder`` call
 over the equivalent dicts with no encoder or dict built per record. Every
 triple of one chunk carries the same provenance record, and an aggregated
-edge repeats the records of its triples, so each graph JSON or triples
-JSONL write encodes a distinct :class:`Provenance` once, and each read (one
+edge repeats the records of its triples, so each graph JSON, GraphML or
+triples JSONL write encodes a distinct :class:`Provenance` once, and each read (one
 graph, GraphML document or triples file) decodes a provenance record once and
 reuses the :class:`Provenance` for every equal record. Extracted triples
 share few distinct contexts (a ``year`` among a few hundred), so each
@@ -61,8 +64,8 @@ class GraphParseError(ValueError):
     reason in the message."""
 
 
-# One encoder for every compact JSON written here (graph JSON, GraphML
-# provenance, triples JSONL): json.dumps would build a new one per call.
+# One encoder for every compact JSON value written here that the string
+# joins below do not spell: json.dumps would build a new one per call.
 _encode_compact = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 # The function that encoder writes each str with (ensure_ascii=False).
@@ -92,18 +95,26 @@ def _decode(data: bytes, error: type[Exception], where: str) -> str:
         ) from exc
 
 
+def _loads(text: str, error: type[Exception], where: str, detail: str) -> Any:
+    """``json.loads(text)``. Invalid JSON raises ``error`` with the message
+    ``where + "invalid json" + detail``, ``detail`` formatted with the
+    ``JSONDecodeError``'s ``msg``, ``pos``, ``lineno`` and ``colno``. An
+    integer past ``sys.get_int_max_str_digits()`` and nesting past the
+    recursion limit raise ``error`` too, as ``where + "invalid json: " +``
+    json's own message."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{where}invalid json{detail.format_map(vars(exc))}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{where}invalid json: {exc}") from exc
+
+
 def read_json(path, error: type[Exception]) -> Any:
     """Parse the UTF-8 JSON document in the file ``path``. Undecodable bytes
     and invalid JSON raise ``error`` with a message naming file and line."""
     text = _decode(Path(path).read_bytes(), error, f"{path}:")
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise error(
-            f"{path}: invalid json: {exc.msg} at line {exc.lineno} column {exc.colno}"
-        ) from exc
-    except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
-        raise error(f"{path}: invalid json: {exc}") from exc
+    return _loads(text, error, f"{path}: ", ": {msg} at line {lineno} column {colno}")
 
 
 def read_jsonl(source, error: type[Exception]) -> Iterator[tuple[str, Any]]:
@@ -123,13 +134,7 @@ def read_jsonl(source, error: type[Exception]) -> Iterator[tuple[str, Any]]:
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise error(f"{where}{lineno}: invalid json: {exc.msg}") from exc
-        except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
-            raise error(f"{where}{lineno}: invalid json: {exc}") from exc
-        yield f"{where}{lineno}", record
+        yield f"{where}{lineno}", _loads(line, error, f"{where}{lineno}: ", ": {msg}")
 
 
 # --- record shapes --------------------------------------------------------------
@@ -332,6 +337,12 @@ def _graph_json(g: KnowledgeGraph) -> str:
     ])
 
 
+def _parse_json(text: str, where: str = "") -> Any:
+    """``json.loads(text)``; invalid JSON raises :class:`GraphParseError`
+    with a message that starts with ``where``."""
+    return _loads(text, GraphParseError, where, " at offset {pos}: {msg}")
+
+
 def graph_from_dict(payload: Any) -> KnowledgeGraph:
     records = decode_record(payload, "graph", dict, GraphParseError, "graph")
     nodes: dict[str, Node] = {}
@@ -353,90 +364,14 @@ def graph_from_dict(payload: Any) -> KnowledgeGraph:
     return KnowledgeGraph(nodes, edges)
 
 
-# --- context flattening for GraphML -----------------------------------------
-# Data elements hold "key=value;value|key=value" with backslash escapes so
-# values containing the separators survive the round trip.
-
-_FLAT_SPECIALS = "\\|;="
-
-
-def _escape_flat(text: str) -> str:
-    out = []
-    for ch in text:
-        if ch in _FLAT_SPECIALS:
-            out.append("\\")
-        out.append(ch)
-    return "".join(out)
-
-
-def _split_unescaped(text: str, sep: str) -> list[str]:
-    parts: list[str] = []
-    current: list[str] = []
-    escaped = False
-    for ch in text:
-        if escaped:
-            current.append("\\")
-            current.append(ch)
-            escaped = False
-        elif ch == "\\":
-            escaped = True
-        elif ch == sep:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if escaped:
-        current.append("\\")
-    parts.append("".join(current))
-    return parts
-
-
-def _unescape_flat(text: str) -> str:
-    out = []
-    escaped = False
-    for ch in text:
-        if escaped:
-            out.append(ch)
-            escaped = False
-        elif ch == "\\":
-            escaped = True
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
-def flatten_context(cm: ContextMap) -> str:
-    groups = []
-    for key, values in cm.items():
-        joined = ";".join(_escape_flat(v) for v in sorted(values))
-        groups.append(f"{_escape_flat(key)}={joined}")
-    return "|".join(groups)
-
-
-def unflatten_context(text: str) -> ContextMap:
-    if not text:
-        return ContextMap()
-    entries: dict[str, list[str]] = {}
-    for group in _split_unescaped(text, "|"):
-        if not group:
-            continue
-        key_part, *value_parts = _split_unescaped(group, "=")
-        if not value_parts:
-            raise GraphParseError(f"flattened context group {group!r} has no '='")
-        value_text = "=".join(value_parts)
-        key = _unescape_flat(key_part)
-        values = [_unescape_flat(v) for v in _split_unescaped(value_text, ";")]
-        entries.setdefault(key, []).extend(v for v in values if v)
-    try:
-        return ContextMap(entries)
-    except ValueError as exc:
-        raise GraphParseError(str(exc)) from exc
-
-
 # --- GraphML -----------------------------------------------------------------
 
 
 def _graph_to_graphml(g: KnowledgeGraph) -> bytes:
+    """The GraphML of ``g``: attributes, contexts and provenance lists are
+    data elements holding the JSON that :func:`_graph_json` writes for them,
+    each provenance record encoded once."""
+    provenance_json = _once(_provenance_json)
     root = ET.Element("graphml", {"xmlns": _GRAPHML_NS})
     for key_id, (domain, name, gtype) in _GRAPHML_KEYS.items():
         ET.SubElement(
@@ -449,8 +384,7 @@ def _graph_to_graphml(g: KnowledgeGraph) -> bytes:
         node = g.nodes[node_id]
         node_el = ET.SubElement(graph_el, "node", {"id": node.id})
         if node.attributes:
-            data = ET.SubElement(node_el, "data", {"key": "d0"})
-            data.text = flatten_context(node.attributes)
+            ET.SubElement(node_el, "data", {"key": "d0"}).text = _context_json(node.attributes)
     for eid in sorted(g.edges):
         edge = g.edges[eid]
         edge_el = ET.SubElement(
@@ -460,15 +394,13 @@ def _graph_to_graphml(g: KnowledgeGraph) -> bytes:
         )
         ET.SubElement(edge_el, "data", {"key": "d1"}).text = edge.predicate
         if edge.context:
-            ET.SubElement(edge_el, "data", {"key": "d2"}).text = flatten_context(
-                edge.context
-            )
+            ET.SubElement(edge_el, "data", {"key": "d2"}).text = _context_json(edge.context)
         ET.SubElement(edge_el, "data", {"key": "d3"}).text = repr(edge.confidence)
         ET.SubElement(edge_el, "data", {"key": "d4"}).text = (
             "true" if edge.inferred else "false"
         )
-        ET.SubElement(edge_el, "data", {"key": "d5"}).text = _encode_compact(
-            [_provenance_to_dict(p) for p in edge.provenance]
+        ET.SubElement(edge_el, "data", {"key": "d5"}).text = (
+            f"[{','.join(map(provenance_json, edge.provenance))}]"
         )
     ET.indent(root, space="  ")
     return ET.tostring(root, encoding="utf-8", xml_declaration=True)
@@ -505,35 +437,39 @@ def _graph_from_graphml(data: bytes) -> KnowledgeGraph:
             fields[name] = data_el.text or ""
         return fields
 
+    def json_field(fields: dict[str, str], name: str, where: str) -> Any:
+        """Field ``name`` decoded as JSON, or None if it is absent."""
+        text = fields.get(name)
+        return None if text is None else _parse_json(text, f"{where}: {name}: ")
+
     payload: dict[str, list[dict[str, Any]]] = {"nodes": [], "edges": []}
     for element in graph_el:
         tag = _local_name(element.tag)
+        if tag not in ("node", "edge"):
+            continue
         fields = data_fields(element)
+        where = f"graphml {tag} {element.get('id')!r}"
         if tag == "node":
             payload["nodes"].append(
-                {
-                    "id": element.get("id"),
-                    "attributes": unflatten_context(fields.get("attributes", "")).to_dict(),
-                }
+                {"id": element.get("id"), "attributes": json_field(fields, "attributes", where)}
             )
-        elif tag == "edge":
-            try:
-                provenance = json.loads(fields.get("provenance", "[]"))
-                confidence = float(fields["confidence"]) if "confidence" in fields else None
-            except ValueError as exc:  # json.JSONDecodeError is a ValueError too
-                raise GraphParseError(f"graphml edge {element.get('id')!r}: {exc}") from exc
-            payload["edges"].append(
-                {
-                    "id": element.get("id"),
-                    "source": element.get("source"),
-                    "target": element.get("target"),
-                    "predicate": fields.get("predicate"),
-                    "context": unflatten_context(fields.get("context", "")).to_dict(),
-                    "confidence": confidence,
-                    "inferred": fields.get("inferred", "false") == "true",
-                    "provenance": provenance,
-                }
-            )
+            continue
+        try:
+            confidence = float(fields["confidence"]) if "confidence" in fields else None
+        except ValueError as exc:
+            raise GraphParseError(f"{where}: {exc}") from exc
+        payload["edges"].append(
+            {
+                "id": element.get("id"),
+                "source": element.get("source"),
+                "target": element.get("target"),
+                "predicate": fields.get("predicate"),
+                "context": json_field(fields, "context", where),
+                "confidence": confidence,
+                "inferred": fields.get("inferred", "false") == "true",
+                "provenance": json_field(fields, "provenance", where),
+            }
+        )
     return graph_from_dict(payload)
 
 
@@ -547,16 +483,6 @@ def serialize_graph(g: KnowledgeGraph, fmt: str = "json") -> bytes:
     if fmt == "graphml":
         return _graph_to_graphml(g)
     raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-
-
-def _parse_json(text: str) -> Any:
-    """``json.loads(text)``; invalid JSON raises :class:`GraphParseError`."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphParseError(f"invalid json at offset {exc.pos}: {exc.msg}") from exc
-    except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
-        raise GraphParseError(f"invalid json: {exc}") from exc
 
 
 def deserialize_graph(data: bytes | str | os.PathLike, fmt: str = "json") -> KnowledgeGraph:

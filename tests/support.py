@@ -588,15 +588,18 @@ _word = st.text(alphabet="abcdefgh", min_size=1, max_size=6)
 # fixed points by construction).
 labels = st.builds(" ".join, st.lists(_word, min_size=1, max_size=2))
 
-# Values stress the GraphML flattening escapes but stay XML-representable.
-values = (
-    st.text(alphabet="abcxyz09 =;|\\", min_size=1, max_size=8)
-    .map(str.strip)
-    .filter(bool)
-)
+# Any text both graph formats carry: no lone surrogates, which UTF-8 cannot
+# encode, and no U+FFFE or U+FFFF, which XML cannot hold. Controls, markup
+# characters and separators are included.
+_any_text = st.characters(exclude_categories=["Cs"], exclude_characters="\ufffe\uffff")
+
+values = st.text(_any_text, min_size=1, max_size=8).map(str.strip).filter(bool)
+
+# Context keys as a writer may pass them: ContextMap trims and lowercases them.
+context_keys = st.text(_any_text, min_size=1, max_size=8).filter(str.strip)
 
 context_maps = st.dictionaries(
-    labels, st.sets(values, min_size=1, max_size=3), max_size=3
+    context_keys, st.sets(values, min_size=1, max_size=3), max_size=3
 ).map(ContextMap)
 
 provenances = st.builds(

@@ -542,3 +542,44 @@ def test_fuzzed_graphml_is_read_or_rejected(data, tmp_path_factory):
         element.set(field, text)
     content = ET.tostring(root, encoding="utf-8")
     check_read_or_rejected("graphml", content, tmp_path_factory.mktemp("graphml"))
+
+
+# --- JSON nested past the recursion limit -----------------------------------------
+
+DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
+def _deeply_nested(kind: str) -> bytes:
+    """A ``kind`` file holding JSON nested 100,000 deep: in a record of a
+    JSONL file, in a data element of a GraphML file, or as the whole file."""
+    if kind in ("corpus", "gold", "triples"):
+        return encoded(kind, FUZZED[kind]) + DEEP + b"\n"
+    if kind == "graphml":
+        return GRAPHML.replace(b'{"year":["1843"]}', DEEP)
+    return DEEP
+
+
+@pytest.mark.parametrize("kind", READERS)
+def test_deeply_nested_json_is_the_readers_error_never_an_internal_one(kind, tmp_path):
+    reader, errors, rejected = READERS[kind]
+    content = _deeply_nested(kind)
+    target = tmp_path / COMMANDS[kind][0]
+    target.write_bytes(content)
+    with pytest.raises(errors, match="invalid json: maximum recursion depth exceeded"):
+        reader(target)
+    code, err = run_cli(kind, content, tmp_path)
+    assert code == rejected, err
+    assert err.startswith(f"error: {target}"), err
+
+
+def test_old_flat_graphml_context_is_invalid_json_naming_the_edge(tmp_path):
+    flat = GRAPHML.replace(b'{"year":["1843"]}', b"year=1898")
+    assert flat != GRAPHML
+    (edge_id,) = deserialize_graph(json.dumps(GRAPH).encode()).edges
+    with pytest.raises(
+        GraphParseError, match=rf"^graphml edge '{edge_id}': context: invalid json at offset 0"
+    ):
+        deserialize_graph(flat, "graphml")
+    code, err = run_cli("graphml", flat, tmp_path)
+    assert code == EXIT_INPUT, err
+    assert f"graphml edge '{edge_id}': context: invalid json" in err, err

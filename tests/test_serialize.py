@@ -26,11 +26,9 @@ from lightkg.graph import (
 from lightkg.serialize import (
     GraphParseError,
     deserialize_graph,
-    flatten_context,
     serialize_graph,
     triples_from_jsonl,
     triples_to_jsonl,
-    unflatten_context,
 )
 
 
@@ -126,6 +124,17 @@ def test_edge_id_optional_in_handwritten_files():
     assert edge.confidence == 0.5 and edge.inferred is False
 
 
+def test_graphml_round_trips_controls_markup_and_separators_in_context_and_senses():
+    awkward = ["\x01", "a\rb", '<&>"', "a=b", "c;d", "e|f", "g\\h", "\\|;="]
+    g = support.graph_of(("radium", "is_a", "metal", {"year": awkward, "\x01<&>|;=": ["1898"]}))
+    g = KnowledgeGraph(
+        {**g.nodes, "radium": Node("radium", ContextMap({"sense": awkward}))}, g.edges
+    )
+    written = serialize_graph(g, "graphml")
+    assert deserialize_graph(written, "graphml") == g
+    assert serialize_graph(deserialize_graph(written, "graphml"), "graphml") == written
+
+
 def test_malformed_graphml_reports_position():
     with pytest.raises(GraphParseError):
         deserialize_graph(b"<graphml><graph>", "graphml")
@@ -138,7 +147,7 @@ def test_graphml_with_foreign_key_ids():
   <key id="k9" for="node" attr.name="attributes" attr.type="string"/>
   <key id="k7" for="edge" attr.name="predicate" attr.type="string"/>
   <graph id="G" edgedefault="directed">
-    <node id="a"><data key="k9">kind=planet</data></node>
+    <node id="a"><data key="k9">{"kind": ["planet"]}</data></node>
     <node id="b"/>
     <edge source="a" target="b"><data key="k7">orbits</data></edge>
   </graph>
@@ -155,16 +164,6 @@ def test_unknown_format_rejected():
         serialize_graph(KnowledgeGraph(), "yaml")
     with pytest.raises(ValueError):
         deserialize_graph(b"{}", "yaml")
-
-
-@given(cm=support.context_maps)
-def test_context_flattening_round_trip(cm):
-    assert unflatten_context(flatten_context(cm)) == cm
-
-
-def test_flattening_escapes_separators():
-    nasty = ContextMap({"k": ["a=b", "c;d", "e|f", "g\\h"]})
-    assert unflatten_context(flatten_context(nasty)) == nasty
 
 
 @given(ts=st.lists(support.context_triples, max_size=4))
