@@ -79,6 +79,8 @@ class CompletionParams:
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
         if self.max_tokens < 1:
             raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
+        if not self.timeout > 0:  # NaN too
+            raise ValueError(f"timeout must be > 0, got {self.timeout}")
 
 
 def prompt_fingerprint(messages: Sequence[ChatMessage]) -> str:

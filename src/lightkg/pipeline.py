@@ -124,19 +124,14 @@ class PipelineConfig:
         unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for name in _PATH_FIELDS:
-            if not isinstance(payload.get(name), (str, type(None))):
-                raise ConfigError(f"{name} must be a string or null, got {payload[name]!r}")
-        _check_kinds(cls, payload)
-        kwargs = dict(payload)
+        kwargs = _checked(cls, payload)
         try:
             # Nested settings (normalization, topology, model) are built from
             # their dicts; unknown nested keys fail as TypeError.
             for f in fields(cls):
                 if f.name in kwargs and is_dataclass(f.default_factory):
-                    if isinstance(kwargs[f.name], dict):
-                        _check_kinds(f.default_factory, kwargs[f.name], f"{f.name}.")
-                    kwargs[f.name] = f.default_factory(**kwargs[f.name])
+                    settings = _checked(f.default_factory, kwargs[f.name], f"{f.name}.")
+                    kwargs[f.name] = f.default_factory(**settings)
             return cls(**kwargs)
         except ConfigError:
             raise
@@ -162,24 +157,35 @@ class PipelineConfig:
         return [p for p in (getattr(self, name) for name in _PATH_FIELDS) if p]
 
 
-# JSON kind, and the types json.loads gives it, that a config value must have,
-# by the type of its field's default; a number field also takes an integer.
+# JSON kind, and the types json.loads gives it, that a non-null config value
+# must have, by the type of its field's default: a number field also takes an
+# integer, a field whose default is None (a ``*_path`` field) a string, and
+# nested settings, whose default is a dataclass, an object.
 _JSON_KINDS = {
-    bool: ("boolean", (bool,)),
-    int: ("integer", (int,)),
-    float: ("number", (int, float)),
-    str: ("string", (str,)),
+    dict: ("json object", (dict,)),
+    bool: ("json boolean", (bool,)),
+    int: ("json integer", (int,)),
+    float: ("json number", (int, float)),
+    str: ("json string", (str,)),
+    type(None): ("string or null", (str,)),
 }
 
 
-def _check_kinds(cls, payload: dict[str, Any], prefix: str = "") -> None:
-    """Raise :class:`ConfigError` for a non-null value in ``payload`` whose
-    JSON kind does not fit its field of dataclass ``cls``."""
+def _checked(cls, payload: dict[str, Any], prefix: str = "") -> dict[str, Any]:
+    """``payload`` without the null values of the fields of dataclass
+    ``cls``: a null reads as the field's default, as an absent key does.
+    Raise :class:`ConfigError` for a value whose JSON kind does not fit its
+    field."""
+    checked = dict(payload)
     for f in fields(cls):
-        kind, types = _JSON_KINDS.get(type(f.default), (None, ()))
-        value = payload.get(f.name)
-        if kind and value is not None and type(value) not in types:
-            raise ConfigError(f"{prefix}{f.name} must be a json {kind}, got {value!r}")
+        default = dict if is_dataclass(f.default_factory) else type(f.default)
+        kind, types = _JSON_KINDS.get(default, (None, ()))
+        value = checked.get(f.name)
+        if value is None:
+            checked.pop(f.name, None)
+        elif kind and type(value) not in types:
+            raise ConfigError(f"{prefix}{f.name} must be a {kind}, got {value!r}")
+    return checked
 
 
 # The fields naming input files; ``load`` resolves them against the config

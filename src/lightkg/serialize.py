@@ -11,8 +11,12 @@ same record shapes, so a context and a provenance are spelled one way.
 The graph JSON document and each triples JSONL line are joined from their
 fixed keys and separators and from json's own string encoder, the one a
 compact ``JSONEncoder`` calls, so their bytes equal one ``JSONEncoder`` call
-over the equivalent dicts with no encoder or dict built per record. Every
-triple of one chunk carries the same provenance record, and an aggregated
+over the equivalent dicts with no encoder or dict built per record. The
+GraphML document is joined from strings too, escaped by hand, with the
+bytes ``xml.etree`` would write for the same indented element tree;
+``xml.etree`` is imported only to read GraphML.
+
+Every triple of one chunk carries the same provenance record, and an aggregated
 edge repeats the records of its triples, so each graph JSON, GraphML or
 triples JSONL write encodes a distinct :class:`Provenance` once, and each read (one
 graph, GraphML document or triples file) decodes a provenance record once and
@@ -28,7 +32,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import xml.etree.ElementTree as ET
 from functools import partial
 from itertools import islice
 from pathlib import Path
@@ -45,18 +48,6 @@ from .graph import (
 )
 
 FORMATS = ("json", "graphml")
-
-_GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
-
-# key id -> (domain, attribute name, graphml type)
-_GRAPHML_KEYS = {
-    "d0": ("node", "attributes", "string"),
-    "d1": ("edge", "predicate", "string"),
-    "d2": ("edge", "context", "string"),
-    "d3": ("edge", "confidence", "double"),
-    "d4": ("edge", "inferred", "boolean"),
-    "d5": ("edge", "provenance", "string"),
-}
 
 
 class GraphParseError(ValueError):
@@ -367,43 +358,72 @@ def graph_from_dict(payload: Any) -> KnowledgeGraph:
 # --- GraphML -----------------------------------------------------------------
 
 
+# The start of every GraphML document written here, up to its graph element.
+_GRAPHML_HEAD = """<?xml version='1.0' encoding='utf-8'?>
+<graphml xmlns="http://graphml.graphdrawing.org/xmlns">
+  <key id="d0" for="node" attr.name="attributes" attr.type="string" />
+  <key id="d1" for="edge" attr.name="predicate" attr.type="string" />
+  <key id="d2" for="edge" attr.name="context" attr.type="string" />
+  <key id="d3" for="edge" attr.name="confidence" attr.type="double" />
+  <key id="d4" for="edge" attr.name="inferred" attr.type="boolean" />
+  <key id="d5" for="edge" attr.name="provenance" attr.type="string" />
+"""
+
+
+def _xml_text(text: str) -> str:
+    """``text`` escaped as XML character data."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _xml_attribute(text: str) -> str:
+    """``text`` escaped as a double-quoted XML attribute value; tabs and line
+    ends as character references, so a reader gets them back as written."""
+    return _xml_text(text).replace('"', "&quot;").replace("\r", "&#13;").replace(
+        "\n", "&#10;").replace("\t", "&#09;")
+
+
+def _graphml_data(key: str, text: str) -> str:
+    """One data element line, closed as ``<data key="…" />`` if ``text`` is
+    empty (a predicate may be)."""
+    text = _xml_text(text)
+    return f'      <data key="{key}">{text}</data>\n' if text else f'      <data key="{key}" />\n'
+
+
 def _graph_to_graphml(g: KnowledgeGraph) -> bytes:
-    """The GraphML of ``g``: attributes, contexts and provenance lists are
-    data elements holding the JSON that :func:`_graph_json` writes for them,
-    each provenance record encoded once."""
+    """The GraphML of ``g``, nodes sorted by id and edges by edge id, in the
+    bytes ``xml.etree``'s ``indent`` and ``tostring`` write for its tree. Data
+    elements hold the JSON :func:`_graph_json` writes for attributes,
+    contexts and provenance lists, each provenance record encoded once. An
+    edge id, a hex content hash, is written unescaped.
+
+    One string per node and edge element: at most two whole copies of the
+    output are alive at once, the strings and their join, then the joined
+    text and its bytes (a lone surrogate as a character reference)."""
+    a, c, data = _xml_attribute, _context_json, _graphml_data
     provenance_json = _once(_provenance_json)
-    root = ET.Element("graphml", {"xmlns": _GRAPHML_NS})
-    for key_id, (domain, name, gtype) in _GRAPHML_KEYS.items():
-        ET.SubElement(
-            root,
-            "key",
-            {"id": key_id, "for": domain, "attr.name": name, "attr.type": gtype},
+    parts = [_GRAPHML_HEAD, '  <graph id="G" edgedefault="directed">\n']
+    append = parts.append
+    for node in map(g.nodes.__getitem__, sorted(g.nodes)):
+        append(
+            f'    <node id="{a(node.id)}">\n{data("d0", c(node.attributes))}    </node>\n'
+            if node.attributes else f'    <node id="{a(node.id)}" />\n'
         )
-    graph_el = ET.SubElement(root, "graph", {"id": "G", "edgedefault": "directed"})
-    for node_id in sorted(g.nodes):
-        node = g.nodes[node_id]
-        node_el = ET.SubElement(graph_el, "node", {"id": node.id})
-        if node.attributes:
-            ET.SubElement(node_el, "data", {"key": "d0"}).text = _context_json(node.attributes)
-    for eid in sorted(g.edges):
-        edge = g.edges[eid]
-        edge_el = ET.SubElement(
-            graph_el,
-            "edge",
-            {"id": edge.edge_id, "source": edge.source, "target": edge.target},
+    for e in map(g.edges.__getitem__, sorted(g.edges)):
+        append(
+            f'    <edge id="{e.edge_id}" source="{a(e.source)}" target="{a(e.target)}">\n'
+            f'{data("d1", e.predicate)}{data("d2", c(e.context)) if e.context else ""}'
+            f'{data("d3", repr(e.confidence))}{data("d4", "true" if e.inferred else "false")}'
+            f'{data("d5", "[" + ",".join(map(provenance_json, e.provenance)) + "]")}    </edge>\n'
         )
-        ET.SubElement(edge_el, "data", {"key": "d1"}).text = edge.predicate
-        if edge.context:
-            ET.SubElement(edge_el, "data", {"key": "d2"}).text = _context_json(edge.context)
-        ET.SubElement(edge_el, "data", {"key": "d3"}).text = repr(edge.confidence)
-        ET.SubElement(edge_el, "data", {"key": "d4"}).text = (
-            "true" if edge.inferred else "false"
-        )
-        ET.SubElement(edge_el, "data", {"key": "d5"}).text = (
-            f"[{','.join(map(provenance_json, edge.provenance))}]"
-        )
-    ET.indent(root, space="  ")
-    return ET.tostring(root, encoding="utf-8", xml_declaration=True)
+    del provenance_json  # the memo dies before the join
+    if len(parts) == 2:  # no nodes, so no edges either
+        parts[1] = '  <graph id="G" edgedefault="directed" />\n'
+    else:
+        append("  </graph>\n")
+    append("</graphml>")
+    text = "".join(parts)
+    del parts, append
+    return text.encode("utf-8", "xmlcharrefreplace")
 
 
 def _local_name(tag: str) -> str:
@@ -411,6 +431,8 @@ def _local_name(tag: str) -> str:
 
 
 def _graph_from_graphml(data: bytes) -> KnowledgeGraph:
+    import xml.etree.ElementTree as ET  # loaded by a GraphML read only
+
     try:
         root = ET.fromstring(data)
     except ET.ParseError as exc:

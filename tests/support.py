@@ -12,6 +12,7 @@ import itertools
 import json
 import random
 import re
+import xml.etree.ElementTree as ET
 from collections import deque
 from dataclasses import replace
 
@@ -378,6 +379,56 @@ def reference_graph_json(g: KnowledgeGraph) -> bytes:
         ],
         "edges": [edge(g.edges[eid]) for eid in sorted(g.edges)],
     }).encode("utf-8")
+
+
+def reference_graphml(g: KnowledgeGraph) -> bytes:
+    """The ElementTree GraphML writer: a whole tree, indented by
+    ``ET.indent`` and written by ``ET.tostring``; each data element holds
+    the compact ``JSONEncoder`` text of its attributes, context or
+    provenance list."""
+    encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+    keys = {
+        "d0": ("node", "attributes", "string"),
+        "d1": ("edge", "predicate", "string"),
+        "d2": ("edge", "context", "string"),
+        "d3": ("edge", "confidence", "double"),
+        "d4": ("edge", "inferred", "boolean"),
+        "d5": ("edge", "provenance", "string"),
+    }
+    root = ET.Element("graphml", {"xmlns": "http://graphml.graphdrawing.org/xmlns"})
+    for key_id, (domain, name, gtype) in keys.items():
+        ET.SubElement(
+            root,
+            "key",
+            {"id": key_id, "for": domain, "attr.name": name, "attr.type": gtype},
+        )
+    graph_el = ET.SubElement(root, "graph", {"id": "G", "edgedefault": "directed"})
+    for node_id in sorted(g.nodes):
+        node = g.nodes[node_id]
+        node_el = ET.SubElement(graph_el, "node", {"id": node.id})
+        if node.attributes:
+            ET.SubElement(node_el, "data", {"key": "d0"}).text = encode(node.attributes.to_dict())
+    for eid in sorted(g.edges):
+        edge = g.edges[eid]
+        edge_el = ET.SubElement(
+            graph_el,
+            "edge",
+            {"id": edge.edge_id, "source": edge.source, "target": edge.target},
+        )
+        ET.SubElement(edge_el, "data", {"key": "d1"}).text = edge.predicate
+        if edge.context:
+            ET.SubElement(edge_el, "data", {"key": "d2"}).text = encode(edge.context.to_dict())
+        ET.SubElement(edge_el, "data", {"key": "d3"}).text = repr(edge.confidence)
+        ET.SubElement(edge_el, "data", {"key": "d4"}).text = (
+            "true" if edge.inferred else "false"
+        )
+        ET.SubElement(edge_el, "data", {"key": "d5"}).text = encode([
+            {"source_id": p.source_id, "chunk_index": p.chunk_index,
+             "extractor": p.extractor.value}
+            for p in edge.provenance
+        ])
+    ET.indent(root, space="  ")
+    return ET.tostring(root, encoding="utf-8", xml_declaration=True)
 
 
 def _reference_strings(value: list) -> bool:

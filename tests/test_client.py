@@ -248,12 +248,36 @@ config = PipelineConfig.load({str(DATA / "demo_config_pattern.json")!r})
 run_pipeline(config, {str(DATA / "demo_corpus.jsonl")!r}, sys.argv[1])
 evaluate_run(sys.argv[1] + "/graph.json", {str(DATA / "demo_gold.jsonl")!r})
 """
+_GOLDEN = DATA / "golden"
+_GRAPHML_WRITE = f"""
+from lightkg import deserialize_graph, serialize_graph
+serialize_graph(deserialize_graph({str(_GOLDEN / "pattern_graph.json")!r}), "graphml")
+"""
+_GRAPHML_READ = f"""
+from lightkg import deserialize_graph
+deserialize_graph({str(_GOLDEN / "pattern_graph.graphml")!r}, "graphml")
+"""
+
+
+def _modules_loaded_by(code: str, names: tuple[str, ...], tmp_path) -> str:
+    """The printed sorted list of the ``names`` in ``sys.modules`` after
+    ``code`` runs in a fresh interpreter with ``sys.argv[1]`` under
+    ``tmp_path``."""
+    probe = code + f"\nimport sys; print(sorted(set({names!r}) & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(_SRC), os.environ.get("PYTHONPATH")])
+    )}
+    done = subprocess.run(
+        [sys.executable, "-c", probe, str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return done.stdout.strip()
 
 
 class TestImportHygiene:
-    """The HTTP stack loads only when an HttpChatClient is built. Each check
-    runs in a fresh interpreter, so no other test's imports can hide a
-    regression."""
+    """The HTTP stack loads only when an HttpChatClient is built, and
+    ElementTree only when GraphML is read. Each check runs in a fresh
+    interpreter, so no other test's imports can hide a regression."""
 
     @pytest.mark.parametrize(
         "code, loaded",
@@ -266,16 +290,23 @@ class TestImportHygiene:
         ids=["import", "import_cli", "pattern_run_and_eval", "http_client"],
     )
     def test_requests_loaded_only_by_http_client(self, tmp_path, code, loaded):
-        probe = code + "\nimport sys; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(_SRC), os.environ.get("PYTHONPATH")])
-        )}
-        done = subprocess.run(
-            [sys.executable, "-c", probe, str(tmp_path / "run")],
-            env=env, capture_output=True, text=True, check=True,
-        )
         expected = "['requests', 'urllib3']" if loaded else "[]"
-        assert done.stdout.strip() == expected
+        assert _modules_loaded_by(code, ("requests", "urllib3"), tmp_path) == expected
+
+    @pytest.mark.parametrize(
+        "code, loaded",
+        [
+            ("import lightkg", False),
+            ("import lightkg.cli", False),
+            (_DEMO_RUN, False),
+            (_GRAPHML_WRITE, False),
+            (_GRAPHML_READ, True),
+        ],
+        ids=["import", "import_cli", "pattern_run_and_eval", "graphml_write", "graphml_read"],
+    )
+    def test_element_tree_loaded_only_by_a_graphml_read(self, tmp_path, code, loaded):
+        expected = "['xml.etree.ElementTree']" if loaded else "[]"
+        assert _modules_loaded_by(code, ("xml.etree.ElementTree",), tmp_path) == expected
 
 
 class TestParams:
@@ -284,6 +315,9 @@ class TestParams:
             CompletionParams(temperature=-0.1)
         with pytest.raises(ValueError):
             CompletionParams(max_tokens=0)
+        for timeout in (0, -1, float("nan")):
+            with pytest.raises(ValueError, match="timeout"):
+                CompletionParams(timeout=timeout)
         with pytest.raises(ValueError):
             ChatMessage("narrator", "bad role")
         with pytest.raises(ValueError):

@@ -507,6 +507,8 @@ class TestRunPipeline:
             ("max_chunk_chars", 2.5),
             ("include_context", "no"),
             ("topology", {"max_path_length": 2.5}),
+            ("normalization", 5),
+            ("model", [1]),
         ],
     )
     def test_bad_field_rejected_at_load(self, key, value):
@@ -519,6 +521,26 @@ class TestRunPipeline:
             PipelineConfig.from_dict({key: {"typo": 1}})
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict({key: 5})
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"include_context": None},
+            {"topology_enabled": None},
+            {"topology": {"undirected_paths": None}},
+            {"normalization": {"collapse_whitespace": None}},
+            {"model": {"timeout": None}},
+            {"worker_count": None},
+            {"normalization": None},
+        ],
+    )
+    def test_null_config_value_reads_as_the_default(self, payload):
+        assert PipelineConfig.from_dict(payload) == PipelineConfig()
+
+    @pytest.mark.parametrize("payload", [{"typo": None}, {"model": {"typo": None}}])
+    def test_null_unknown_config_key_rejected(self, payload):
+        with pytest.raises(ConfigError, match="typo"):
+            PipelineConfig.from_dict(payload)
 
     def test_config_round_trips_through_dict_and_json(self):
         config = PipelineConfig.from_dict(
@@ -815,6 +837,18 @@ class TestCli:
         )
         assert code == EXIT_USAGE
         assert "eval_policy" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("timeout", [0, -1])
+    def test_non_positive_model_timeout_is_usage_error(self, tmp_path, capsys, timeout):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"extractor": "model", "model": {"timeout": timeout}}))
+        out_dir = tmp_path / "out"
+        code = main(
+            ["pipeline", str(DATA / "demo_corpus.jsonl"), "-c", str(config), "-o", str(out_dir)]
+        )
+        assert code == EXIT_USAGE
+        assert f"timeout must be > 0, got {timeout}" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_missing_argument_is_usage_error(self, capsys):

@@ -188,15 +188,16 @@ def test_triples_jsonl_bad_line():
 
 # --- the JSONL writer and the provenance memo against the per-record algorithms
 
-# Text that JSON must escape or may write raw: quotes, backslashes, control
-# characters, U+2028/U+2029, astral characters and lone surrogates (which
-# UTF-8 cannot encode, so writing them raises).
+# Text that JSON or XML must escape or may write raw: quotes, backslashes,
+# markup, tabs and line ends, control characters, U+0085, U+2028/U+2029,
+# astral characters and lone surrogates (which UTF-8 cannot encode, so
+# writing them as JSON raises).
 _awkward_text = st.text(
     alphabet=st.one_of(
         st.characters(),
         st.sampled_from(
-            ['"', "\\", "\n", "\r", "\x00", "\x1f", "\x7f", "\u2028", "\u2029",
-             "\U0001f600", "\ud800", "\udfff"]
+            ['"', "'", "\\", "&", "<", ">", "\t", "\n", "\r", "\x00", "\x1f", "\x7f",
+             "\x85", "\u2028", "\u2029", "\U0001f600", "\ud800", "\udfff"]
         ),
     ),
     max_size=6,
@@ -292,6 +293,23 @@ def test_graph_json_bytes_match_the_dict_encoder(g):
         assert deserialize_graph(written) == g
 
 
+@settings(max_examples=300)
+@given(g=st.one_of(support.graphs(), _awkward_graphs()))
+@example(g=KnowledgeGraph())
+@example(g=KnowledgeGraph({"a": Node("a"), "b\ud800": Node("b\ud800")}))
+@example(g=KnowledgeGraph({"a": Node("a", ContextMap({"sense": ["metal\ud800"]}))}))
+@example(g=KnowledgeGraph(
+    {"a&<>\"'": Node("a&<>\"'"), "b\t\n\r": Node("b\t\n\r")},
+    {e.edge_id: e for e in [
+        Edge("a&<>\"'", "b\t\n\r", "", confidence=1),
+        Edge("b\t\n\r", "a&<>\"'", "p\x85\u2028\U0001f600<&>",
+             ContextMap({"k\r": ["&<>\"'\t\n"]}), 0.25, (support.PROV,), True),
+    ]},
+))
+def test_graphml_bytes_match_the_element_tree_writer(g):
+    assert serialize_graph(g, "graphml") == support.reference_graphml(g)
+
+
 def test_graph_json_encodes_each_distinct_provenance_once_per_call():
     shared = [Provenance(f"doc-{i}", i, Extractor.PATTERN) for i in range(3)]
     g = support.graph_of(*((f"n{i}", "p", f"n{i + 1}") for i in range(20)))
@@ -371,6 +389,13 @@ def test_triples_jsonl_peak_is_at_most_two_and_a_half_times_its_output():
 def test_graph_json_peak_is_at_most_two_and_a_half_times_its_output():
     g, _ = support.reference_aggregate(_triples_one_chunk_each(5000))
     written, peak = _peak_bytes(serialize_graph, g, "json")
+    assert len(written) >= 500_000
+    assert peak <= 2.5 * len(written)
+
+
+def test_graphml_peak_is_at_most_two_and_a_half_times_its_output():
+    g, _ = support.reference_aggregate(_triples_one_chunk_each(5000))
+    written, peak = _peak_bytes(serialize_graph, g, "graphml")
     assert len(written) >= 500_000
     assert peak <= 2.5 * len(written)
 
