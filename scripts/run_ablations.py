@@ -4,8 +4,8 @@
     python scripts/run_ablations.py [output_dir]
 
 Runs the full configuration, the no-context variant, and the no-topology
-variant (flag-only config changes), evaluates each against the demo gold
-file, and prints one row per configuration.
+variant (flag-only config changes), each evaluated by the run itself against
+the demo gold file, and prints one row per configuration.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-from lightkg.evaluation import evaluate_run
 from lightkg.pipeline import PipelineConfig, run_pipeline
 
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
@@ -33,7 +32,6 @@ def main() -> int:
     for key in ("rules_path", "senses_path", "gold_path"):
         if base.get(key):
             base[key] = str(DATA / base[key])
-    base["gold_path"] = None  # evaluate explicitly below
 
     rows = []
     for name, overrides in VARIANTS:
@@ -43,16 +41,15 @@ def main() -> int:
         else:
             out_dir = Path(tempfile.mkdtemp(prefix=f"ablation-{name}-"))
         summary = run_pipeline(config, DATA / "demo_corpus.jsonl", out_dir)
-        report = evaluate_run(summary["outputs"]["graph"], DATA / "demo_gold.jsonl")
-        counts = summary["counts"]
+        counts, scores = summary["counts"], summary["evaluation"]
         rows.append(
             (
                 name,
                 counts["nodes"],
                 counts["edges"],
                 counts["inferred_edges"],
-                report.entity.f1,
-                report.relation.f1,
+                scores["entity"]["f1"],
+                scores["relation"]["f1"],
             )
         )
 

@@ -22,6 +22,7 @@ from .pipeline import (
     ConfigError,
     PipelineConfig,
     StageError,
+    configured_file,
     discover_stage,
     extract_corpus,
     filter_for_export,
@@ -65,15 +66,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{message}\n{self.format_usage()}")
 
 
-def _existing(path: str, what: str) -> Path:
-    p = Path(path)
-    if not p.exists():
-        raise _UsageError(f"{what} not found: {path}")
-    if p.is_dir():
-        raise _UsageError(f"{what} is a directory: {path}")
-    return p
-
-
 def _write_output(path: str, data: bytes) -> None:
     try:
         Path(path).write_bytes(data)
@@ -83,7 +75,7 @@ def _write_output(path: str, data: bytes) -> None:
 
 def _load_config(args) -> PipelineConfig:
     if getattr(args, "config", None):
-        return PipelineConfig.load(_existing(args.config, "config file"))
+        return PipelineConfig.load(configured_file(args.config, "config file"))
     return PipelineConfig()
 
 
@@ -138,7 +130,7 @@ def _cmd_extract(args) -> int:
     if args.no_context:
         overrides["include_context"] = False
     config = replace(config, **overrides)
-    documents = read_corpus(_existing(args.corpus, "corpus"))
+    documents = read_corpus(configured_file(args.corpus, "corpus"))
     _, results = extract_corpus(config, documents)
     triples = [t for r in results for t in r.triples]
     _write_output(args.output, triples_to_jsonl(triples))
@@ -149,7 +141,7 @@ def _cmd_extract(args) -> int:
 
 def _cmd_aggregate(args) -> int:
     config = _load_config(args)
-    triples = triples_from_jsonl(_existing(args.triples, "triples file"))
+    triples = triples_from_jsonl(configured_file(args.triples, "triples file"))
     outcome = aggregate_triples(triples, config.normalization, config.base_confidence)
     fmt = format_for_path(args.output)
     _write_output(args.output, serialize_graph(outcome.graph, fmt))
@@ -162,10 +154,10 @@ def _cmd_aggregate(args) -> int:
 
 def _cmd_discover(args) -> int:
     config = _load_config(args)
-    graph_path = _existing(args.graph, "graph file")
+    graph_path = configured_file(args.graph, "graph file")
     graph = deserialize_graph(graph_path, format_for_path(graph_path))
-    rules = _existing(args.rules, "rules file")
-    senses = _existing(args.senses, "senses file") if args.senses else None
+    rules = configured_file(args.rules, "rules file")
+    senses = configured_file(args.senses, "senses file") if args.senses else None
     result = discover_stage(config, graph, rules, senses)
     fmt = format_for_path(args.output)
     _write_output(
@@ -178,8 +170,8 @@ def _cmd_discover(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    graph_path = _existing(args.graph, "graph file")
-    gold_path = _existing(args.gold, "gold file")
+    graph_path = configured_file(args.graph, "graph file")
+    gold_path = configured_file(args.gold, "gold file")
     report = evaluate_run(
         graph_path, gold_path, policy=args.policy, include_inferred=args.include_inferred
     )
@@ -190,8 +182,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    config = PipelineConfig.load(_existing(args.config, "config file"))
-    corpus = _existing(args.corpus, "corpus")
+    config = _load_config(args)
+    corpus = configured_file(args.corpus, "corpus")
     summary = run_pipeline(config, corpus, args.output)
     counts = summary["counts"]
     print(

@@ -9,6 +9,7 @@ suite and the ``fixture`` extractor.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import time
 from abc import ABC, abstractmethod
@@ -75,12 +76,13 @@ class CompletionParams:
     timeout: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+        # NaN and infinity fail: requests cannot send a NaN, nor a socket take inf.
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         if self.max_tokens < 1:
             raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
-        if not self.timeout > 0:  # NaN too
-            raise ValueError(f"timeout must be > 0, got {self.timeout}")
+        if not 0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be finite and > 0, got {self.timeout}")
 
 
 def prompt_fingerprint(messages: Sequence[ChatMessage]) -> str:

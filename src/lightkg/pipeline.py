@@ -48,14 +48,22 @@ from .extraction import (
     read_corpus,
 )
 from .graph import ContextMap, KnowledgeGraph
-from .serialize import FORMATS, read_json, serialize_graph, triple_to_dict, triples_to_jsonl
+from .serialize import (
+    FORMATS,
+    decode_record,
+    read_json,
+    register_settings,
+    serialize_graph,
+    triple_to_dict,
+    triples_to_jsonl,
+)
 from .topology import TopologyConfig, discover, load_rules, load_senses
 
 EXTRACTORS = ("model", "pattern", "fixture")
 
 
 class ConfigError(ValueError):
-    """The pipeline configuration is invalid or references missing files."""
+    """The pipeline config is invalid, or an input file it or the CLI names is not a file."""
 
 
 class StageError(RuntimeError):
@@ -118,25 +126,10 @@ class PipelineConfig:
             raise ConfigError("fixture extractor requires fixtures_path")
 
     @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> PipelineConfig:
-        if not isinstance(payload, dict):
-            raise ConfigError("config must be a json object")
-        unknown = set(payload) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = _checked(cls, payload)
-        try:
-            # Nested settings (normalization, topology, model) are built from
-            # their dicts; unknown nested keys fail as TypeError.
-            for f in fields(cls):
-                if f.name in kwargs and is_dataclass(f.default_factory):
-                    settings = _checked(f.default_factory, kwargs[f.name], f"{f.name}.")
-                    kwargs[f.name] = f.default_factory(**settings)
-            return cls(**kwargs)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+    def from_dict(cls, payload: Any) -> PipelineConfig:
+        """The config of ``payload``, a record of ``SHAPES["config"]``;
+        :class:`ConfigError` names the nesting and the field at fault."""
+        return decode_record(payload, "config", _settings(cls, payload), ConfigError, "config")
 
     @classmethod
     def load(cls, path) -> PipelineConfig:
@@ -157,35 +150,29 @@ class PipelineConfig:
         return [p for p in (getattr(self, name) for name in _PATH_FIELDS) if p]
 
 
-# JSON kind, and the types json.loads gives it, that a non-null config value
-# must have, by the type of its field's default: a number field also takes an
-# integer, a field whose default is None (a ``*_path`` field) a string, and
-# nested settings, whose default is a dataclass, an object.
-_JSON_KINDS = {
-    dict: ("json object", (dict,)),
-    bool: ("json boolean", (bool,)),
-    int: ("json integer", (int,)),
-    float: ("json number", (int, float)),
-    str: ("json string", (str,)),
-    type(None): ("string or null", (str,)),
-}
+# The config's record shapes, "config" and one per nested settings field.
+register_settings("config", PipelineConfig)
 
 
-def _checked(cls, payload: dict[str, Any], prefix: str = "") -> dict[str, Any]:
-    """``payload`` without the null values of the fields of dataclass
-    ``cls``: a null reads as the field's default, as an absent key does.
-    Raise :class:`ConfigError` for a value whose JSON kind does not fit its
-    field."""
-    checked = dict(payload)
-    for f in fields(cls):
-        default = dict if is_dataclass(f.default_factory) else type(f.default)
-        kind, types = _JSON_KINDS.get(default, (None, ()))
-        value = checked.get(f.name)
-        if value is None:
-            checked.pop(f.name, None)
-        elif kind and type(value) not in types:
-            raise ConfigError(f"{prefix}{f.name} must be a {kind}, got {value!r}")
-    return checked
+def _settings(cls, record: Any) -> Callable[..., Any]:
+    """The ``build`` with which ``decode_record`` makes the settings
+    dataclass ``cls`` of ``record``: a key of ``record`` that names no field
+    raises ``ValueError``, and nested settings are decoded in turn by the
+    shape named after their field."""
+
+    def build(**values: Any) -> Any:
+        unknown = record.keys() - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown keys: {sorted(unknown)}")
+        for f in fields(cls):
+            if f.name in values and is_dataclass(f.default_factory):
+                nested = values[f.name]
+                values[f.name] = decode_record(
+                    nested, f.name, _settings(f.default_factory, nested), ValueError, f.name
+                )
+        return cls(**values)
+
+    return build
 
 
 # The fields naming input files; ``load`` resolves them against the config
@@ -193,16 +180,18 @@ def _checked(cls, payload: dict[str, Any], prefix: str = "") -> dict[str, Any]:
 _PATH_FIELDS = tuple(f.name for f in fields(PipelineConfig) if f.name.endswith("_path"))
 
 
-def configured_file(path):
-    """``path``, the value of a ``*_path`` field, once it is known to name a
-    file; :class:`ConfigError` naming it if nothing or a directory is there.
-    ``run_pipeline`` checks every such field before any stage runs, and
-    ``load_fixtures`` checks its own, for ``lightkg extract``."""
-    if not Path(path).exists():
-        raise ConfigError(f"configured file does not exist: {path}")
-    if Path(path).is_dir():
-        raise ConfigError(f"configured file is a directory: {path}")
-    return path
+def configured_file(path, what: str = "configured file") -> Path:
+    """``Path(path)`` once it is known to name a file; :class:`ConfigError`
+    naming ``what`` and ``path`` if nothing or a directory is there. The CLI
+    checks each input file its command line names, ``run_pipeline`` every
+    ``*_path`` field before any stage runs, and ``load_fixtures`` its own,
+    for ``lightkg extract``."""
+    p = Path(path)
+    if not p.exists():
+        raise ConfigError(f"{what} does not exist: {path}")
+    if p.is_dir():
+        raise ConfigError(f"{what} is a directory: {path}")
+    return p
 
 
 def load_fixtures(path) -> dict[str, str]:

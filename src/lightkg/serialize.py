@@ -29,6 +29,7 @@ call.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
@@ -182,6 +183,22 @@ SHAPES = {
     ),
     "sense": _shape(sense_label="string", cues="list of strings"),
 }
+
+
+def register_settings(name: str, cls) -> None:
+    """Declare ``SHAPES[name]``, the shape of a record of the settings
+    dataclass ``cls``, derived from its fields: each is optional and of the
+    first kind in ``_KINDS`` that takes its default's type, a None default
+    meaning a string. A field whose ``default_factory`` is a dataclass holds
+    an object, whose shape is registered in turn under the field's name."""
+    kinds = {}
+    for f in dataclasses.fields(cls):
+        default = "" if f.default is None else f.default
+        if dataclasses.is_dataclass(f.default_factory):
+            register_settings(f.name, f.default_factory)
+            default = {}
+        kinds[f.name] = next(k for k, (types, _) in _KINDS.items() if type(default) in types) + "?"
+    SHAPES[name] = _shape(**kinds)
 
 
 def decode_record(record: Any, shape: str, build, error: type[Exception], where: str):

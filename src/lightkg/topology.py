@@ -244,7 +244,6 @@ def edge_disjoint_paths(
     source: str,
     target: str,
     max_len: int = DEFAULT_CONFIG.max_path_length,
-    max_paths: int | None = None,
     undirected: bool = True,
     exclude_edges: Iterable[str] = (),
 ) -> list[PathEvidence]:
@@ -255,7 +254,7 @@ def edge_disjoint_paths(
 
     Ties between equal-length paths break toward the lexicographically
     smallest node sequence, then the smallest edge id per hop, so results
-    are reproducible; ``max_paths=1`` gives the shortest path alone.
+    are reproducible; the first path is the shortest.
     """
     g.require_node(source)
     g.require_node(target)
@@ -270,10 +269,7 @@ def edge_disjoint_paths(
         if edge is not None:
             touched.update((edge.source, edge.target))
     found: list[PathEvidence] = []
-    while max_paths is None or len(found) < max_paths:
-        path = _shortest_path(index, source, target, max_len, used, touched)
-        if path is None:
-            break
+    while (path := _shortest_path(index, source, target, max_len, used, touched)) is not None:
         found.append(path)
         used.update(path.edges)
         touched.update(path.nodes)

@@ -218,7 +218,6 @@ def reference_edge_disjoint_paths(
     source: str,
     target: str,
     max_len: int,
-    max_paths: int | None = None,
     undirected: bool = True,
     exclude_edges=(),
 ) -> list[PathEvidence]:
@@ -227,10 +226,9 @@ def reference_edge_disjoint_paths(
     ``max_len`` is given."""
     used = set(exclude_edges)
     found: list[PathEvidence] = []
-    while max_paths is None or len(found) < max_paths:
-        path = reference_shortest_path(g, source, target, max_len, undirected, used)
-        if path is None:
-            break
+    while (
+        path := reference_shortest_path(g, source, target, max_len, undirected, used)
+    ) is not None:
         found.append(path)
         used.update(path.edges)
     found.sort(key=lambda p: (p.length, p.nodes))

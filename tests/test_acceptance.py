@@ -141,9 +141,7 @@ def test_criterion_2_bfs_oracle():
                 if source == target:
                     continue
                 expected = support.oracle_shortest_len(pairs, source, target, undirected)
-                paths = edge_disjoint_paths(
-                    g, source, target, max_len=24, max_paths=1, undirected=undirected
-                )
+                paths = edge_disjoint_paths(g, source, target, max_len=24, undirected=undirected)
                 pairs_checked += 1
                 if expected is None:
                     failures += paths != []

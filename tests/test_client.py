@@ -311,11 +311,12 @@ class TestImportHygiene:
 
 class TestParams:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            CompletionParams(temperature=-0.1)
+        for temperature in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="temperature"):
+                CompletionParams(temperature=temperature)
         with pytest.raises(ValueError):
             CompletionParams(max_tokens=0)
-        for timeout in (0, -1, float("nan")):
+        for timeout in (0, -1, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="timeout"):
                 CompletionParams(timeout=timeout)
         with pytest.raises(ValueError):

@@ -732,15 +732,16 @@ class TestCli:
         assert "invalid choice" in capsys.readouterr().err
 
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
         code = main(
             [
                 "pipeline", str(DATA / "demo_corpus.jsonl"),
-                "-c", str(tmp_path / "missing.json"),
+                "-c", str(missing),
                 "-o", str(tmp_path / "out"),
             ]
         )
         assert code == EXIT_USAGE
-        assert "not found" in capsys.readouterr().err
+        assert f"config file does not exist: {missing}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "case", ["config", "gold", "rules_path", "fixtures_path", "output"]
@@ -848,7 +849,27 @@ class TestCli:
             ["pipeline", str(DATA / "demo_corpus.jsonl"), "-c", str(config), "-o", str(out_dir)]
         )
         assert code == EXIT_USAGE
-        assert f"timeout must be > 0, got {timeout}" in capsys.readouterr().err
+        assert f"timeout must be finite and > 0, got {timeout}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            ('{"temperature": NaN}', "temperature must be finite and >= 0, got nan"),
+            ('{"temperature": Infinity}', "temperature must be finite and >= 0, got inf"),
+            ('{"timeout": NaN}', "timeout must be finite and > 0, got nan"),
+            ('{"timeout": Infinity}', "timeout must be finite and > 0, got inf"),
+        ],
+    )
+    def test_non_finite_model_parameter_is_usage_error(self, tmp_path, capsys, model, message):
+        config = tmp_path / "config.json"
+        config.write_text(f'{{"extractor": "model", "model": {model}}}')
+        out_dir = tmp_path / "out"
+        code = main(
+            ["pipeline", str(DATA / "demo_corpus.jsonl"), "-c", str(config), "-o", str(out_dir)]
+        )
+        assert code == EXIT_USAGE
+        assert f"error: config: model: {message}" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_missing_argument_is_usage_error(self, capsys):

@@ -6,6 +6,7 @@ silently wrong value."""
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import xml.etree.ElementTree as ET
@@ -268,7 +269,7 @@ def test_valid_records_of_every_kind_exit_0(tmp_path):
 
 
 def test_config_path_field_of_another_kind_exits_1(tmp_path):
-    with pytest.raises(ConfigError, match="rules_path must be a string or null, got 5"):
+    with pytest.raises(ConfigError, match="^config: rules_path must be a json string, got 5$"):
         PipelineConfig.from_dict({"rules_path": 5})
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"rules_path": 5}))
@@ -279,6 +280,86 @@ def test_config_path_field_of_another_kind_exits_1(tmp_path):
         )
     assert code == EXIT_USAGE
     assert "rules_path" in err.getvalue()
+
+
+# A JSON value of each kind, and the kinds a config field takes by the type of
+# its default: a number field takes an integer too, a field whose default is
+# None a string, and nested settings, whose default is a dataclass, an object.
+JSON_VALUES = {
+    "boolean": True, "integer": 7, "number": 2.5, "string": "x", "list": [1], "object": {},
+}
+TAKES = {
+    bool: {"boolean"}, int: {"integer"}, float: {"integer", "number"}, str: {"string"},
+    type(None): {"string"}, dict: {"object"},
+}
+
+
+def config_fields() -> list:
+    """``(nesting, field)`` for every field of the config and of each of its
+    nested settings, read from the dataclasses, so a new field is covered as
+    soon as it is declared."""
+    cases = []
+    for f in dataclasses.fields(PipelineConfig):
+        cases.append(pytest.param((), f, id=f.name))
+        if dataclasses.is_dataclass(f.default_factory):
+            cases += [
+                pytest.param((f.name,), inner, id=f"{f.name}.{inner.name}")
+                for inner in dataclasses.fields(f.default_factory)
+            ]
+    return cases
+
+
+CONFIG_LEVELS = [()] + [
+    (f.name,) for f in dataclasses.fields(PipelineConfig)
+    if dataclasses.is_dataclass(f.default_factory)
+]
+
+
+def nested(level: tuple, record: dict) -> dict:
+    """``record`` as the config payload that holds it at ``level``."""
+    return {level[0]: record} if level else record
+
+
+def default_type(f: dataclasses.Field) -> type:
+    return dict if dataclasses.is_dataclass(f.default_factory) else type(f.default)
+
+
+@pytest.mark.parametrize("level, f", config_fields())
+def test_config_field_of_another_kind_exits_1_naming_it(level, f, tmp_path):
+    prefix = "config: " + "".join(f"{name}: " for name in level) + f"{f.name} must be a json "
+    wrong = [v for kind, v in JSON_VALUES.items() if kind not in TAKES[default_type(f)]]
+    for value in wrong:
+        with pytest.raises(ConfigError) as err:
+            PipelineConfig.from_dict(nested(level, {f.name: value}))
+        assert str(err.value).startswith(prefix), err.value
+    code, err = run_cli("config", json.dumps(nested(level, {f.name: wrong[0]})).encode(), tmp_path)
+    assert code == EXIT_USAGE
+    assert f"error: {prefix}" in err
+
+
+@pytest.mark.parametrize("level, f", config_fields())
+def test_config_null_reads_as_the_default(level, f):
+    assert PipelineConfig.from_dict(nested(level, {f.name: None})) == PipelineConfig()
+
+
+@pytest.mark.parametrize("level", CONFIG_LEVELS, ids=lambda level: ".".join(level) or "top")
+def test_config_unknown_key_rejected_at_its_level(level):
+    where = "".join(f"{name}: " for name in level)
+    with pytest.raises(ConfigError, match=f"^config: {where}unknown keys: \\['typo'\\]$"):
+        PipelineConfig.from_dict(nested(level, {"typo": 1}))
+
+
+@pytest.mark.parametrize(
+    "level, f", [case for case in config_fields() if default_type(case.values[1]) is float]
+)
+def test_config_integer_number_reads_as_float(level, f):
+    shape = level[0] if level else "config"
+    decoded = decode_record({f.name: 1}, shape, dict, ValueError, "config")
+    assert decoded == {f.name: 1.0} and type(decoded[f.name]) is float
+    if f.default.is_integer():  # an integer the field's bounds take, its default
+        config = PipelineConfig.from_dict(nested(level, {f.name: int(f.default)}))
+        value = getattr(getattr(config, level[0]) if level else config, f.name)
+        assert value == f.default and type(value) is float
 
 
 class TestDecoding:

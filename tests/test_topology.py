@@ -85,36 +85,36 @@ class TestPathEvidence:
 class TestBidirectionalBfs:
     def test_two_hop_path(self):
         g = support.graph_of(("a", "p", "b"), ("b", "p", "c"))
-        (path,) = edge_disjoint_paths(g, "a", "c", max_paths=1)
+        path = edge_disjoint_paths(g, "a", "c")[0]
         assert path.nodes == ("a", "b", "c")
         assert path.length == 2
 
     def test_disconnected_pair(self):
         g = support.graph_of(("a", "p", "b"), ("c", "p", "d"))
-        assert edge_disjoint_paths(g, "a", "d", max_paths=1) == []
+        assert edge_disjoint_paths(g, "a", "d") == []
 
     def test_direction_respected_when_directed(self):
         g = support.graph_of(("a", "p", "b"))
-        assert edge_disjoint_paths(g, "b", "a", max_paths=1, undirected=False) == []
-        assert edge_disjoint_paths(g, "b", "a", max_paths=1, undirected=True) != []
+        assert edge_disjoint_paths(g, "b", "a", undirected=False) == []
+        assert edge_disjoint_paths(g, "b", "a", undirected=True) != []
 
     def test_max_len_bound(self):
         g = support.graph_of(("a", "p", "b"), ("b", "p", "c"), ("c", "p", "d"))
-        assert edge_disjoint_paths(g, "a", "d", max_len=2, max_paths=1) == []
-        (path,) = edge_disjoint_paths(g, "a", "d", max_len=3, max_paths=1)
+        assert edge_disjoint_paths(g, "a", "d", max_len=2) == []
+        path = edge_disjoint_paths(g, "a", "d", max_len=3)[0]
         assert path.length == 3
 
     def test_lexicographic_tie_break(self):
         g = support.graph_of(("s", "p", "m"), ("m", "p", "t"), ("s", "p", "k"), ("k", "p", "t"))
-        (path,) = edge_disjoint_paths(g, "s", "t", max_paths=1)
+        path = edge_disjoint_paths(g, "s", "t")[0]
         assert path.nodes == ("s", "k", "t")
 
     def test_same_node_rejected(self):
         g = support.graph_of(("a", "p", "b"))
         with pytest.raises(ValueError):
-            edge_disjoint_paths(g, "a", "a", max_paths=1)
+            edge_disjoint_paths(g, "a", "a")
         with pytest.raises(UnknownNodeError):
-            edge_disjoint_paths(g, "a", "zzz", max_paths=1)
+            edge_disjoint_paths(g, "a", "zzz")
 
     @settings(max_examples=200)
     @given(data=st.data())
@@ -128,13 +128,11 @@ class TestBidirectionalBfs:
                 if source == target:
                     continue
                 expected = support.oracle_shortest_len(pairs, source, target, undirected)
-                paths = edge_disjoint_paths(
-                    g, source, target, max_len=20, max_paths=1, undirected=undirected
-                )
+                paths = edge_disjoint_paths(g, source, target, max_len=20, undirected=undirected)
                 if expected is None:
                     assert paths == []
                 else:
-                    (path,) = paths
+                    path = paths[0]
                     assert path.length == expected
                     assert path_is_valid(g, path, undirected)
                     assert path.nodes[0] == source and path.nodes[-1] == target
@@ -148,9 +146,7 @@ class TestBidirectionalBfs:
         target = data.draw(st.sampled_from(node_ids))
         if source == target:
             return
-        assert edge_disjoint_paths(g, source, target, max_paths=1) == edge_disjoint_paths(
-            g, source, target, max_paths=1
-        )
+        assert edge_disjoint_paths(g, source, target) == edge_disjoint_paths(g, source, target)
 
 
 class TestEdgeDisjointPaths:
@@ -177,10 +173,6 @@ class TestEdgeDisjointPaths:
         paths = edge_disjoint_paths(g, "einstein", "godel")
         assert [p.length for p in paths] == [1, 2]
         assert paths[1].nodes == ("einstein", "princeton", "godel")
-
-    def test_max_paths_cap(self):
-        g = support.graph_of(("a", "p", "b"), ("b", "p", "d"), ("a", "p", "c"), ("c", "p", "d"))
-        assert len(edge_disjoint_paths(g, "a", "d", max_paths=1)) == 1
 
     @settings(max_examples=150)
     @given(data=st.data())
@@ -667,18 +659,15 @@ class TestSharedIndexMatchesReference:
         )
         undirected = data.draw(st.booleans())
         max_len = data.draw(st.integers(1, 5))
-        max_paths = data.draw(st.none() | st.integers(1, 3))
         exclude = data.draw(
             st.lists(st.sampled_from(sorted(g.edges) + ["not-an-edge"]), max_size=3)
         )
         expected = support.reference_edge_disjoint_paths(
-            g, source, target, max_len, max_paths, undirected, exclude
+            g, source, target, max_len, undirected, exclude
         )
-        assert edge_disjoint_paths(
-            g, source, target, max_len, max_paths, undirected, exclude
-        ) == expected
+        assert edge_disjoint_paths(g, source, target, max_len, undirected, exclude) == expected
         shortest = support.reference_shortest_path(g, source, target, max_len, undirected, ())
-        assert edge_disjoint_paths(g, source, target, max_len, 1, undirected) == (
+        assert edge_disjoint_paths(g, source, target, max_len, undirected)[:1] == (
             [shortest] if shortest else []
         )
 
@@ -691,14 +680,11 @@ class TestSharedIndexMatchesReference:
             st.lists(st.sampled_from(sorted(g.nodes)), min_size=2, max_size=2, unique=True)
         )
         max_len = data.draw(st.integers(1, 5))
-        max_paths = data.draw(st.none() | st.integers(1, 3))
         exclude = data.draw(st.lists(st.sampled_from(sorted(g.edges) or ["none"]), max_size=3))
         expected = support.reference_edge_disjoint_paths(
-            g, source, target, max_len, max_paths, undirected, exclude
+            g, source, target, max_len, undirected, exclude
         )
-        assert edge_disjoint_paths(
-            g, source, target, max_len, max_paths, undirected, exclude
-        ) == expected
+        assert edge_disjoint_paths(g, source, target, max_len, undirected, exclude) == expected
 
     @settings(max_examples=150)
     @given(
@@ -817,7 +803,6 @@ class TestIndexBuiltOncePerCall:
         for _ in range(2):
             for undirected in (True, False):
                 for source, target in pairs:
-                    edge_disjoint_paths(g, source, target, max_paths=1, undirected=undirected)
                     edge_disjoint_paths(g, source, target, undirected=undirected)
             disambiguate_entity(g, "n000", senses)
         assert sorted(undirected for _, undirected in calls) == [False, True]
