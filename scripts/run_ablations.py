@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import sys
 import tempfile
+from contextlib import nullcontext
 from pathlib import Path
 
 from lightkg.pipeline import PipelineConfig, run_pipeline
@@ -27,31 +28,30 @@ VARIANTS = [
 
 
 def main() -> int:
-    out_root = Path(sys.argv[1]) if len(sys.argv) > 1 else None
     base = json.loads((DATA / "demo_config_pattern.json").read_text())
     for key in ("rules_path", "senses_path", "gold_path"):
         if base.get(key):
             base[key] = str(DATA / base[key])
 
     rows = []
-    for name, overrides in VARIANTS:
-        config = PipelineConfig.from_dict({**base, **overrides})
-        if out_root is not None:
-            out_dir = out_root / name
-        else:
-            out_dir = Path(tempfile.mkdtemp(prefix=f"ablation-{name}-"))
-        summary = run_pipeline(config, DATA / "demo_corpus.jsonl", out_dir)
-        counts, scores = summary["counts"], summary["evaluation"]
-        rows.append(
-            (
-                name,
-                counts["nodes"],
-                counts["edges"],
-                counts["inferred_edges"],
-                scores["entity"]["f1"],
-                scores["relation"]["f1"],
+    # Without an output directory the runs go to one temporary directory,
+    # removed when they are done.
+    given = sys.argv[1] if len(sys.argv) > 1 else None
+    with nullcontext(given) if given else tempfile.TemporaryDirectory(prefix="ablations-") as out:
+        for name, overrides in VARIANTS:
+            config = PipelineConfig.from_dict({**base, **overrides})
+            summary = run_pipeline(config, DATA / "demo_corpus.jsonl", Path(out) / name)
+            counts, scores = summary["counts"], summary["evaluation"]
+            rows.append(
+                (
+                    name,
+                    counts["nodes"],
+                    counts["edges"],
+                    counts["inferred_edges"],
+                    scores["entity"]["f1"],
+                    scores["relation"]["f1"],
+                )
             )
-        )
 
     print(f"{'configuration':14} {'nodes':>5} {'edges':>5} {'inferred':>8} {'ent-f1':>7} {'rel-f1':>7}")
     for name, nodes, edges, inferred, entity_f1, relation_f1 in rows:

@@ -14,8 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from lightkg.evaluation import evaluate_run
-from lightkg.pipeline import PipelineConfig, run_pipeline
+from lightkg.pipeline import PipelineConfig, evaluate_stage, run_pipeline
 
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 
@@ -30,7 +29,7 @@ def main() -> int:
         print(f"  {key}: {value}")
     print(f"graph written to {summary['outputs']['graph']}")
 
-    report = evaluate_run(summary["outputs"]["graph"], DATA / "demo_gold.jsonl")
+    report = evaluate_stage(config, summary["outputs"]["graph"], config.gold_path)
     print()
     print(report.render_table())
 

@@ -1,7 +1,8 @@
 """Command line front end.
 
-Subcommands mirror the pipeline stages so each one is independently
-runnable; ``pipeline`` chains them. Exit codes: 1 usage, 2 input parse,
+Each subcommand reads its input, calls the :mod:`lightkg.pipeline` stage
+function that ``run_pipeline`` calls, with the config of ``-c`` or the
+default one, and writes its output. Exit codes: 1 usage, 2 input parse,
 3 model endpoint, 4 internal.
 """
 
@@ -9,24 +10,24 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .aggregation import aggregate_triples
 from .client import ModelClientError
-from .evaluation import RELATION_POLICIES, GoldFormatError, evaluate_run
-from .extraction import CorpusFormatError, read_corpus
+from .evaluation import RELATION_POLICIES, GoldFormatError
+from .extraction import CorpusFormatError, ExtractionResult, read_corpus
 from .graph import GraphIntegrityError
 from .pipeline import (
-    EXTRACTORS,
     ConfigError,
     PipelineConfig,
     StageError,
+    aggregate_stage,
     configured_file,
     discover_stage,
-    extract_corpus,
-    filter_for_export,
+    evaluate_stage,
+    export_stage,
+    extract_stage,
     run_pipeline,
+    triples_jsonl,
 )
 from .serialize import (
     GraphParseError,
@@ -34,7 +35,6 @@ from .serialize import (
     format_for_path,
     serialize_graph,
     triples_from_jsonl,
-    triples_to_jsonl,
 )
 from .topology import RuleFileError
 
@@ -73,9 +73,9 @@ def _write_output(path: str, data: bytes) -> None:
         raise _UsageError(f"output directory does not exist: {path}") from exc
 
 
-def _load_config(args) -> PipelineConfig:
-    if getattr(args, "config", None):
-        return PipelineConfig.load(configured_file(args.config, "config file"))
+def _load_config(path: str | None) -> PipelineConfig:
+    if path:
+        return PipelineConfig.load(configured_file(path, "config file"))
     return PipelineConfig()
 
 
@@ -83,106 +83,79 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="lightkg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_extract = sub.add_parser("extract", help="extract triples from a corpus")
+    def command(name: str, handler, help: str, config_required: bool = False) -> _Parser:
+        p = sub.add_parser(name, help=help)
+        p.add_argument("-c", "--config", required=config_required, help="pipeline config json")
+        p.set_defaults(handler=handler)
+        return p
+
+    p_extract = command("extract", _cmd_extract, "extract triples from a corpus")
     p_extract.add_argument("corpus")
     p_extract.add_argument("-o", "--output", required=True)
-    p_extract.add_argument("-c", "--config", help="pipeline config json")
-    p_extract.add_argument("--extractor", choices=EXTRACTORS)
-    p_extract.add_argument("--no-context", action="store_true")
-    p_extract.set_defaults(handler=_cmd_extract)
 
-    p_agg = sub.add_parser("aggregate", help="fold triples jsonl into a graph")
+    p_agg = command("aggregate", _cmd_aggregate, "fold triples jsonl into a graph")
     p_agg.add_argument("triples")
     p_agg.add_argument("-o", "--output", required=True)
-    p_agg.add_argument("-c", "--config", help="pipeline config json")
-    p_agg.set_defaults(handler=_cmd_aggregate)
 
-    p_disc = sub.add_parser("discover", help="topology scoring and inference")
+    p_disc = command("discover", _cmd_discover, "topology scoring and inference")
     p_disc.add_argument("graph")
     p_disc.add_argument("--rules", required=True)
     p_disc.add_argument("--senses")
     p_disc.add_argument("-o", "--output", required=True)
-    p_disc.add_argument("-c", "--config", help="pipeline config json")
-    p_disc.set_defaults(handler=_cmd_discover)
 
-    p_eval = sub.add_parser("eval", help="score a graph against gold triples")
+    p_eval = command("eval", _cmd_eval, "score a graph against gold triples")
     p_eval.add_argument("graph")
     p_eval.add_argument("--gold", required=True)
-    p_eval.add_argument("--policy", choices=RELATION_POLICIES, default="strict")
-    p_eval.add_argument("--include-inferred", action="store_true")
+    p_eval.add_argument("--policy", choices=RELATION_POLICIES, help="default: eval_policy")
     p_eval.add_argument("-o", "--output", help="also write the report json here")
-    p_eval.set_defaults(handler=_cmd_eval)
 
-    p_pipe = sub.add_parser("pipeline", help="full run: corpus to scored graph")
+    p_pipe = command("pipeline", _cmd_pipeline, "full run: corpus to scored graph", True)
     p_pipe.add_argument("corpus")
-    p_pipe.add_argument("-c", "--config", required=True)
     p_pipe.add_argument("-o", "--output", required=True, help="output directory")
-    p_pipe.set_defaults(handler=_cmd_pipeline)
 
     return parser
 
 
-def _cmd_extract(args) -> int:
-    config = _load_config(args)
-    overrides = {}
-    if args.extractor:
-        overrides["extractor"] = args.extractor
-    if args.no_context:
-        overrides["include_context"] = False
-    config = replace(config, **overrides)
+def _cmd_extract(args, config: PipelineConfig) -> None:
     documents = read_corpus(configured_file(args.corpus, "corpus"))
-    _, results = extract_corpus(config, documents)
-    triples = [t for r in results for t in r.triples]
-    _write_output(args.output, triples_to_jsonl(triples))
-    rejected = sum(len(r.rejected_lines) for r in results)
-    print(f"extracted {len(triples)} triples ({rejected} rejected lines) -> {args.output}")
-    return EXIT_OK
+    results, counts = extract_stage(config, documents)
+    _write_output(args.output, triples_jsonl(results))
+    triples, rejected = counts["triples"], counts["rejected_lines"]
+    print(f"extracted {triples} triples ({rejected} rejected lines) -> {args.output}")
 
 
-def _cmd_aggregate(args) -> int:
-    config = _load_config(args)
+def _cmd_aggregate(args, config: PipelineConfig) -> None:
     triples = triples_from_jsonl(configured_file(args.triples, "triples file"))
-    outcome = aggregate_triples(triples, config.normalization, config.base_confidence)
-    fmt = format_for_path(args.output)
-    _write_output(args.output, serialize_graph(outcome.graph, fmt))
+    outcome = aggregate_stage(config, [ExtractionResult(triples)])
+    _write_output(args.output, serialize_graph(outcome.graph, format_for_path(args.output)))
     print(
         f"aggregated {outcome.graph.node_count} nodes, {outcome.graph.edge_count} edges "
         f"({len(outcome.rejected)} rejected triples) -> {args.output}"
     )
-    return EXIT_OK
 
 
-def _cmd_discover(args) -> int:
-    config = _load_config(args)
+def _cmd_discover(args, config: PipelineConfig) -> None:
     graph_path = configured_file(args.graph, "graph file")
     graph = deserialize_graph(graph_path, format_for_path(graph_path))
     rules = configured_file(args.rules, "rules file")
     senses = configured_file(args.senses, "senses file") if args.senses else None
     result = discover_stage(config, graph, rules, senses)
-    fmt = format_for_path(args.output)
-    _write_output(
-        args.output,
-        serialize_graph(filter_for_export(result, config.confidence_threshold), fmt),
-    )
+    data, _ = export_stage(config, result, format_for_path(args.output))
+    _write_output(args.output, data)
     inferred = sum(1 for e in result.edges.values() if e.inferred)
     print(f"discovered {inferred} inferred edges -> {args.output}")
-    return EXIT_OK
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args, config: PipelineConfig) -> None:
     graph_path = configured_file(args.graph, "graph file")
     gold_path = configured_file(args.gold, "gold file")
-    report = evaluate_run(
-        graph_path, gold_path, policy=args.policy, include_inferred=args.include_inferred
-    )
+    report = evaluate_stage(config, graph_path, gold_path, args.policy)
     print(report.render_table())
     if args.output:
         _write_output(args.output, (report.to_json() + "\n").encode("utf-8"))
-    return EXIT_OK
 
 
-def _cmd_pipeline(args) -> int:
-    config = _load_config(args)
+def _cmd_pipeline(args, config: PipelineConfig) -> None:
     corpus = configured_file(args.corpus, "corpus")
     summary = run_pipeline(config, corpus, args.output)
     counts = summary["counts"]
@@ -190,7 +163,6 @@ def _cmd_pipeline(args) -> int:
         f"pipeline done: {counts['nodes']} nodes, {counts['edges']} edges "
         f"({counts['inferred_edges']} inferred) -> {summary['outputs']['graph']}"
     )
-    return EXIT_OK
 
 
 def _exit_code_for(exc: BaseException) -> int:
@@ -208,7 +180,8 @@ def _exit_code_for(exc: BaseException) -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.handler(args)
+        args.handler(args, _load_config(args.config))
+        return EXIT_OK
     except (*_USAGE_ERRORS, StageError, *_PARSE_ERRORS, ModelClientError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)

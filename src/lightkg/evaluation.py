@@ -234,7 +234,6 @@ def evaluate_run(
     predicted_graph_path,
     gold_path,
     policy: str = "strict",
-    include_inferred: bool = False,
     normalization: NormalizationPolicy = DEFAULT_POLICY,
 ) -> EvalReport:
     """Load a serialized graph and a gold file, compute both metrics."""
@@ -242,5 +241,5 @@ def evaluate_run(
     gold = load_gold(gold_path, normalization)
     return EvalReport(
         entity=entity_f1(graph, gold),
-        relation=relation_f1(graph, gold, policy, include_inferred),
+        relation=relation_f1(graph, gold, policy),
     )

@@ -1,15 +1,17 @@
 """End-to-end driver: corpus in, scored graph plus run summary out.
 
 Stages run as a linear flow (chunk, extract, aggregate, discover, export,
-evaluate) with no shared mutable state. The in-process extractors (pattern,
-fixture) run chunk by chunk on the calling thread; only the model
-extractor, whose time per chunk is spent waiting on HTTP, sends up to
-``worker_count`` requests at once. Results are ordered by
-(source_id, chunk_index), so non-model extractors produce byte-identical
-artifacts on every run. Failures are wrapped in :class:`StageError`;
-whatever was produced so far goes to a quarantine directory, never to the
-primary output names, and an earlier run's files under those names move
-there too.
+evaluate) with no shared mutable state. Each stage is one function,
+``extract_stage`` to ``evaluate_stage``, that reads its settings from the
+config; :func:`run_pipeline` and the ``lightkg`` subcommands call the same
+ones. The in-process extractors (pattern, fixture) run chunk by chunk on the
+calling thread; only the model extractor, whose time per chunk is spent
+waiting on HTTP, sends up to ``worker_count`` requests at once. Results are
+ordered by (source_id, chunk_index), so non-model extractors produce
+byte-identical artifacts on every run. Failures are wrapped in
+:class:`StageError`; whatever was produced so far goes to a quarantine
+directory, never to the primary output names, and an earlier run's files
+under those names move there too.
 
 A run's peak memory follows its largest stage, not everything built so far:
 each stage's data is released once no later stage reads it. The documents
@@ -29,15 +31,17 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
+from . import evaluation
 from .aggregation import (
     DEFAULT_BASE_CONFIDENCE,
+    AggregationResult,
     NormalizationPolicy,
     aggregate,
 )
 from .client import ENV_MODEL, CompletionParams, HttpChatClient, MockChatClient
-from .evaluation import RELATION_POLICIES
+from .evaluation import RELATION_POLICIES, EvalReport
 from .extraction import (
     DEFAULT_MAX_CHUNK_CHARS,
     ExtractionResult,
@@ -145,9 +149,6 @@ class PipelineConfig:
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
-
-    def referenced_paths(self) -> list[str]:
-        return [p for p in (getattr(self, name) for name in _PATH_FIELDS) if p]
 
 
 # The config's record shapes, "config" and one per nested settings field.
@@ -259,11 +260,40 @@ def extract_corpus(
     return chunks, results
 
 
+# --- one function per stage, for run_pipeline and the CLI -----------------------
+
+
+def extract_stage(config: PipelineConfig, documents) -> tuple[list[ExtractionResult], dict]:
+    """The results of :func:`extract_corpus` and the run summary's counts of
+    them. The chunks die on return. ``rejected_triples`` is left None, in its
+    place in the summary, for the aggregate stage to set."""
+    chunks, results = extract_corpus(config, documents)
+    counts = {
+        "documents": len(documents),
+        "chunks": len(chunks),
+        "triples": sum(len(r.triples) for r in results),
+        "rejected_lines": sum(len(r.rejected_lines) for r in results),
+        "rejected_triples": None,
+        "repaired_chunks": sum(1 for r in results if r.repaired),
+    }
+    return results, counts
+
+
+def triples_jsonl(results: Iterable[ExtractionResult]) -> bytes:
+    """The extract stage's file: every triple of ``results``, in order."""
+    return triples_to_jsonl(t for r in results for t in r.triples)
+
+
+def aggregate_stage(config: PipelineConfig, results) -> AggregationResult:
+    """The triples of ``results`` folded into one graph with the config's
+    normalization and base confidence."""
+    return aggregate(results, config.normalization, config.base_confidence)
+
+
 def discover_stage(
     config: PipelineConfig, graph: KnowledgeGraph, rules_path, senses_path
 ) -> KnowledgeGraph:
-    """The discover stage of ``run_pipeline`` and ``lightkg discover``: the
-    rules and senses files (either may be None) read with the config's
+    """The rules and senses files (either may be None) read with the config's
     normalization, then :func:`~lightkg.topology.discover` with its settings."""
     policy = config.normalization
     rules = load_rules(rules_path, policy) if rules_path else []
@@ -271,13 +301,22 @@ def discover_stage(
     return discover(graph, rules, senses, config.topology, config.topology_enabled)
 
 
-def filter_for_export(g: KnowledgeGraph, threshold: float) -> KnowledgeGraph:
-    """Drop edges below the confidence threshold; export-time only, nodes
-    and the in-memory graph are untouched."""
-    if threshold <= 0:
-        return g
-    kept = {eid: e for eid, e in g.edges.items() if e.confidence >= threshold}
-    return KnowledgeGraph(g.nodes, kept)
+def export_stage(config: PipelineConfig, graph: KnowledgeGraph, fmt=None) -> tuple[bytes, int]:
+    """``graph`` serialized in ``fmt`` (the config's ``export_format`` if
+    None) without its edges below the config's ``confidence_threshold``, and
+    the number of edges written. The threshold filters the file only."""
+    threshold = config.confidence_threshold
+    if threshold > 0:
+        kept = {eid: e for eid, e in graph.edges.items() if e.confidence >= threshold}
+        graph = KnowledgeGraph(graph.nodes, kept)
+    return serialize_graph(graph, fmt or config.export_format), graph.edge_count
+
+
+def evaluate_stage(config: PipelineConfig, graph_path, gold_path, policy=None) -> EvalReport:
+    """The graph file scored against the gold file, read with the config's
+    normalization, under ``policy`` (the config's ``eval_policy`` if None)."""
+    policy = policy or config.eval_policy
+    return evaluation.evaluate_run(graph_path, gold_path, policy, config.normalization)
 
 
 # Every name run_pipeline writes a finished output under.
@@ -348,7 +387,7 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
                 os.replace(out / name, qdir / "previous" / name)
 
     try:
-        for path in config.referenced_paths():
+        for path in filter(None, (getattr(config, name) for name in _PATH_FIELDS)):
             configured_file(path)
 
         stage = "read-corpus"
@@ -358,29 +397,21 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
 
         stage = "extract"
         tick = time.perf_counter()
-        chunks, results = extract_corpus(config, documents)
+        results, counts = extract_stage(config, documents)
         timings["extract_s"] = time.perf_counter() - tick
+        del documents
         rejected_lines = [
             {"fragment": fragment, "reason": reason}
             for r in results
             for fragment, reason in r.rejected_lines
         ]
-        counts = {
-            "documents": len(documents),
-            "chunks": len(chunks),
-            "triples": sum(len(r.triples) for r in results),
-            "rejected_lines": len(rejected_lines),
-            "rejected_triples": None,  # set once aggregate returns
-            "repaired_chunks": sum(1 for r in results if r.repaired),
-        }
-        del documents, chunks
         tick = time.perf_counter()
-        write_staged("triples.jsonl", triples_to_jsonl(t for r in results for t in r.triples))
+        write_staged("triples.jsonl", triples_jsonl(results))
         timings["write_triples_s"] = time.perf_counter() - tick
 
         stage = "aggregate"
         tick = time.perf_counter()
-        outcome = aggregate(results, config.normalization, config.base_confidence)
+        outcome = aggregate_stage(config, results)
         timings["aggregate_s"] = time.perf_counter() - tick
         del results
         counts["rejected_triples"] = len(outcome.rejected)
@@ -394,24 +425,18 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
         stage = "export"
         tick = time.perf_counter()
         graph_name = f"graph.{config.export_format}"
-        kept = filter_for_export(graph, config.confidence_threshold)
-        graph_file = write_staged(graph_name, serialize_graph(kept, config.export_format))
+        data, exported_edges = export_stage(config, graph)
+        graph_file = write_staged(graph_name, data)
+        del data
         timings["export_s"] = time.perf_counter() - tick
 
-        evaluation, evaluation_text = None, "null"
+        scores, scores_text = None, "null"
         if config.gold_path:
             stage = "evaluate"
             tick = time.perf_counter()
-            from .evaluation import evaluate_run
-
-            report = evaluate_run(
-                graph_file,
-                config.gold_path,
-                policy=config.eval_policy,
-                normalization=config.normalization,
-            )
-            evaluation, evaluation_text = report.to_dict(), report.to_json()
-            write_staged("report.json", (evaluation_text + "\n").encode("utf-8"))
+            report = evaluate_stage(config, graph_file, config.gold_path)
+            scores, scores_text = report.to_dict(), report.to_json()
+            write_staged("report.json", (scores_text + "\n").encode("utf-8"))
             timings["evaluate_s"] = time.perf_counter() - tick
 
         stage = "summarize"
@@ -424,7 +449,7 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
                 "nodes": graph.node_count,
                 "edges": graph.edge_count,
                 "inferred_edges": sum(1 for e in graph.edges.values() if e.inferred),
-                "exported_edges": kept.edge_count,
+                "exported_edges": exported_edges,
             },
             "rejects": {
                 "lines": rejected_lines,
@@ -438,9 +463,9 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
                 "graph": str(out / graph_name),
                 "triples": str(out / "triples.jsonl"),
             },
-            "evaluation": evaluation,
+            "evaluation": scores,
         }
-        write_staged("summary.json", _summary_bytes(summary, evaluation_text))
+        write_staged("summary.json", _summary_bytes(summary, scores_text))
         for name, path in staged.items():
             os.replace(path, out / name)
         return summary

@@ -260,6 +260,51 @@ def reference_reinforce_confidence(g: KnowledgeGraph, config: TopologyConfig) ->
     return KnowledgeGraph(g.nodes, edges)
 
 
+def reference_infer(g: KnowledgeGraph, rules) -> KnowledgeGraph:
+    """Rule inference as its docstring states it, by brute force: every
+    sequence of edges whose predicates spell a rule's pattern and that is a
+    directed simple path yields an edge from its first node to its last,
+    with the product of its confidences times ``discount`` per hop beyond
+    the first. Per inferred id the highest confidence wins, then the
+    smallest witness (the path's edge ids in order), then the earlier rule.
+    An existing non-inferred edge of that id stays as it is; an existing
+    inferred one keeps the larger confidence and gains the witness."""
+    best: dict[str, tuple] = {}
+    for rule in rules:
+        steps = [[e for e in g.edges.values() if e.predicate == p] for p in rule.pattern]
+        for path in itertools.product(*steps):
+            nodes = [path[0].source] + [e.target for e in path]
+            if len(set(nodes)) < len(nodes) or any(
+                a.target != b.source for a, b in zip(path, path[1:])
+            ):
+                continue
+            confidence = 1.0
+            for e in path:
+                confidence *= e.confidence
+            confidence *= rule.discount ** (len(rule.pattern) - 1)
+            witness = tuple(e.edge_id for e in path)
+            eid = Edge(nodes[0], nodes[-1], rule.inferred_predicate).edge_id
+            kept = best.get(eid)
+            if kept is None or (-confidence, witness) < (-kept[0], kept[1]):
+                best[eid] = (confidence, witness, rule, nodes[0], nodes[-1])
+    edges = dict(g.edges)
+    for eid, (confidence, witness, rule, source, target) in best.items():
+        provenance = Provenance(f"rule:{rule.name}:{'|'.join(witness)}", 0, Extractor.INFERRED)
+        existing = g.edges.get(eid)
+        if existing is None:
+            edges[eid] = Edge(
+                source, target, rule.inferred_predicate,
+                confidence=confidence, provenance=(provenance,), inferred=True,
+            )
+        elif existing.inferred:
+            edges[eid] = replace(
+                existing,
+                confidence=max(existing.confidence, confidence),
+                provenance=existing.provenance + (provenance,),
+            )
+    return KnowledgeGraph(g.nodes, edges)
+
+
 def add_triple(facts: dict, item: ContextTriple) -> dict:
     """One step of :func:`reference_aggregate`: a copy of ``facts``, which
     maps canonical (subject, predicate, object) to (context as key -> frozen
@@ -695,14 +740,14 @@ _multigraph_nodes = ["a", "b", "c", "d", "e", "f", "g"]
 
 
 @st.composite
-def multigraphs(draw, max_nodes: int = 7, max_edges: int = 16):
+def multigraphs(draw, max_nodes: int = 7, max_edges: int = 16, predicates=("p", "q", "r")):
     node_ids = _multigraph_nodes[: draw(st.integers(2, max_nodes))]
     edges: dict[str, Edge] = {}
     for _ in range(draw(st.integers(0, max_edges))):
         edge = Edge(
             source=draw(st.sampled_from(node_ids)),
             target=draw(st.sampled_from(node_ids)),
-            predicate=draw(st.sampled_from(["p", "q", "r"])),
+            predicate=draw(st.sampled_from(predicates)),
             inferred=draw(st.booleans()) and draw(st.booleans()),
         )
         edges[edge.edge_id] = edge

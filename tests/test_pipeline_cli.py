@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import gc
+import importlib.util
 import json
 import random
+import sys
+import tempfile
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -23,7 +27,7 @@ from lightkg.pipeline import (
     extract_corpus,
     run_pipeline,
 )
-from lightkg.serialize import deserialize_graph, triples_to_jsonl
+from lightkg.serialize import deserialize_graph, serialize_graph, triples_to_jsonl
 from lightkg.topology import discover
 
 DATA = Path(__file__).parent / "data"
@@ -925,14 +929,12 @@ class TestCli:
         )
         assert code == EXIT_ENDPOINT
 
-    def test_extract_flags_override_config(self, tmp_path):
+    def test_extract_without_context_from_config(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"include_context": False}))
         triples = tmp_path / "t.jsonl"
         code = main(
-            [
-                "extract", str(DATA / "demo_corpus.jsonl"),
-                "--extractor", "pattern", "--no-context",
-                "-o", str(triples),
-            ]
+            ["extract", str(DATA / "demo_corpus.jsonl"), "-c", str(config), "-o", str(triples)]
         )
         assert code == EXIT_OK
         lines = [json.loads(l) for l in triples.read_text().splitlines()]
@@ -945,3 +947,142 @@ class TestCli:
         assert main(["aggregate", str(triples), "-o", str(out)]) == EXIT_OK
         g = deserialize_graph(out.read_bytes(), "graphml")
         assert g.node_count == 7
+
+
+MARIE_CURIE = {"id": "curie", "text": "Marie Curie discovered radium in 1898."}
+# A gold label whose trailing "." only a normalization that strips
+# punctuation at label edges removes.
+MARIE_CURIE_GOLD = {"subject": "marie curie.", "predicate": "discovered", "object": "radium"}
+
+
+class TestStageParity:
+    """Each stage subcommand, given the run's config, writes the bytes
+    ``run_pipeline`` writes, or the graph it hands to the next stage, under a
+    non-default normalization and either eval policy."""
+
+    @pytest.fixture(params=["strict", "predicate_relaxed"])
+    def run(self, request, tmp_path, monkeypatch):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text((DATA / "demo_corpus.jsonl").read_text() + json.dumps(MARIE_CURIE) + "\n")
+        # "is" matches the graph's "is_a" under predicate_relaxed only.
+        demo_gold = (DATA / "demo_gold.jsonl").read_text()
+        assert '"is_a", "object": "metal"' in demo_gold
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text(
+            demo_gold.replace('"is_a", "object": "metal"', '"is", "object": "metal"')
+            + json.dumps(MARIE_CURIE_GOLD) + "\n"
+        )
+        config = pattern_config(
+            normalization={"strip_punctuation_edges": False},
+            eval_policy=request.param,
+            confidence_threshold=0.3,
+            gold_path=str(gold),
+        )
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config.to_dict()))
+        outcomes = []
+
+        def recording(*args):
+            outcomes.append(aggregate(*args))
+            return outcomes[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "aggregate", recording)
+            summary = run_pipeline(config, corpus, tmp_path / "run")
+        (aggregated,) = outcomes
+        return {
+            "tmp": tmp_path,
+            "corpus": corpus,
+            "gold": gold,
+            "cfg": ["-c", str(config_path)],
+            "out": tmp_path / "run",
+            "aggregated": serialize_graph(aggregated.graph),
+            "summary": summary,
+            "config": config,
+        }
+
+    def test_extract(self, run):
+        triples = run["tmp"] / "t.jsonl"
+        assert main(["extract", str(run["corpus"]), *run["cfg"], "-o", str(triples)]) == EXIT_OK
+        assert triples.read_bytes() == (run["out"] / "triples.jsonl").read_bytes()
+
+    def test_aggregate(self, run):
+        graph = run["tmp"] / "aggregated.json"
+        triples = run["out"] / "triples.jsonl"
+        assert main(["aggregate", str(triples), *run["cfg"], "-o", str(graph)]) == EXIT_OK
+        assert graph.read_bytes() == run["aggregated"]
+
+    def test_discover(self, run):
+        aggregated, final = run["tmp"] / "aggregated.json", run["tmp"] / "final.json"
+        aggregated.write_bytes(run["aggregated"])
+        assert main(
+            ["discover", str(aggregated), "--rules", str(DATA / "demo_rules.json"),
+             "--senses", str(DATA / "demo_senses.json"), *run["cfg"], "-o", str(final)]
+        ) == EXIT_OK
+        assert final.read_bytes() == (run["out"] / "graph.json").read_bytes()
+        # The threshold dropped an edge, so the export stage's filter ran.
+        counts = run["summary"]["counts"]
+        assert counts["exported_edges"] < counts["edges"]
+
+    def test_eval(self, run):
+        report = run["tmp"] / "report.json"
+        assert main(
+            ["eval", str(run["out"] / "graph.json"), "--gold", str(run["gold"]), *run["cfg"],
+             "-o", str(report)]
+        ) == EXIT_OK
+        assert report.read_bytes() == (run["out"] / "report.json").read_bytes()
+        # Without the config, gold is read with the default normalization.
+        default = run["tmp"] / "default.json"
+        assert main(
+            ["eval", str(run["out"] / "graph.json"), "--gold", str(run["gold"]), "-o", str(default)]
+        ) == EXIT_OK
+        assert default.read_bytes() != report.read_bytes()
+
+    def test_eval_reads_gold_with_the_config_normalization(self, tmp_path):
+        """One fact, and a gold label that the config's normalization keeps
+        apart from the graph's: the run and ``lightkg eval -c`` both score
+        relation F1 0.0, in the same bytes; ``lightkg eval`` without a
+        config reads gold with the default normalization and scores 1.0."""
+        corpus = write_corpus(tmp_path, [{"id": "demo", "text": MARIE_CURIE["text"]}])
+        (tmp_path / "gold.jsonl").write_text(json.dumps(MARIE_CURIE_GOLD) + "\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"normalization": {"strip_punctuation_edges": False}, "gold_path": "gold.jsonl"}
+        ))
+        out = tmp_path / "out"
+        assert main(["pipeline", str(corpus), "-c", str(config), "-o", str(out)]) == EXIT_OK
+        graph, gold = str(out / "graph.json"), str(tmp_path / "gold.jsonl")
+        with_config, without = tmp_path / "with_config.json", tmp_path / "without.json"
+        assert main(
+            ["eval", graph, "--gold", gold, "-c", str(config), "-o", str(with_config)]
+        ) == EXIT_OK
+        assert main(["eval", graph, "--gold", gold, "-o", str(without)]) == EXIT_OK
+        assert with_config.read_bytes() == (out / "report.json").read_bytes()
+        assert json.loads(with_config.read_text())["relation"]["f1"] == 0.0
+        assert json.loads(without.read_text())["relation"]["f1"] == 1.0
+
+    def test_eval_policy_flag_overrides_the_config(self, run):
+        config = run["config"]
+        other = "strict" if config.eval_policy == "predicate_relaxed" else "predicate_relaxed"
+        run_pipeline(replace(config, eval_policy=other), run["corpus"], run["tmp"] / "other")
+        report = run["tmp"] / "report.json"
+        assert main(
+            ["eval", str(run["out"] / "graph.json"), "--gold", str(run["gold"]), *run["cfg"],
+             "--policy", other, "-o", str(report)]
+        ) == EXIT_OK
+        assert report.read_bytes() == (run["tmp"] / "other" / "report.json").read_bytes()
+        assert report.read_bytes() != (run["out"] / "report.json").read_bytes()
+
+
+def test_ablations_without_an_output_directory_leave_no_files(tmp_path, monkeypatch, capsys):
+    script = Path(__file__).parent.parent / "scripts" / "run_ablations.py"
+    spec = importlib.util.spec_from_file_location("run_ablations", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    monkeypatch.setattr(sys, "argv", [str(script)])
+    assert module.main() == 0
+    assert "no-topology" in capsys.readouterr().out
+    assert list(temp.iterdir()) == []

@@ -5,10 +5,11 @@ from __future__ import annotations
 import json
 import math
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import support
@@ -461,6 +462,54 @@ class TestInferImplicitRelations:
         for eid, edge in base.edges.items():
             assert result.edges[eid] == edge
         assert result.nodes == base.nodes
+
+    @settings(max_examples=150)
+    @given(
+        graph=st.sampled_from([("p", "q"), ("p", "q", "r")]).flatmap(
+            lambda predicates: support.multigraphs(max_edges=24, predicates=predicates)
+        ),
+        confidences=st.lists(st.sampled_from([0.3, 0.5, 0.9, 1.0]), min_size=24, max_size=24),
+        rules=st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(["p", "q", "r"]), min_size=2, max_size=3),
+                st.sampled_from(["p", "q", "s"]),
+                st.sampled_from([0.5, 0.9, 1.0]),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    @example(
+        # Three ways on from b: a search that drops any of them loses an edge.
+        graph=support.graph_of(("a", "p", "b"), ("b", "q", "c"), ("b", "q", "d"), ("b", "q", "e")),
+        confidences=[0.5] * 24,
+        rules=[(["p", "q"], "s", 1.0)],
+    )
+    @example(
+        # Two rules reach a -s-> c with equal confidence; the second rule's
+        # witness is the smaller one, so it must win over rule order.
+        graph=support.graph_of(("a", "q", "b"), ("b", "p", "c"), ("a", "p", "d"), ("d", "q", "c")),
+        confidences=[0.5] * 24,
+        rules=[(["q", "p"], "s", 1.0), (["p", "q"], "s", 1.0)],
+    )
+    def test_completeness_against_brute_force(self, graph, confidences, rules):
+        """Every matching simple path is found, and each inferred edge keeps
+        the best witness: the result equals :func:`support.reference_infer`
+        exactly, confidences bit for bit. Inferred predicates overlap the
+        graph's, so the rules for existing edges are exercised too."""
+        edges = {
+            eid: replace(edge, confidence=c)
+            for (eid, edge), c in zip(graph.edges.items(), confidences)
+        }
+        g = KnowledgeGraph(graph.nodes, edges)
+        rules = [
+            InferenceRule(f"r{i}", tuple(pattern), predicate, discount)
+            for i, (pattern, predicate, discount) in enumerate(rules)
+        ]
+        result = infer_implicit_relations(g, rules)
+        expected = support.reference_infer(g, rules)
+        assert dict(result.edges) == dict(expected.edges)
+        assert result.nodes == expected.nodes
 
 
 class TestDiscover:
