@@ -2,8 +2,9 @@
 
 Each subcommand reads its input, calls the :mod:`lightkg.pipeline` stage
 function that ``run_pipeline`` calls, with the config of ``-c`` or the
-default one, and writes its output. Exit codes: 1 usage, 2 input parse,
-3 model endpoint, 4 internal.
+default one, and writes its output. The rules, senses and gold files default
+to the config's ``rules_path``, ``senses_path`` and ``gold_path``. Exit
+codes: 1 usage, 2 input parse, 3 model endpoint, 4 internal.
 """
 
 from __future__ import annotations
@@ -79,6 +80,12 @@ def _load_config(path: str | None) -> PipelineConfig:
     return PipelineConfig()
 
 
+def _input_file(path: str | None, what: str) -> Path | None:
+    """The file a flag, or else the config's field, names; None if neither
+    names one."""
+    return configured_file(path, what) if path else None
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="lightkg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -99,13 +106,13 @@ def build_parser() -> _Parser:
 
     p_disc = command("discover", _cmd_discover, "topology scoring and inference")
     p_disc.add_argument("graph")
-    p_disc.add_argument("--rules", required=True)
-    p_disc.add_argument("--senses")
+    p_disc.add_argument("--rules", help="default: rules_path")
+    p_disc.add_argument("--senses", help="default: senses_path")
     p_disc.add_argument("-o", "--output", required=True)
 
     p_eval = command("eval", _cmd_eval, "score a graph against gold triples")
     p_eval.add_argument("graph")
-    p_eval.add_argument("--gold", required=True)
+    p_eval.add_argument("--gold", help="default: gold_path")
     p_eval.add_argument("--policy", choices=RELATION_POLICIES, help="default: eval_policy")
     p_eval.add_argument("-o", "--output", help="also write the report json here")
 
@@ -137,8 +144,8 @@ def _cmd_aggregate(args, config: PipelineConfig) -> None:
 def _cmd_discover(args, config: PipelineConfig) -> None:
     graph_path = configured_file(args.graph, "graph file")
     graph = deserialize_graph(graph_path, format_for_path(graph_path))
-    rules = configured_file(args.rules, "rules file")
-    senses = configured_file(args.senses, "senses file") if args.senses else None
+    rules = _input_file(args.rules or config.rules_path, "rules file")
+    senses = _input_file(args.senses or config.senses_path, "senses file")
     result = discover_stage(config, graph, rules, senses)
     data, _ = export_stage(config, result, format_for_path(args.output))
     _write_output(args.output, data)
@@ -148,7 +155,9 @@ def _cmd_discover(args, config: PipelineConfig) -> None:
 
 def _cmd_eval(args, config: PipelineConfig) -> None:
     graph_path = configured_file(args.graph, "graph file")
-    gold_path = configured_file(args.gold, "gold file")
+    gold_path = _input_file(args.gold or config.gold_path, "gold file")
+    if gold_path is None:
+        raise _UsageError("no gold file: pass --gold or set gold_path in the config")
     report = evaluate_stage(config, graph_path, gold_path, args.policy)
     print(report.render_table())
     if args.output:

@@ -12,7 +12,7 @@ path searches walk (:meth:`KnowledgeGraph.adjacency`).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -200,6 +200,24 @@ class Edge:
             raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
         if not isinstance(self.provenance, tuple):
             object.__setattr__(self, "provenance", tuple(self.provenance))
+
+    def with_confidence(self, confidence: float) -> Edge:
+        """This edge with ``confidence`` instead of its own. The id is not
+        hashed again: it was checked when this edge was built, against the
+        same source, predicate and target."""
+        if not 0.0 <= confidence <= 1.0:
+            raise ValueError(f"confidence must be in [0, 1], got {confidence}")
+        # Field by field, in field order, as __init__ sets them: the new edge
+        # shares the attribute layout of all other edges, and no __dict__ is
+        # built for this one. Copying __dict__ would cost both edges memory.
+        edge = object.__new__(Edge)
+        for name in _EDGE_FIELDS:
+            value = confidence if name == "confidence" else getattr(self, name)
+            object.__setattr__(edge, name, value)
+        return edge
+
+
+_EDGE_FIELDS = tuple(f.name for f in fields(Edge))
 
 
 class AdjacencyIndex(NamedTuple):

@@ -124,6 +124,24 @@ class TestEdge:
         with pytest.raises(ValueError):
             Edge(source="a", target="b", predicate="p", confidence=1.5)
 
+    def test_with_confidence_equals_replace_without_hashing_again(self, monkeypatch):
+        edge = Edge(
+            source="a", target="b", predicate="p", context=ContextMap({"year": ["1898"]}),
+            provenance=(Provenance("doc", 0, Extractor.PATTERN),),
+        )
+        expected = replace(edge, confidence=0.7)
+        hashed = []
+        monkeypatch.setattr(graph_module, "edge_key", lambda *args: hashed.append(args))
+        rescored = edge.with_confidence(0.7)
+        assert rescored == expected and rescored.confidence == 0.7
+        assert edge.confidence == 0.5
+        assert hashed == []
+        with pytest.raises(FrozenInstanceError):
+            rescored.confidence = 0.1
+        for bad in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="confidence must be in"):
+                edge.with_confidence(bad)
+
 
 class TestKnowledgeGraph:
     def test_empty_graph(self):

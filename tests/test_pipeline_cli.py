@@ -51,21 +51,17 @@ def write_corpus(tmp_path, lines) -> Path:
     return path
 
 
-def stage_chain(tmp_path, config_path, senses: bool) -> bytes:
+def stage_chain(tmp_path, config_path) -> bytes:
     """The graph bytes of ``lightkg extract``, ``aggregate`` and ``discover``
-    run in turn on the demo corpus with one config, the demo rules and, with
-    ``senses``, the demo senses."""
+    run in turn on the demo corpus with one config; ``discover`` reads the
+    config's rules and senses files."""
     triples, aggregated, final = (tmp_path / n for n in ("t.jsonl", "agg.json", "final.json"))
     config = ["-c", str(config_path)]
     assert main(
         ["extract", str(DATA / "demo_corpus.jsonl"), *config, "-o", str(triples)]
     ) == EXIT_OK
     assert main(["aggregate", str(triples), *config, "-o", str(aggregated)]) == EXIT_OK
-    senses_args = ["--senses", str(DATA / "demo_senses.json")] if senses else []
-    assert main(
-        ["discover", str(aggregated), "--rules", str(DATA / "demo_rules.json"), *senses_args,
-         *config, "-o", str(final)]
-    ) == EXIT_OK
+    assert main(["discover", str(aggregated), *config, "-o", str(final)]) == EXIT_OK
     return final.read_bytes()
 
 
@@ -672,20 +668,24 @@ class TestCli:
         assert "7 nodes" in capsys.readouterr().out
 
     def test_stage_chain_equals_pipeline(self, tmp_path):
-        final = stage_chain(tmp_path, DATA / "demo_config_pattern.json", senses=True)
+        final = stage_chain(tmp_path, DATA / "demo_config_pattern.json")
         assert final == (GOLDEN / "pattern_graph.json").read_bytes()
 
     @pytest.mark.parametrize(
         "overrides",
-        [{"senses_path": None}, {"topology_enabled": False}],
-        ids=["no-senses", "no-topology"],
+        [
+            {"senses_path": None},
+            {"rules_path": None, "senses_path": None},
+            {"topology_enabled": False},
+        ],
+        ids=["no-senses", "no-rules-or-senses", "no-topology"],
     )
     def test_discover_subcommand_equals_pipeline(self, tmp_path, overrides):
         config = pattern_config(**overrides)
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config.to_dict()))
         run_pipeline(config, DATA / "demo_corpus.jsonl", tmp_path / "run")
-        final = stage_chain(tmp_path, config_path, senses=bool(config.senses_path))
+        final = stage_chain(tmp_path, config_path)
         assert final == (tmp_path / "run" / "graph.json").read_bytes()
 
     def test_eval_subcommand(self, tmp_path, capsys):
@@ -899,10 +899,8 @@ class TestCli:
         rules.write_text(json.dumps(
             [{"name": "r", "pattern": ["Mentored", "ADVISED"], "inferred_predicate": "Lineage  Of"}]
         ))
-        payload = json.loads((DATA / "demo_config_pattern.json").read_text())
-        payload["normalization"] = {"collapse_whitespace": False}
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(payload))
+        config.write_text(json.dumps({"normalization": {"collapse_whitespace": False}}))
         out = tmp_path / "out.json"
         assert main(["discover", str(GOLDEN / "pattern_graph.json"), "--rules", str(rules),
                      "-c", str(config), "-o", str(out)]) == EXIT_OK
@@ -1015,10 +1013,7 @@ class TestStageParity:
     def test_discover(self, run):
         aggregated, final = run["tmp"] / "aggregated.json", run["tmp"] / "final.json"
         aggregated.write_bytes(run["aggregated"])
-        assert main(
-            ["discover", str(aggregated), "--rules", str(DATA / "demo_rules.json"),
-             "--senses", str(DATA / "demo_senses.json"), *run["cfg"], "-o", str(final)]
-        ) == EXIT_OK
+        assert main(["discover", str(aggregated), *run["cfg"], "-o", str(final)]) == EXIT_OK
         assert final.read_bytes() == (run["out"] / "graph.json").read_bytes()
         # The threshold dropped an edge, so the export stage's filter ran.
         counts = run["summary"]["counts"]
@@ -1027,8 +1022,7 @@ class TestStageParity:
     def test_eval(self, run):
         report = run["tmp"] / "report.json"
         assert main(
-            ["eval", str(run["out"] / "graph.json"), "--gold", str(run["gold"]), *run["cfg"],
-             "-o", str(report)]
+            ["eval", str(run["out"] / "graph.json"), *run["cfg"], "-o", str(report)]
         ) == EXIT_OK
         assert report.read_bytes() == (run["out"] / "report.json").read_bytes()
         # Without the config, gold is read with the default normalization.
@@ -1067,11 +1061,80 @@ class TestStageParity:
         run_pipeline(replace(config, eval_policy=other), run["corpus"], run["tmp"] / "other")
         report = run["tmp"] / "report.json"
         assert main(
-            ["eval", str(run["out"] / "graph.json"), "--gold", str(run["gold"]), *run["cfg"],
-             "--policy", other, "-o", str(report)]
+            ["eval", str(run["out"] / "graph.json"), *run["cfg"], "--policy", other,
+             "-o", str(report)]
         ) == EXIT_OK
         assert report.read_bytes() == (run["tmp"] / "other" / "report.json").read_bytes()
         assert report.read_bytes() != (run["out"] / "report.json").read_bytes()
+
+
+class TestInputFilesDefaultToTheConfig:
+    """``discover --rules`` and ``--senses`` and ``eval --gold`` default to
+    the config's ``rules_path``, ``senses_path`` and ``gold_path``; a flag
+    overrides its field."""
+
+    @pytest.fixture
+    def aggregated(self, tmp_path) -> str:
+        graph = tmp_path / "aggregated.json"
+        triples = GOLDEN / "pattern_triples.jsonl"
+        assert main(["aggregate", str(triples), "-o", str(graph)]) == EXIT_OK
+        return str(graph)
+
+    def config(self, tmp_path, **fields) -> list[str]:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(fields))
+        return ["-c", str(path)]
+
+    def discover(self, tmp_path, graph: str, *args: str) -> bytes:
+        out = tmp_path / "discovered.json"
+        assert main(["discover", graph, *args, "-o", str(out)]) == EXIT_OK
+        return out.read_bytes()
+
+    def evaluate(self, tmp_path, *args: str) -> bytes:
+        out = tmp_path / "report.json"
+        assert main(["eval", str(GOLDEN / "pattern_graph.json"), *args, "-o", str(out)]) == EXIT_OK
+        return out.read_bytes()
+
+    def test_rules_default_to_rules_path(self, tmp_path, aggregated):
+        rules = str(DATA / "demo_rules.json")
+        from_field = self.discover(tmp_path, aggregated, *self.config(tmp_path, rules_path=rules))
+        assert from_field == self.discover(tmp_path, aggregated, "--rules", rules)
+        assert from_field != self.discover(tmp_path, aggregated)
+
+    def test_senses_default_to_senses_path(self, tmp_path, aggregated):
+        senses = str(DATA / "demo_senses.json")
+        from_field = self.discover(
+            tmp_path, aggregated, *self.config(tmp_path, senses_path=senses)
+        )
+        assert from_field == self.discover(tmp_path, aggregated, "--senses", senses)
+        assert from_field != self.discover(tmp_path, aggregated)
+
+    def test_gold_defaults_to_gold_path(self, tmp_path):
+        gold = str(DATA / "demo_gold.jsonl")
+        from_field = self.evaluate(tmp_path, *self.config(tmp_path, gold_path=gold))
+        assert from_field == self.evaluate(tmp_path, "--gold", gold)
+        assert from_field == (GOLDEN / "pattern_report.json").read_bytes()
+
+    def test_flags_override_their_fields(self, tmp_path, aggregated):
+        (tmp_path / "no_rules.json").write_text("[]")
+        (tmp_path / "gold.jsonl").write_text(json.dumps(MARIE_CURIE_GOLD) + "\n")
+        config = self.config(tmp_path, rules_path="no_rules.json", gold_path="gold.jsonl")
+        rules, gold = str(DATA / "demo_rules.json"), str(DATA / "demo_gold.jsonl")
+        flagged = self.discover(tmp_path, aggregated, *config, "--rules", rules)
+        assert flagged == self.discover(tmp_path, aggregated, "--rules", rules)
+        assert flagged != self.discover(tmp_path, aggregated, *config)
+        flagged = self.evaluate(tmp_path, *config, "--gold", gold)
+        assert flagged == self.evaluate(tmp_path, "--gold", gold)
+        assert flagged != self.evaluate(tmp_path, *config)
+
+    def test_discover_without_rules_infers_nothing(self, tmp_path, aggregated):
+        graph = json.loads(self.discover(tmp_path, aggregated, *self.config(tmp_path)))
+        assert graph["edges"] and not any(e["inferred"] for e in graph["edges"])
+
+    def test_eval_without_gold_exits_1_naming_the_gold_file(self, tmp_path, capsys):
+        graph = str(GOLDEN / "pattern_graph.json")
+        assert main(["eval", graph, *self.config(tmp_path)]) == EXIT_USAGE
+        assert "no gold file" in capsys.readouterr().err
 
 
 def test_ablations_without_an_output_directory_leave_no_files(tmp_path, monkeypatch, capsys):
