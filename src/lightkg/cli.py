@@ -80,9 +80,10 @@ def _load_config(path: str | None) -> PipelineConfig:
     return PipelineConfig()
 
 
-def _input_file(path: str | None, what: str) -> Path | None:
-    """The file a flag, or else the config's field, names; None if neither
-    names one."""
+def _input_file(flag: str | None, field: str | None, what: str) -> Path | None:
+    """The file ``flag`` names, or else the config's ``field``; None if
+    neither names one."""
+    path = flag or field
     return configured_file(path, what) if path else None
 
 
@@ -144,8 +145,8 @@ def _cmd_aggregate(args, config: PipelineConfig) -> None:
 def _cmd_discover(args, config: PipelineConfig) -> None:
     graph_path = configured_file(args.graph, "graph file")
     graph = deserialize_graph(graph_path, format_for_path(graph_path))
-    rules = _input_file(args.rules or config.rules_path, "rules file")
-    senses = _input_file(args.senses or config.senses_path, "senses file")
+    rules = _input_file(args.rules, config.rules_path, "rules file")
+    senses = _input_file(args.senses, config.senses_path, "senses file")
     result = discover_stage(config, graph, rules, senses)
     data, _ = export_stage(config, result, format_for_path(args.output))
     _write_output(args.output, data)
@@ -155,7 +156,7 @@ def _cmd_discover(args, config: PipelineConfig) -> None:
 
 def _cmd_eval(args, config: PipelineConfig) -> None:
     graph_path = configured_file(args.graph, "graph file")
-    gold_path = _input_file(args.gold or config.gold_path, "gold file")
+    gold_path = _input_file(args.gold, config.gold_path, "gold file")
     if gold_path is None:
         raise _UsageError("no gold file: pass --gold or set gold_path in the config")
     report = evaluate_stage(config, graph_path, gold_path, args.policy)

@@ -29,19 +29,10 @@ never by rebuilding the index; nodes no used edge touches keep their
 neighbor maps as they are. The set of touched nodes grows with each support
 found, once per :func:`edge_disjoint_paths` call.
 
-Reinforcement needs only the lengths of an edge's supports, so it counts
-them instead of collecting paths (:func:`_support_lengths`). The greedy of
-:func:`edge_disjoint_paths` always takes a shortest path, so it first takes
-every other edge between the endpoints u and v (length 1), then every
-two-hop path: a middle node w gives min(m(u,w), m(w,v)) of them, where m
-counts the edges a search may walk between two nodes. Those two counts are
-read off the index. Only the tail, length 3 and up, is searched. Which
-parallel ids the counted supports use does not matter: the remaining graph
-has the same multiplicity on every node pair whichever they are, and the
-search's choices depend only on which pairs still have an unused edge, so
-it finds the same node sequences. All edges from u to v share that tail,
-so it is searched once per ordered pair; not per unordered pair, since in
-undirected mode the tie-breaks depend on the end a search starts from.
+Reinforcement needs only the lengths of an edge's supports, so it runs the
+same greedy (:func:`_greedy_supports`) on the node and edge id lists the
+search returns, with no :class:`PathEvidence` built, no sort and no per-call
+set-up beyond the scored edge's own id and endpoints.
 """
 
 from __future__ import annotations
@@ -283,49 +274,30 @@ def edge_disjoint_paths(
         edge = g.edges.get(eid)
         if edge is not None:
             touched.update((edge.source, edge.target))
-    found: list[PathEvidence] = []
-    while (path := _shortest_path(index, source, target, max_len, used, touched)) is not None:
-        nodes, edge_ids = path
-        found.append(PathEvidence(tuple(nodes), tuple(edge_ids)))
-        used.update(edge_ids)
-        touched.update(nodes)
+    found = [
+        PathEvidence(tuple(nodes), tuple(edge_ids))
+        for nodes, edge_ids in _greedy_supports(index, source, target, max_len, used, touched)
+    ]
     found.sort(key=lambda p: (p.length, p.nodes))
     return found
 
 
-def _support_lengths(
-    index: AdjacencyIndex, source: str, target: str, max_len: int
-) -> Iterator[int]:
-    """The lengths, shortest first, of the supports :func:`edge_disjoint_paths`
-    finds for one edge from ``source`` to ``target`` (two distinct nodes) with
-    that edge excluded, for ``max_len`` >= 2. Supports of length 1 and 2 are
-    counted off ``index``; each longer one costs a search, run only when the
-    caller asks for the next length."""
-    forward, backward = index
-    out, into = forward[source], backward[target]
-    direct = out[target]
-    for _ in range(len(direct) - 1):
-        yield 1
-    used = set(direct)
-    touched = {source, target}
-    # A middle node w gives min(m(u,w), m(w,v)) two-hop supports; as many
-    # ids of each side are marked used. Walk the smaller neighbor map.
-    two_hop = 0
-    middles, far = (out, into) if len(out) <= len(into) else (into, out)
-    for w, ids in middles.items():
-        if w != source and w != target and w in far:
-            k = min(len(ids), len(far[w]))
-            used.update(out[w][:k])
-            used.update(into[w][:k])
-            touched.add(w)
-            two_hop += k
-    for _ in range(two_hop):
-        yield 2
+def _greedy_supports(
+    index: AdjacencyIndex,
+    source: str,
+    target: str,
+    max_len: int,
+    used: set[str],
+    touched: set[str],
+) -> Iterator[tuple[list[str], list[str]]]:
+    """The greedy of :func:`edge_disjoint_paths`, shortest path first, each
+    path as its node ids and edge ids. Each path's edges join ``used`` and
+    its nodes ``touched`` before the next search."""
     while (path := _shortest_path(index, source, target, max_len, used, touched)) is not None:
         nodes, edge_ids = path
-        yield len(edge_ids)
         used.update(edge_ids)
         touched.update(nodes)
+        yield path
 
 
 # --- structural features ----------------------------------------------------------
@@ -345,34 +317,31 @@ def reinforce_confidence(
     clamped to [floor, ceiling]. No supports leaves the edge at
     ``direct_edge_weight``. Adding an edge-disjoint support never lowers a
     score. Inferred edges are left untouched.
-
-    Every edge from u to v has supports of the same lengths, so the score is
-    computed once per ordered pair. The factors are multiplied one at a time,
-    shortest support first, until the score reaches the ceiling: the
-    product only falls, so later supports could not move the clamped score.
     """
     index = g.adjacency(config.undirected_paths)
-    # 1 - weight(p) per support length.
-    factors = [1.0 - config.base_path_weight**n for n in range(config.max_path_length + 1)]
-    keep = 1.0 - config.direct_edge_weight
-    floor, ceiling = config.confidence_floor, config.confidence_ceiling
-    by_pair: dict[tuple[str, str], float] = {}
     rescored: dict[str, Edge] = {}
     for eid in sorted(g.edges):
         edge = g.edges[eid]
         if edge.inferred:
             rescored[eid] = edge
             continue
-        pair = (edge.source, edge.target)
-        confidence = by_pair.get(pair)
-        if confidence is None:
-            miss = 1.0
-            if edge.source != edge.target:
-                for length in _support_lengths(index, *pair, config.max_path_length):
-                    miss *= factors[length]
-                    if 1.0 - keep * miss >= ceiling:
-                        break
-            confidence = by_pair[pair] = min(ceiling, max(floor, 1.0 - keep * miss))
+        miss = 1.0
+        if edge.source != edge.target:
+            # The greedy finds supports shortest first, so the factors
+            # multiply in the order edge_disjoint_paths sorts its paths.
+            for _, edge_ids in _greedy_supports(
+                index,
+                edge.source,
+                edge.target,
+                config.max_path_length,
+                {eid},
+                {edge.source, edge.target},
+            ):
+                miss *= 1.0 - config.base_path_weight ** len(edge_ids)
+        confidence = 1.0 - (1.0 - config.direct_edge_weight) * miss
+        confidence = min(
+            config.confidence_ceiling, max(config.confidence_floor, confidence)
+        )
         rescored[eid] = edge.with_confidence(confidence)
     return KnowledgeGraph(g.nodes, rescored)
 
