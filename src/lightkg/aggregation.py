@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import attrgetter
 from typing import Callable, Iterable
 
@@ -180,7 +181,5 @@ def aggregate(
     """Aggregate extraction results (anything with a ``triples`` attribute)
     into one graph with :func:`aggregate_triples`. How the triples are split
     into results changes at most the order of provenance lists."""
-    all_triples: list[ContextTriple] = []
-    for result in results:
-        all_triples.extend(result.triples)
-    return aggregate_triples(all_triples, policy, base_confidence)
+    triples = chain.from_iterable(result.triples for result in results)
+    return aggregate_triples(triples, policy, base_confidence)

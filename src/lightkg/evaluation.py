@@ -85,25 +85,16 @@ def _predicates_match(a: str, b: str) -> bool:
     return a == b or a in b or b in a
 
 
-def relation_f1(
-    g: KnowledgeGraph,
-    gold: GoldSet,
-    policy: str = "strict",
-    include_inferred: bool = False,
-) -> MatchResult:
-    """Relation scores under the chosen matching policy.
+def relation_f1(g: KnowledgeGraph, gold: GoldSet, policy: str = "strict") -> MatchResult:
+    """Relation scores of the graph's non-inferred edges under the chosen
+    matching policy.
 
     ``strict`` requires exact (s, p, o) equality; ``predicate_relaxed``
-    requires exact endpoints and substring-compatible predicates. Inferred
-    edges are excluded unless ``include_inferred``.
+    requires exact endpoints and substring-compatible predicates.
     """
     if policy not in RELATION_POLICIES:
         raise ValueError(f"policy must be one of {RELATION_POLICIES}, got {policy!r}")
-    predicted = {
-        (e.source, e.predicate, e.target)
-        for e in g.edges.values()
-        if include_inferred or not e.inferred
-    }
+    predicted = {(e.source, e.predicate, e.target) for e in g.edges.values() if not e.inferred}
     if policy == "strict":
         matched = predicted & gold.triples
         return _match_result(matched, gold.triples - matched, predicted - matched)

@@ -329,6 +329,9 @@ def _split_conjunction(text: str) -> list[str]:
     return parts
 
 
+_NO_CONTEXT = ContextMap()
+
+
 # Bounded: \d matches every Unicode decimal digit, so years are not few.
 @lru_cache(maxsize=1024)
 def _year_context(year: str) -> ContextMap:
@@ -340,18 +343,21 @@ def pattern_extract(chunk: TextChunk) -> ExtractionResult:
 
     Per sentence, in order:
 
-    a. ``X, such as Y[, Z and W]`` emits ``(Y, is_a, X)`` per listed item;
-       a match whose ``X`` is blank emits nothing.
+    a. ``X, such as Y[, Z and W]`` emits ``(Y, is_a, X)`` per listed item.
     b. ``X <verb> Y in <4-digit year>`` emits ``(X, verb, Y)`` with a
        ``year`` context; the verb slot is a crude heuristic (an ``-ed``
        form or a short irregular list).
     c. ``X is a Y`` emits ``(X, is_a, Y)``; skipped when rule b fired.
 
+    Subject and object are trimmed; a match whose subject or object holds
+    only whitespace (``, , such as x``, ``Ada founded   in 1900``) emits
+    nothing.
+
     The sentences are the chunk's ``sentences`` when
     :func:`chunk_document` handed them over, else ``chunk.text`` split
     again; both give the same list. Triples with equal years share one
     immutable ``year`` context, built once per distinct year and kept in a
-    bounded cache across calls.
+    bounded cache across calls; the other triples share one empty context.
 
     The ``such as`` scan is linear in the sentence. The verb/year scan
     starts only at a line start, so a line it rejects costs about its
@@ -359,6 +365,12 @@ def pattern_extract(chunk: TextChunk) -> ExtractionResult:
     """
     provenance = Provenance(chunk.source_id, chunk.chunk_index, Extractor.PATTERN)
     triples: list[ContextTriple] = []
+
+    def emit(subject: str, predicate: str, obj: str, context: ContextMap) -> None:
+        subject, obj = subject.strip(), obj.strip()
+        if subject and obj:
+            triples.append(ContextTriple(subject, predicate, obj, context, provenance))
+
     sentences = chunk.sentences
     for sentence in split_sentences(chunk.text) if sentences is None else sentences:
         body = sentence.strip().rstrip(".!?").strip()
@@ -369,34 +381,14 @@ def pattern_extract(chunk: TextChunk) -> ExtractionResult:
         # included) onto that letter.
         if "such" in body.casefold():
             for match in _SUCH_AS.finditer(body):
-                hypernym = match.group(1).strip()
-                if not hypernym:
-                    continue  # e.g. ", , such as x": no class to attach to
                 for hyponym in _split_conjunction(match.group(2)):
-                    triples.append(
-                        ContextTriple(hyponym, "is_a", hypernym, provenance=provenance)
-                    )
+                    emit(hyponym, "is_a", match.group(1), _NO_CONTEXT)
         verb_match = _VERB_YEAR.search(body)
         if verb_match:
             subject, verb, obj, year = verb_match.groups()
-            triples.append(
-                ContextTriple(
-                    subject.strip(),
-                    verb.strip(),
-                    obj.strip(),
-                    context=_year_context(year.strip()),
-                    provenance=provenance,
-                )
-            )
+            emit(subject, verb, obj, _year_context(year))
             continue
         is_a_match = _IS_A.match(body)
         if is_a_match:
-            triples.append(
-                ContextTriple(
-                    is_a_match.group(1).strip(),
-                    "is_a",
-                    is_a_match.group(2).strip(),
-                    provenance=provenance,
-                )
-            )
+            emit(is_a_match.group(1), "is_a", is_a_match.group(2), _NO_CONTEXT)
     return ExtractionResult(triples=triples)

@@ -469,9 +469,6 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
         for name, path in staged.items():
             os.replace(path, out / name)
         return summary
-    except StageError:
-        quarantine()
-        raise
     except Exception as exc:
         quarantine()
         raise StageError(stage, exc) from exc

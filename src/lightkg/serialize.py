@@ -3,18 +3,19 @@ of extracted triples (JSONL).
 
 Output is byte-identical across runs for equal graphs: nodes and edges are
 emitted in sorted-key order and all collections are sorted before writing.
-Both formats round-trip losslessly. A GraphML data element holding a node's
-attributes, an edge's context or its provenance list holds the same compact
-JSON the graph JSON document writes for it, and is read back through the
-same record shapes, so a context and a provenance are spelled one way.
+Both formats round-trip losslessly; GraphML refuses text XML cannot hold. A
+GraphML data element holding a node's attributes, an edge's context or its
+provenance list holds the same compact JSON the graph JSON document writes
+for it, and is read back through the same record shapes, so a context and a
+provenance are spelled one way.
 
 The graph JSON document and each triples JSONL line are joined from their
 fixed keys and separators and from json's own string encoder, the one a
 compact ``JSONEncoder`` calls, so their bytes equal one ``JSONEncoder`` call
 over the equivalent dicts with no encoder or dict built per record. The
 GraphML document is joined from strings too, escaped by hand, with the
-bytes ``xml.etree`` would write for the same indented element tree;
-``xml.etree`` is imported only to read GraphML.
+bytes ``xml.etree`` would write for the same indented element tree (but a
+carriage return in text as ``&#13;``); ``xml.etree`` only reads GraphML.
 
 Every triple of one chunk carries the same provenance record, and an aggregated
 edge repeats the records of its triples, so each graph JSON, GraphML or
@@ -387,16 +388,20 @@ _GRAPHML_HEAD = """<?xml version='1.0' encoding='utf-8'?>
 """
 
 
+# Outside XML 1.0's Char: no reader takes it, even as a character reference.
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def _xml_text(text: str) -> str:
-    """``text`` escaped as XML character data."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """``text`` escaped as XML character data, a CR as ``&#13;`` to read back as CR."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace(
+        "\r", "&#13;")
 
 
 def _xml_attribute(text: str) -> str:
     """``text`` escaped as a double-quoted XML attribute value; tabs and line
     ends as character references, so a reader gets them back as written."""
-    return _xml_text(text).replace('"', "&quot;").replace("\r", "&#13;").replace(
-        "\n", "&#10;").replace("\t", "&#09;")
+    return _xml_text(text).replace('"', "&quot;").replace("\n", "&#10;").replace("\t", "&#09;")
 
 
 def _graphml_data(key: str, text: str) -> str:
@@ -415,7 +420,9 @@ def _graph_to_graphml(g: KnowledgeGraph) -> bytes:
 
     One string per node and edge element: at most two whole copies of the
     output are alive at once, the strings and their join, then the joined
-    text and its bytes (a lone surrogate as a character reference)."""
+    text and its bytes. Raises :class:`~lightkg.graph.GraphIntegrityError`
+    naming the first element whose text holds a character outside XML 1.0's
+    ``Char``: a C0 control but tab, LF and CR, U+FFFE, U+FFFF, a surrogate."""
     a, c, data = _xml_attribute, _context_json, _graphml_data
     provenance_json = _once(_provenance_json)
     parts = [_GRAPHML_HEAD, '  <graph id="G" edgedefault="directed">\n']
@@ -439,8 +446,11 @@ def _graph_to_graphml(g: KnowledgeGraph) -> bytes:
         append("  </graph>\n")
     append("</graphml>")
     text = "".join(parts)
+    if bad := _NOT_XML_CHAR.search(text):
+        element = next(part for part in parts if _NOT_XML_CHAR.search(part)).split("\n")[0]
+        raise GraphIntegrityError(f"graphml: {element.strip()!r} holds {bad.group()!r}")
     del parts, append
-    return text.encode("utf-8", "xmlcharrefreplace")
+    return text.encode("utf-8")
 
 
 def _local_name(tag: str) -> str:

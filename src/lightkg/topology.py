@@ -31,8 +31,8 @@ found, once per :func:`edge_disjoint_paths` call.
 
 Reinforcement needs only the lengths of an edge's supports, so it runs the
 same greedy (:func:`_greedy_supports`) on the node and edge id lists the
-search returns, with no :class:`PathEvidence` built, no sort and no per-call
-set-up beyond the scored edge's own id and endpoints.
+search returns, with no :class:`PathEvidence` built and no per-call set-up
+beyond the scored edge's own id and endpoints.
 """
 
 from __future__ import annotations
@@ -255,8 +255,9 @@ def edge_disjoint_paths(
 ) -> list[PathEvidence]:
     """Greedy edge-disjoint paths: repeatedly take a shortest path and remove
     its edges. Returned paths share no edge id; sorted by length, then by
-    node sequence. Not guaranteed maximum (this is evidence counting, not
-    max-flow).
+    node sequence, as found: each search takes the smallest shortest path
+    over an edge set that only shrinks. Not guaranteed maximum (this is
+    evidence counting, not max-flow).
 
     Ties between equal-length paths break toward the lexicographically
     smallest node sequence, then the smallest edge id per hop, so results
@@ -274,12 +275,10 @@ def edge_disjoint_paths(
         edge = g.edges.get(eid)
         if edge is not None:
             touched.update((edge.source, edge.target))
-    found = [
+    return [
         PathEvidence(tuple(nodes), tuple(edge_ids))
         for nodes, edge_ids in _greedy_supports(index, source, target, max_len, used, touched)
     ]
-    found.sort(key=lambda p: (p.length, p.nodes))
-    return found
 
 
 def _greedy_supports(
@@ -328,7 +327,7 @@ def reinforce_confidence(
         miss = 1.0
         if edge.source != edge.target:
             # The greedy finds supports shortest first, so the factors
-            # multiply in the order edge_disjoint_paths sorts its paths.
+            # multiply in the order edge_disjoint_paths returns its paths.
             for _, edge_ids in _greedy_supports(
                 index,
                 edge.source,

@@ -428,7 +428,9 @@ def reference_graphml(g: KnowledgeGraph) -> bytes:
     """The ElementTree GraphML writer: a whole tree, indented by
     ``ET.indent`` and written by ``ET.tostring``; each data element holds
     the compact ``JSONEncoder`` text of its attributes, context or
-    provenance list."""
+    provenance list. ElementTree writes a carriage return in text raw, which
+    a reader turns into a line feed, so each is replaced by ``&#13;``, as
+    ElementTree itself writes one in an attribute."""
     encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
     keys = {
         "d0": ("node", "attributes", "string"),
@@ -471,7 +473,7 @@ def reference_graphml(g: KnowledgeGraph) -> bytes:
             for p in edge.provenance
         ])
     ET.indent(root, space="  ")
-    return ET.tostring(root, encoding="utf-8", xml_declaration=True)
+    return ET.tostring(root, encoding="utf-8", xml_declaration=True).replace(b"\r", b"&#13;")
 
 
 def _reference_strings(value: list) -> bool:
@@ -533,7 +535,8 @@ def reference_pattern_extract(chunk: extraction.TextChunk) -> extraction.Extract
     """The pattern extractor with its ``such as`` scan run on every sentence,
     with no gate in front of it, and a new ``year`` context built for every
     sentence; its ``such as`` and verb/year rules are the unanchored
-    ``REFERENCE_*`` patterns above."""
+    ``REFERENCE_*`` patterns above. A match whose trimmed subject or object
+    is empty gives no triple."""
     provenance = Provenance(chunk.source_id, chunk.chunk_index, Extractor.PATTERN)
     triples: list[ContextTriple] = []
     for sentence in extraction.split_sentences(chunk.text):
@@ -549,22 +552,19 @@ def reference_pattern_extract(chunk: extraction.TextChunk) -> extraction.Extract
         verb_match = REFERENCE_VERB_YEAR.search(body)
         if verb_match:
             subject, verb, obj, year = (part.strip() for part in verb_match.groups())
-            triples.append(
-                ContextTriple(
-                    subject, verb, obj, context=ContextMap({"year": [year]}), provenance=provenance
+            if subject and obj:
+                triples.append(
+                    ContextTriple(
+                        subject, verb, obj, context=ContextMap({"year": [year]}),
+                        provenance=provenance,
+                    )
                 )
-            )
             continue
         is_a_match = extraction._IS_A.match(body)
         if is_a_match:
-            triples.append(
-                ContextTriple(
-                    is_a_match.group(1).strip(),
-                    "is_a",
-                    is_a_match.group(2).strip(),
-                    provenance=provenance,
-                )
-            )
+            subject, obj = is_a_match.group(1).strip(), is_a_match.group(2).strip()
+            if subject and obj:
+                triples.append(ContextTriple(subject, "is_a", obj, provenance=provenance))
     return extraction.ExtractionResult(triples=triples)
 
 
@@ -920,3 +920,20 @@ raw_triples = st.builds(
     context=context_maps,
     provenance=provenances,
 )
+
+
+# Any text, and clauses shaped like each pattern rule whose slots hold any
+# short text, blanks and nothing included.
+_any_slot = st.one_of(st.text(max_size=3), st.sampled_from(["Ada", "radium", " ", "\t", ""]))
+any_pattern_texts = st.lists(
+    st.one_of(
+        st.text(max_size=8),
+        _rule_clause(_any_slot, st.sampled_from(["founded", "wrote"]), _any_slot, st.just("in"),
+                     st.just("1900")),
+        _rule_clause(_any_slot.map(lambda slot: slot + ","), st.just("such"), st.just("as"),
+                     _any_slot),
+        _rule_clause(_any_slot, st.just("is"), st.just("a"), _any_slot),
+    ),
+    min_size=1,
+    max_size=4,
+).map("".join)

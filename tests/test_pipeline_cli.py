@@ -886,6 +886,19 @@ class TestCli:
         code = main(["extract", str(corpus), "-o", str(tmp_path / "t.jsonl")])
         assert code == EXIT_INPUT
 
+    def test_graphml_export_of_a_control_character_is_input_error(self, tmp_path, capsys):
+        corpus = write_corpus(
+            tmp_path, [{"id": "d", "text": "Ada\u0001 Lovelace founded Acme in 1843."}]
+        )
+        config = tmp_path / "config.json"
+        config.write_text('{"export_format": "graphml"}')
+        out = tmp_path / "out"
+        assert main(["pipeline", str(corpus), "-c", str(config), "-o", str(out)]) == EXIT_INPUT
+        assert """'<node id="ada\\x01 lovelace" />' holds '\\x01'""" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["quarantine"]
+        quarantined = sorted(p.name for p in (out / "quarantine").iterdir())
+        assert quarantined == ["graph_aggregated.json", "triples.jsonl"]
+
     def test_malformed_graph_is_input_error(self, tmp_path, capsys):
         graph = tmp_path / "graph.json"
         graph.write_text("{broken")

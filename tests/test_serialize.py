@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+import xml.etree.ElementTree as ET
 from unittest import mock
 from xml.sax.saxutils import escape
 
@@ -190,14 +191,15 @@ def test_triples_jsonl_bad_line():
 
 # Text that JSON or XML must escape or may write raw: quotes, backslashes,
 # markup, tabs and line ends, control characters, U+0085, U+2028/U+2029,
-# astral characters and lone surrogates (which UTF-8 cannot encode, so
-# writing them as JSON raises).
+# astral characters, U+FFFE and U+FFFF (which XML cannot hold) and lone
+# surrogates (which UTF-8 cannot encode, so writing them as JSON raises).
 _awkward_text = st.text(
     alphabet=st.one_of(
         st.characters(),
         st.sampled_from(
             ['"', "'", "\\", "&", "<", ">", "\t", "\n", "\r", "\x00", "\x1f", "\x7f",
-             "\x85", "\u2028", "\u2029", "\U0001f600", "\ud800", "\udfff"]
+             "\x85", "\u2028", "\u2029", "\U0001f600", "\ud800", "\udfff", "\ufffe",
+             "\uffff"]
         ),
     ),
     max_size=6,
@@ -242,9 +244,10 @@ def test_triples_jsonl_bytes_match_the_per_line_encoder(ts):
 
 # Edge endpoints and predicates are hashed as UTF-8 into the edge id, so they
 # hold no lone surrogate; node ids without edges, contexts and source ids may.
-_encodable_labels = _awkward_labels.filter(
+_encodable_text = _awkward_text.filter(
     lambda text: not any("\ud800" <= ch <= "\udfff" for ch in text)
 )
+_encodable_labels = _encodable_text.filter(str.strip)
 _awkward_contexts = st.dictionaries(
     _awkward_labels, st.lists(_awkward_text, max_size=3), max_size=2
 ).map(ContextMap)
@@ -307,7 +310,39 @@ def test_graph_json_bytes_match_the_dict_encoder(g):
     ]},
 ))
 def test_graphml_bytes_match_the_element_tree_writer(g):
-    assert serialize_graph(g, "graphml") == support.reference_graphml(g)
+    expected = support.reference_graphml(g)
+    try:
+        ET.fromstring(expected)
+    except ET.ParseError:  # text XML cannot hold: refused, not written
+        with pytest.raises(GraphIntegrityError):
+            serialize_graph(g, "graphml")
+    else:
+        assert serialize_graph(g, "graphml") == expected
+
+
+@st.composite
+def _graphs_of_any_labels(draw):
+    """Graphs whose node ids, edge endpoints and predicates are any text."""
+    linked = draw(st.lists(_encodable_labels, min_size=1, max_size=4, unique=True))
+    loose = draw(st.lists(_awkward_labels, max_size=2))
+    edges = [
+        Edge(draw(st.sampled_from(linked)), draw(st.sampled_from(linked)), draw(_encodable_text))
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    return KnowledgeGraph({i: Node(i) for i in loose + linked}, {e.edge_id: e for e in edges})
+
+
+@settings(max_examples=300)
+@given(g=_graphs_of_any_labels())
+@example(g=KnowledgeGraph({"a": Node("a"), "b": Node("b")}, {
+    e.edge_id: e for e in [Edge("a", "b", "x\ry"), Edge("a", "b", "x\r\ny")]
+}))
+def test_graphml_refuses_or_round_trips_any_labels(g):
+    try:
+        written = serialize_graph(g, "graphml")
+    except GraphIntegrityError:
+        return
+    assert deserialize_graph(written, "graphml") == g
 
 
 def test_graph_json_encodes_each_distinct_provenance_once_per_call():
