@@ -70,13 +70,18 @@ class CorpusDocument:
 
 
 def read_corpus(path) -> list[CorpusDocument]:
-    """Load a JSONL corpus of ``{"id": ..., "text": ...}`` objects."""
-    return [
-        decode_record(
+    """Load a JSONL corpus of ``{"id": ..., "text": ...}`` objects. A repeated
+    id raises :class:`CorpusFormatError` naming both lines."""
+    documents: dict[str, tuple[str, CorpusDocument]] = {}  # id -> (its line, document)
+    for where, record in read_jsonl(path, CorpusFormatError):
+        doc = decode_record(
             record, "corpus", lambda id, text: CorpusDocument(id, text), CorpusFormatError, where
         )
-        for where, record in read_jsonl(path, CorpusFormatError)
-    ]
+        first, _ = documents.setdefault(doc.doc_id, (where, doc))
+        if first != where:
+            line = first.rpartition(":")[2]
+            raise CorpusFormatError(f"{where}: duplicate id {doc.doc_id!r} (first on line {line})")
+    return [doc for _, doc in documents.values()]
 
 
 def split_sentences(text: str) -> list[str]:
@@ -338,15 +343,16 @@ def _year_context(year: str) -> ContextMap:
     return ContextMap({"year": [year]})
 
 
-def pattern_extract(chunk: TextChunk) -> ExtractionResult:
+def pattern_extract(chunk: TextChunk, include_context: bool = True) -> ExtractionResult:
     """Deterministic rule-based extractor for offline runs and fixtures.
 
     Per sentence, in order:
 
     a. ``X, such as Y[, Z and W]`` emits ``(Y, is_a, X)`` per listed item.
     b. ``X <verb> Y in <4-digit year>`` emits ``(X, verb, Y)`` with a
-       ``year`` context; the verb slot is a crude heuristic (an ``-ed``
-       form or a short irregular list).
+       ``year`` context, or an empty one with ``include_context`` false;
+       the verb slot is a crude heuristic (an ``-ed`` form or a short
+       irregular list).
     c. ``X is a Y`` emits ``(X, is_a, Y)``; skipped when rule b fired.
 
     Subject and object are trimmed; a match whose subject or object holds
@@ -386,7 +392,7 @@ def pattern_extract(chunk: TextChunk) -> ExtractionResult:
         verb_match = _VERB_YEAR.search(body)
         if verb_match:
             subject, verb, obj, year = verb_match.groups()
-            emit(subject, verb, obj, _year_context(year))
+            emit(subject, verb, obj, _year_context(year) if include_context else _NO_CONTEXT)
             continue
         is_a_match = _IS_A.match(body)
         if is_a_match:

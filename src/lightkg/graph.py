@@ -176,7 +176,8 @@ class Edge:
     """A directed edge with context, confidence, and provenance.
 
     ``edge_id`` is derived from (source, predicate, target); passing an id
-    that does not match the content hash raises.
+    that does not match the content hash raises. ``confidence`` is stored
+    as a float and ``inferred`` must be a bool, as both formats read back.
     """
 
     source: str
@@ -196,8 +197,11 @@ class Edge:
             raise GraphIntegrityError(
                 f"edge id {self.edge_id!r} does not match content hash {expected!r}"
             )
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
+        if not 0.0 <= self.confidence <= 1.0 or type(self.confidence) is bool:
+            raise ValueError(f"confidence must be in [0, 1], got {self.confidence!r}")
+        object.__setattr__(self, "confidence", float(self.confidence))
+        if type(self.inferred) is not bool:
+            raise ValueError(f"inferred must be a bool, got {self.inferred!r}")
         if not isinstance(self.provenance, tuple):
             object.__setattr__(self, "provenance", tuple(self.provenance))
 
@@ -212,7 +216,7 @@ class Edge:
         # built for this one. Copying __dict__ would cost both edges memory.
         edge = object.__new__(Edge)
         for name in _EDGE_FIELDS:
-            value = confidence if name == "confidence" else getattr(self, name)
+            value = float(confidence) if name == "confidence" else getattr(self, name)
             object.__setattr__(edge, name, value)
         return edge
 

@@ -29,7 +29,7 @@ import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -51,10 +51,10 @@ from .extraction import (
     pattern_extract,
     read_corpus,
 )
-from .graph import ContextMap, KnowledgeGraph
+from .graph import KnowledgeGraph
 from .serialize import (
     FORMATS,
-    decode_record,
+    decode_settings,
     read_json,
     register_settings,
     serialize_graph,
@@ -133,7 +133,7 @@ class PipelineConfig:
     def from_dict(cls, payload: Any) -> PipelineConfig:
         """The config of ``payload``, a record of ``SHAPES["config"]``;
         :class:`ConfigError` names the nesting and the field at fault."""
-        return decode_record(payload, "config", _settings(cls, payload), ConfigError, "config")
+        return decode_settings(payload, "config", cls, ConfigError, "config")
 
     @classmethod
     def load(cls, path) -> PipelineConfig:
@@ -153,27 +153,6 @@ class PipelineConfig:
 
 # The config's record shapes, "config" and one per nested settings field.
 register_settings("config", PipelineConfig)
-
-
-def _settings(cls, record: Any) -> Callable[..., Any]:
-    """The ``build`` with which ``decode_record`` makes the settings
-    dataclass ``cls`` of ``record``: a key of ``record`` that names no field
-    raises ``ValueError``, and nested settings are decoded in turn by the
-    shape named after their field."""
-
-    def build(**values: Any) -> Any:
-        unknown = record.keys() - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown keys: {sorted(unknown)}")
-        for f in fields(cls):
-            if f.name in values and is_dataclass(f.default_factory):
-                nested = values[f.name]
-                values[f.name] = decode_record(
-                    nested, f.name, _settings(f.default_factory, nested), ValueError, f.name
-                )
-        return cls(**values)
-
-    return build
 
 
 # The fields naming input files; ``load`` resolves them against the config
@@ -209,12 +188,7 @@ def build_extract_runner(config: PipelineConfig) -> Callable[[TextChunk], Extrac
     if config.extractor == "pattern":
 
         def run_pattern(chunk: TextChunk) -> ExtractionResult:
-            result = pattern_extract(chunk)
-            if not config.include_context:
-                result.triples = [
-                    replace(t, context=ContextMap()) for t in result.triples
-                ]
-            return result
+            return pattern_extract(chunk, config.include_context)
 
         return run_pattern
 
@@ -320,7 +294,9 @@ def evaluate_stage(config: PipelineConfig, graph_path, gold_path, policy=None) -
 
 
 # Every name run_pipeline writes a finished output under.
-_PRIMARY_OUTPUTS = ("graph.json", "graph.graphml", "triples.jsonl", "report.json", "summary.json")
+_PRIMARY_OUTPUTS = (
+    *(f"graph.{fmt}" for fmt in FORMATS), "triples.jsonl", "report.json", "summary.json"
+)
 
 
 def _json_text(payload: Any) -> str:

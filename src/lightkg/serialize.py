@@ -202,6 +202,25 @@ def register_settings(name: str, cls) -> None:
     SHAPES[name] = _shape(**kinds)
 
 
+def decode_settings(record: Any, name: str, cls, error: type[Exception], where: str):
+    """The settings dataclass ``cls`` of the ``SHAPES[name]`` record ``record``,
+    by :func:`decode_record`; a key that names no field raises, and nested
+    settings are decoded in turn, each under its field's name."""
+
+    def build(**values: Any) -> Any:
+        unknown = record.keys() - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown keys: {sorted(unknown)}")
+        for f in dataclasses.fields(cls):
+            if f.name in values and dataclasses.is_dataclass(f.default_factory):
+                values[f.name] = decode_settings(
+                    values[f.name], f.name, f.default_factory, ValueError, f.name
+                )
+        return cls(**values)
+
+    return decode_record(record, name, build, error, where)
+
+
 def decode_record(record: Any, shape: str, build, error: type[Exception], where: str):
     """``build(**fields)`` for the fields of ``record`` that ``SHAPES[shape]``
     lists and that are present and not null; a number arrives as a float.
@@ -313,13 +332,11 @@ def _json_array(records: Iterable[str]) -> list[str]:
 
 
 def _edge_json(provenance_json: Callable[[Provenance], str], e: Edge) -> str:
-    s, c, i = _encode_string, e.confidence, e.inferred
-    confidence = float.__repr__(c) if type(c) is float else _encode_compact(c)
-    inferred = "true" if i is True else "false" if i is False else _encode_compact(i)
+    s, inferred = _encode_string, "true" if e.inferred else "false"
     return (
         f'{{"id":{s(e.edge_id)},"source":{s(e.source)},"target":{s(e.target)},'
         f'"predicate":{s(e.predicate)},"context":{_context_json(e.context)},'
-        f'"confidence":{confidence},"inferred":{inferred},'
+        f'"confidence":{float.__repr__(e.confidence)},"inferred":{inferred},'
         f'"provenance":[{",".join(map(provenance_json, e.provenance))}]}}'
     )
 
@@ -436,7 +453,8 @@ def _graph_to_graphml(g: KnowledgeGraph) -> bytes:
         append(
             f'    <edge id="{e.edge_id}" source="{a(e.source)}" target="{a(e.target)}">\n'
             f'{data("d1", e.predicate)}{data("d2", c(e.context)) if e.context else ""}'
-            f'{data("d3", repr(e.confidence))}{data("d4", "true" if e.inferred else "false")}'
+            f'{data("d3", float.__repr__(e.confidence))}'
+            f'{data("d4", "true" if e.inferred else "false")}'
             f'{data("d5", "[" + ",".join(map(provenance_json, e.provenance)) + "]")}    </edge>\n'
         )
     del provenance_json  # the memo dies before the join

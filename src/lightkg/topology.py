@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .aggregation import DEFAULT_POLICY, EmptyLabelError, NormalizationPolicy, normalize_label
 from .graph import (
@@ -83,24 +83,11 @@ class TopologyConfig:
 DEFAULT_CONFIG = TopologyConfig()
 
 
-@dataclass(frozen=True)
-class PathEvidence:
+class PathEvidence(NamedTuple):
     """A simple path given as node ids plus the edge ids connecting them."""
 
     nodes: tuple[str, ...]
     edges: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.nodes, tuple):
-            object.__setattr__(self, "nodes", tuple(self.nodes))
-        if not isinstance(self.edges, tuple):
-            object.__setattr__(self, "edges", tuple(self.edges))
-        if len(self.edges) < 1:
-            raise ValueError("a path needs at least one edge")
-        if len(self.nodes) != len(self.edges) + 1:
-            raise ValueError("node sequence must be one longer than edge sequence")
-        if len(set(self.nodes)) != len(self.nodes):
-            raise ValueError("path repeats a node")
 
     @property
     def length(self) -> int:

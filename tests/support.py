@@ -19,7 +19,12 @@ from dataclasses import replace
 from hypothesis import strategies as st
 
 from lightkg import extraction
-from lightkg.aggregation import EmptyLabelError, aggregate_triples, normalize_label
+from lightkg.aggregation import (
+    DEFAULT_POLICY,
+    EmptyLabelError,
+    aggregate_triples,
+    normalize_label,
+)
 from lightkg.graph import (
     ContextMap,
     ContextTriple,
@@ -305,20 +310,22 @@ def reference_infer(g: KnowledgeGraph, rules) -> KnowledgeGraph:
     return KnowledgeGraph(g.nodes, edges)
 
 
-def add_triple(facts: dict, item: ContextTriple) -> dict:
+def add_triple(facts: dict, item: ContextTriple, policy=DEFAULT_POLICY) -> dict:
     """One step of :func:`reference_aggregate`: a copy of ``facts``, which
     maps canonical (subject, predicate, object) to (context as key -> frozen
-    value set, provenance tuple), with ``item`` added. Raises
-    :class:`EmptyLabelError` if subject, predicate or object normalizes to
-    nothing; context values that do are left out."""
-    spo = tuple(normalize_label(label) for label in (item.subject, item.predicate, item.object))
+    value set, provenance tuple), with ``item`` added, its labels normalized
+    under ``policy``. Raises :class:`EmptyLabelError` if subject, predicate
+    or object normalizes to nothing; context values that do are left out."""
+    spo = tuple(
+        normalize_label(label, policy) for label in (item.subject, item.predicate, item.object)
+    )
     context, provenance = facts.get(spo, ({}, ()))
     context = dict(context)
     for key, values in item.context.items():
         kept = set()
         for value in values:
             try:
-                kept.add(normalize_label(value))
+                kept.add(normalize_label(value, policy))
             except EmptyLabelError:
                 pass
         context[key] = context.get(key, frozenset()) | kept
@@ -326,18 +333,18 @@ def add_triple(facts: dict, item: ContextTriple) -> dict:
 
 
 def reference_aggregate(
-    triples: list[ContextTriple],
+    triples: list[ContextTriple], policy=DEFAULT_POLICY
 ) -> tuple[KnowledgeGraph, list[tuple[ContextTriple, str]]]:
-    """Left fold of :func:`add_triple` in (source_id, chunk_index, input)
-    order, collecting the triples it rejects, then one graph built from the
-    facts with the default base confidence. Shares no code with the
-    library's fold: each step copies the whole fact table."""
+    """Left fold of :func:`add_triple` under ``policy`` in (source_id,
+    chunk_index, input) order, collecting the triples it rejects, then one
+    graph built from the facts with the default base confidence. Shares no
+    code with the library's fold: each step copies the whole fact table."""
     facts: dict = {}
     rejected = []
     ordered = sorted(triples, key=lambda t: (t.provenance.source_id, t.provenance.chunk_index))
     for item in ordered:
         try:
-            facts = add_triple(facts, item)
+            facts = add_triple(facts, item, policy)
         except EmptyLabelError as exc:
             rejected.append((item, str(exc)))
     nodes = {}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -26,7 +27,7 @@ from lightkg.extraction import (
     read_corpus,
     split_sentences,
 )
-from lightkg.graph import Extractor, Provenance
+from lightkg.graph import ContextMap, Extractor, Provenance
 from lightkg.pipeline import PipelineConfig, extract_corpus
 from lightkg.serialize import triples_to_jsonl
 
@@ -384,6 +385,13 @@ class TestYearContext:
         result = pattern_extract(chunk("Curie discovered radium in \u0661\u0668\u0669\u0668."))
         assert result.triples[0].context.get("year") == {"\u0661\u0668\u0669\u0668"}
 
+    @settings(max_examples=100)
+    @given(text=support.year_texts())
+    def test_without_context_equals_contexts_emptied(self, text):
+        ch = TextChunk("src", 1, text)
+        expected = [replace(t, context=ContextMap()) for t in pattern_extract(ch).triples]
+        assert pattern_extract(ch, False).triples == expected
+
     def test_year_cache_is_bounded(self):
         from lightkg import extraction
 
@@ -480,6 +488,17 @@ class TestCorpus:
         path.write_text('{"text": "no id"}\n')
         with pytest.raises(CorpusFormatError):
             read_corpus(path)
+
+    def test_repeated_id_names_both_lines(self, tmp_path):
+        """Two documents with one id would extract as one provenance."""
+        path = tmp_path / "c.jsonl"
+        path.write_text(
+            '{"id": "d1", "text": "Ada wrote notes in 1843."}\n\n'
+            '{"id": "d2", "text": "Bye."}\n{"id": "d1", "text": "Curie won prizes in 1903."}\n'
+        )
+        with pytest.raises(CorpusFormatError) as err:
+            read_corpus(path)
+        assert str(err.value) == f"{path}:4: duplicate id 'd1' (first on line 1)"
 
 
 def test_split_sentences():

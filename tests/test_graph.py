@@ -124,6 +124,25 @@ class TestEdge:
         with pytest.raises(ValueError):
             Edge(source="a", target="b", predicate="p", confidence=1.5)
 
+    def test_holds_only_values_both_formats_read_back(self):
+        """A confidence is stored as a float, never a bool; inferred is a bool."""
+
+        class Float(float):
+            def __repr__(self):
+                return f"Float({float.__repr__(self)})"
+
+        for value, stored in ((1, 1.0), (0, 0.0), (Float(0.25), 0.25)):
+            edge = Edge("a", "b", "p", confidence=value)
+            assert type(edge.confidence) is float and edge.confidence == stored
+            rescored = Edge("a", "b", "p").with_confidence(value)
+            assert type(rescored.confidence) is float and rescored.confidence == stored
+        for flag in (True, False):
+            with pytest.raises(ValueError, match="confidence must be in"):
+                Edge("a", "b", "p", confidence=flag)
+        for inferred in (1, 0, "true", None):
+            with pytest.raises(ValueError, match="inferred must be a bool"):
+                Edge("a", "b", "p", inferred=inferred)
+
     def test_with_confidence_equals_replace_without_hashing_again(self, monkeypatch):
         edge = Edge(
             source="a", target="b", predicate="p", context=ContextMap({"year": ["1898"]}),

@@ -16,10 +16,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import support
 from lightkg import pipeline
-from lightkg.aggregation import aggregate
-from lightkg.cli import EXIT_ENDPOINT, EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
-from lightkg.extraction import CorpusDocument, read_corpus
+from lightkg.aggregation import NormalizationPolicy, aggregate, normalize_label
+from lightkg.cli import EXIT_ENDPOINT, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+from lightkg.client import ENV_MODEL, CompletionParams, prompt_fingerprint
+from lightkg.evaluation import RELATION_POLICIES
+from lightkg.extraction import (
+    CorpusDocument,
+    TextChunk,
+    build_extraction_prompt,
+    chunk_document,
+    read_corpus,
+)
+from lightkg.graph import ContextMap
 from lightkg.pipeline import (
     ConfigError,
     PipelineConfig,
@@ -27,7 +37,7 @@ from lightkg.pipeline import (
     extract_corpus,
     run_pipeline,
 )
-from lightkg.serialize import deserialize_graph, serialize_graph, triples_to_jsonl
+from lightkg.serialize import FORMATS, deserialize_graph, serialize_graph, triples_to_jsonl
 from lightkg.topology import discover
 
 DATA = Path(__file__).parent / "data"
@@ -147,6 +157,45 @@ class TestRunPipeline:
         assert set(g_full.nodes) == set(g_bare.nodes)
         assert set(g_full.edges) == set(g_bare.edges)
         assert all(not e.context for e in g_bare.edges.values())
+
+    def test_summary_lists_each_rejected_line(self, tmp_path):
+        """A fixture reply with one line per reason the response parser
+        rejects a line for, after one line it accepts."""
+        text = "Ada Lovelace wrote notes in 1843."
+        corpus = write_corpus(tmp_path, [{"id": "d", "text": text}])
+        (piece,) = chunk_document("d", text)
+        rejected = {
+            "(ada | wrote | notes": "missing closing parenthesis",
+            "(ada | wrote)": "expected 3 '|' separated fields, got 2",
+            "( | wrote | notes)": "empty subject",
+            "(ada | wrote | )": "empty object",
+            "(ada | wrote | notes) {=1843}": "empty context key",
+            "(ada | wrote | notes) {year=}": "context key 'year' has an empty value",
+        }
+        fixtures = tmp_path / "fixtures.json"
+        fixtures.write_text(json.dumps({
+            prompt_fingerprint(build_extraction_prompt(piece)):
+                "\n".join(["(ada | wrote | notes) {year=1843}", *rejected]),
+        }))
+        config = PipelineConfig(extractor="fixture", fixtures_path=str(fixtures))
+        summary = run_pipeline(config, corpus, tmp_path / "out")
+        assert summary["rejects"]["lines"] == [
+            {"fragment": fragment, "reason": reason} for fragment, reason in rejected.items()
+        ]
+        assert summary["counts"]["rejected_lines"] == len(rejected)
+        assert summary["counts"]["triples"] == 1
+
+    def test_repeated_corpus_id_fails_reading_the_corpus(self, tmp_path):
+        corpus = write_corpus(tmp_path, [
+            {"id": "d1", "text": "Marie Curie discovered radium in 1898."},
+            {"id": "d1", "text": "Ada Lovelace wrote notes in 1843."},
+        ])
+        out = tmp_path / "out"
+        with pytest.raises(StageError) as err:
+            run_pipeline(pattern_config(), corpus, out)
+        assert err.value.stage == "read-corpus"
+        assert str(err.value.__cause__) == f"{corpus}:2: duplicate id 'd1' (first on line 1)"
+        assert list(out.iterdir()) == []
 
     def test_no_topology_ablation_returns_aggregate_verbatim(self, tmp_path):
         corpus = DATA / "demo_corpus.jsonl"
@@ -488,6 +537,29 @@ class TestRunPipeline:
         (edge,) = g.edges.values()
         assert len(edge.provenance) == 2  # same fact from both documents
         assert edge.context.get("year") == frozenset({"1898"})
+
+    @pytest.mark.parametrize("env, model_name, expected", [
+        ("env-model", "default", "env-model"),
+        ("env-model", "mine", "mine"),
+        ("", "default", "default"),
+    ])
+    def test_model_env_names_only_a_default_model(
+        self, tmp_path, monkeypatch, env, model_name, expected
+    ):
+        monkeypatch.setenv(ENV_MODEL, env)
+        seen = []
+        monkeypatch.setattr(
+            pipeline, "extract_chunk",
+            lambda chunk, client, params, include_context: seen.append(params.model_name),
+        )
+        fixtures = tmp_path / "fixtures.json"
+        fixtures.write_text("{}")
+        config = PipelineConfig(
+            extractor="fixture", fixtures_path=str(fixtures),
+            model=CompletionParams(model_name=model_name),
+        )
+        pipeline.build_extract_runner(config)(TextChunk("d", 0, "Text."))
+        assert seen == [expected]
 
     def test_fixture_extractor_requires_fixtures(self):
         with pytest.raises(ConfigError):
@@ -899,6 +971,34 @@ class TestCli:
         quarantined = sorted(p.name for p in (out / "quarantine").iterdir())
         assert quarantined == ["graph_aggregated.json", "triples.jsonl"]
 
+    def test_repeated_corpus_id_is_input_error(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path, [
+            {"id": "d1", "text": "Marie Curie discovered radium in 1898."},
+            {"id": "d1", "text": "Ada Lovelace wrote notes in 1843."},
+        ])
+        assert main(["extract", str(corpus), "-o", str(tmp_path / "t.jsonl")]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {corpus}:2: duplicate id 'd1' (first on line 1)\n"
+        )
+        assert not (tmp_path / "t.jsonl").exists()
+
+    def test_failing_extractor_is_internal_error(self, tmp_path, monkeypatch, capsys):
+        def fail(chunk, include_context=True):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(pipeline, "pattern_extract", fail)
+        corpus = str(DATA / "demo_corpus.jsonl")
+        config = tmp_path / "config.json"
+        config.write_text("{}")
+        out = tmp_path / "out"
+        assert main(["pipeline", corpus, "-c", str(config), "-o", str(out)]) == EXIT_INTERNAL
+        assert capsys.readouterr().err == "error: stage 'extract' failed: boom\n"
+        assert list(out.iterdir()) == []
+        triples = tmp_path / "t.jsonl"
+        assert main(["extract", corpus, "-o", str(triples)]) == EXIT_INTERNAL
+        assert capsys.readouterr().err == "internal error: boom\n"
+        assert not triples.exists()
+
     def test_malformed_graph_is_input_error(self, tmp_path, capsys):
         graph = tmp_path / "graph.json"
         graph.write_text("{broken")
@@ -1148,6 +1248,103 @@ class TestInputFilesDefaultToTheConfig:
         graph = str(GOLDEN / "pattern_graph.json")
         assert main(["eval", graph, *self.config(tmp_path)]) == EXIT_USAGE
         assert "no gold file" in capsys.readouterr().err
+
+
+# Gold labels near the words of support.year_texts: one with an edge
+# punctuation mark, one in capitals, one with a run of blanks, and predicates
+# that only relaxed matching takes ("disc" inside "discovered", "is" inside
+# "is_a").
+_gold_words = st.sampled_from(["curie", "Radium", "the  lab", "meitner", "metals.", "gases"])
+_gold_predicates = st.sampled_from(["discovered", "wrote", "founded", "won", "is_a", "disc", "is"])
+
+
+def reference_report(graph, gold, gold_entities, policy, eval_policy) -> bytes:
+    """``report.json`` of ``graph`` against the raw gold triples and entity
+    labels, normalized under ``policy``: brute-force scores from
+    ``support.naive_f1`` and ``support.reference_relaxed_matches``, one
+    ``indent=2`` encode of the report's dict."""
+    triples = {tuple(normalize_label(label, policy) for label in t) for t in gold}
+    entities = {normalize_label(e, policy) for e in gold_entities}
+    entities |= {t[0] for t in triples} | {t[2] for t in triples}
+    nodes = set(graph.nodes)
+    predicted = {(e.source, e.predicate, e.target) for e in graph.edges.values()}
+    if eval_policy == "strict":
+        matched = matched_gold = predicted & triples
+    else:
+        matched, matched_gold = support.reference_relaxed_matches(predicted, triples)
+    # Two sets of the scored sizes that share as many items as were matched.
+    unmatched = len(predicted) - len(matched)
+    relation = support.naive_f1(
+        set(range(len(predicted))), set(range(unmatched, unmatched + len(triples)))
+    )
+
+    def items(labels, relations):
+        return [{"type": "entity", "label": label} for label in sorted(labels)] + [
+            {"type": "relation", "triple": list(t)} for t in sorted(relations)
+        ]
+
+    report = {
+        "entity": dict(zip(("p", "r", "f1"), support.naive_f1(nodes, entities))),
+        "relation": dict(zip(("p", "r", "f1"), relation)),
+        "matched": items(nodes & entities, matched),
+        "missing": items(entities - nodes, triples - matched_gold),
+        "spurious": items(nodes - entities, predicted - matched),
+    }
+    return indented_json_bytes(report)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    texts=st.lists(support.year_texts(), min_size=1, max_size=3),
+    gold=st.lists(st.tuples(_gold_words, _gold_predicates, _gold_words), max_size=5),
+    gold_entities=st.lists(_gold_words, max_size=2),
+    include_context=st.booleans(),
+    collapse_whitespace=st.booleans(),
+    strip_punctuation_edges=st.booleans(),
+    export_format=st.sampled_from(FORMATS),
+    eval_policy=st.sampled_from(RELATION_POLICIES),
+)
+def test_run_without_topology_equals_the_reference_chain(
+    texts, gold, gold_entities, include_context, collapse_whitespace,
+    strip_punctuation_edges, export_format, eval_policy,
+):
+    """``run_pipeline``'s triples, graph and report files, topology off, equal
+    the bytes of a chain of the test oracles: ``reference_pattern_extract``
+    per document (one chunk each), contexts emptied without
+    ``include_context``, ``reference_aggregate``, the reference writers and
+    :func:`reference_report`."""
+    policy = NormalizationPolicy(
+        collapse_whitespace=collapse_whitespace, strip_punctuation_edges=strip_punctuation_edges
+    )
+    documents = {f"d{i}": text for i, text in enumerate(texts)}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        corpus = write_corpus(tmp, [{"id": i, "text": text} for i, text in documents.items()])
+        gold_path = tmp / "gold.jsonl"
+        gold_path.write_text("".join(
+            [json.dumps({"entity": e}) + "\n" for e in gold_entities]
+            + [json.dumps(dict(zip(("subject", "predicate", "object"), t))) + "\n" for t in gold]
+        ))
+        config = PipelineConfig(
+            include_context=include_context, topology_enabled=False, normalization=policy,
+            export_format=export_format, eval_policy=eval_policy, gold_path=str(gold_path),
+        )
+        run_pipeline(config, corpus, tmp / "out")
+        names = ("triples.jsonl", f"graph.{export_format}", "report.json")
+        written = [(tmp / "out" / name).read_bytes() for name in names]
+
+    triples = [
+        t if include_context else replace(t, context=ContextMap())
+        for doc_id in sorted(documents)
+        for t in support.reference_pattern_extract(TextChunk(doc_id, 0, documents[doc_id])).triples
+    ]
+    graph, _ = support.reference_aggregate(triples, policy)
+    writers = {"json": support.reference_graph_json, "graphml": support.reference_graphml}
+    assert written == [
+        support.reference_triples_to_jsonl(triples),
+        writers[export_format](graph),
+        reference_report(graph, gold, gold_entities, policy, eval_policy),
+    ]
 
 
 def test_ablations_without_an_output_directory_leave_no_files(tmp_path, monkeypatch, capsys):

@@ -23,6 +23,7 @@ from lightkg.graph import (
     KnowledgeGraph,
     Node,
     Provenance,
+    content_equal,
 )
 from lightkg.serialize import (
     GraphParseError,
@@ -75,6 +76,34 @@ def test_reserialization_is_stable(g):
     for fmt in ("json", "graphml"):
         first = serialize_graph(g, fmt)
         assert serialize_graph(deserialize_graph(first, fmt), fmt) == first
+
+
+class _Float(float):
+    """A float whose repr is not float text, as NumPy 2's ``float64`` is."""
+
+    def __repr__(self):
+        return f"_Float({float.__repr__(self)})"
+
+
+@settings(max_examples=100)
+@given(
+    confidence=st.one_of(
+        st.floats(0, 1), st.integers(0, 1), st.booleans(), st.floats(0, 1).map(_Float)
+    ),
+    inferred=st.one_of(st.booleans(), st.integers(0, 1)),
+)
+@example(confidence=0.5, inferred=1)
+@example(confidence=True, inferred=False)
+@example(confidence=_Float(0.5), inferred=False)
+def test_every_constructible_edge_reads_back_in_both_formats(confidence, inferred):
+    """An edge either is refused when built or reads back from both writers."""
+    try:
+        edge = Edge("a", "b", "p", confidence=confidence, inferred=inferred)
+    except ValueError:
+        return
+    g = KnowledgeGraph({"a": Node("a"), "b": Node("b")}, {edge.edge_id: edge})
+    for fmt in serialize.FORMATS:
+        assert content_equal(deserialize_graph(serialize_graph(g, fmt), fmt), g)
 
 
 def test_malformed_json_reports_offset():
@@ -275,7 +304,7 @@ def _awkward_graphs(draw):
             draw(st.sampled_from(linked)),
             draw(_encodable_labels),
             draw(_awkward_contexts),
-            draw(st.one_of(st.floats(0, 1), st.integers(0, 1), st.booleans())),
+            draw(st.one_of(st.floats(0, 1), st.integers(0, 1))),
             tuple(draw(st.lists(st.sampled_from(pool), max_size=8))),
             draw(st.booleans()),
         )
@@ -291,8 +320,7 @@ def _awkward_graphs(draw):
 def test_graph_json_bytes_match_the_dict_encoder(g):
     written = _outcome(lambda graph: serialize_graph(graph, "json"), g)
     assert written == _outcome(support.reference_graph_json, g)
-    # The reader takes a number, not a bool, for a confidence.
-    if isinstance(written, bytes) and bool not in {type(e.confidence) for e in g.edges.values()}:
+    if isinstance(written, bytes):
         assert deserialize_graph(written) == g
 
 
