@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from .client import ModelClientError
 from .evaluation import RELATION_POLICIES, GoldFormatError
@@ -67,9 +69,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{message}\n{self.format_usage()}")
 
 
-def _write_output(path: str, data: bytes) -> None:
+def _write_output(path: str, data: bytes | Callable[[Path], object]) -> None:
+    """Write ``data`` to the file ``path``, or call ``data`` with the path to
+    write it; a missing output directory is a usage error."""
     try:
-        Path(path).write_bytes(data)
+        if callable(data):
+            data(Path(path))
+        else:
+            Path(path).write_bytes(data)
     except FileNotFoundError as exc:
         raise _UsageError(f"output directory does not exist: {path}") from exc
 
@@ -127,7 +134,7 @@ def build_parser() -> _Parser:
 def _cmd_extract(args, config: PipelineConfig) -> None:
     documents = read_corpus(configured_file(args.corpus, "corpus"))
     results, counts = extract_stage(config, documents)
-    _write_output(args.output, triples_jsonl(results))
+    _write_output(args.output, partial(triples_jsonl, results))
     triples, rejected = counts["triples"], counts["rejected_lines"]
     print(f"extracted {triples} triples ({rejected} rejected lines) -> {args.output}")
 

@@ -19,7 +19,10 @@ and chunks go before ``triples.jsonl`` is written, and the extraction
 results, with their triples, as soon as aggregation returns; the summary
 keeps only their counts and rejected lines. The aggregated graph stays alive
 to the end, because a later stage's failure quarantines it as
-``graph_aggregated.json``.
+``graph_aggregated.json``. No stage holds a whole file in memory on top of
+its data: ``triples.jsonl`` is written ``TRIPLES_BLOCK`` triples at a time,
+and the evaluate stage reads ``graph.json`` back one record at a time. So
+the peak is the extract stage's, the results of every chunk.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -253,9 +257,42 @@ def extract_stage(config: PipelineConfig, documents) -> tuple[list[ExtractionRes
     return results, counts
 
 
-def triples_jsonl(results: Iterable[ExtractionResult]) -> bytes:
-    """The extract stage's file: every triple of ``results``, in order."""
-    return triples_to_jsonl(t for r in results for t in r.triples)
+# Triples encoded per block of the triples file.
+TRIPLES_BLOCK = 1024
+
+
+def triples_jsonl(results: Iterable[ExtractionResult], path) -> None:
+    """Write the extract stage's file at ``path``: every triple of
+    ``results``, in order, as ``triples_to_jsonl`` of all of them writes it.
+    The triples are encoded ``TRIPLES_BLOCK`` at a time, each block appended
+    to the file, so one block's encoding is alive at once, not the file's.
+
+    A block that cannot be encoded raises its ``UnicodeEncodeError``, with
+    the position counted from the start of the file, and removes the file:
+    no partial file is left behind."""
+    triples = (t for r in results for t in r.triples)
+    file = open(path, "wb")
+    try:
+        with file:
+            while block := list(islice(triples, TRIPLES_BLOCK)):
+                try:
+                    file.write(triples_to_jsonl(block))
+                except UnicodeEncodeError as exc:
+                    file.flush()
+                    raise _from_file_start(exc, Path(path)) from None
+    except BaseException:
+        os.unlink(path)
+        raise
+
+
+def _from_file_start(exc: UnicodeEncodeError, path: Path) -> UnicodeEncodeError:
+    """``exc``, raised encoding the text of a block that follows the file at
+    ``path``, as encoding the file's text and that block's would raise it."""
+    written = path.read_bytes().decode("utf-8")
+    return UnicodeEncodeError(
+        exc.encoding, written + exc.object, len(written) + exc.start, len(written) + exc.end,
+        exc.reason,
+    )
 
 
 def aggregate_stage(config: PipelineConfig, results) -> AggregationResult:
@@ -335,8 +372,11 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
     aggregated: KnowledgeGraph | None = None
     stage = "configure"
 
+    def staged_path(name: str) -> Path:
+        return out / f".partial-{name}"
+
     def write_staged(name: str, data: bytes) -> Path:
-        path = out / f".partial-{name}"
+        path = staged_path(name)
         path.write_bytes(data)
         staged[name] = path
         return path
@@ -382,7 +422,8 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
             for fragment, reason in r.rejected_lines
         ]
         tick = time.perf_counter()
-        write_staged("triples.jsonl", triples_jsonl(results))
+        triples_jsonl(results, staged_path("triples.jsonl"))
+        staged["triples.jsonl"] = staged_path("triples.jsonl")
         timings["write_triples_s"] = time.perf_counter() - tick
 
         stage = "aggregate"

@@ -25,7 +25,16 @@ reuses the :class:`Provenance` for every equal record. Extracted triples
 share few distinct contexts (a ``year`` among a few hundred), so each
 triples JSONL write also encodes a distinct :class:`ContextMap` once. The
 write memos are keyed by value, not by object, and each memo lasts only its
-call.
+call. A graph write counts the records first and keeps the text only of one
+that occurs again, so edges that each have their own records cost no second
+copy of them.
+
+Memory follows the graph, not the document: a graph write holds at most two
+whole copies of its output (:func:`_graph_json`), and a graph JSON read
+decodes each node and edge record as json's scanner reaches it, so it holds
+the text, the graph built so far and one record, never the whole document
+as dicts. The pipeline writes a triples file a block of triples at a time,
+with :func:`triples_to_jsonl` per block.
 """
 
 from __future__ import annotations
@@ -34,8 +43,9 @@ import dataclasses
 import json
 import os
 import re
+from collections import Counter
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -319,12 +329,32 @@ def _once(encode: Callable[[Any], str]) -> Callable[[Any], str]:
     return encoded
 
 
+def _provenance_encoder(records: Iterable[Provenance]) -> Callable[[Provenance], str]:
+    """``_provenance_json``, called once per distinct record as by
+    :func:`_once`, for a write of ``records``; the text of a record is held
+    only if it occurs in ``records`` more than once. So a graph whose edges
+    each have records of their own holds no second copy of them. The counts,
+    keyed by value, are the memo too."""
+    memo: dict[Provenance, int | str] = Counter(records)
+
+    def encoded(p: Provenance) -> str:
+        found = memo[p]
+        if type(found) is str:
+            return found
+        text = _provenance_json(p)
+        if found > 1:
+            memo[p] = text
+        return text
+
+    return encoded
+
+
 def _json_array(records: Iterable[str]) -> list[str]:
     """Parts whose concatenation is ``"[" + ",".join(records) + "]"``. The
-    records are joined 1,024 at a time, so no more than one block of them
+    records are joined 128 at a time, so no more than one block of them
     is alive as separate strings."""
     records, parts = iter(records), []
-    while block := list(islice(records, 1024)):
+    while block := list(islice(records, 128)):
         parts += (",", ",".join(block))
     parts[:1] = ["["]  # the first separator, or nothing if no records
     parts.append("]")
@@ -339,6 +369,10 @@ def _edge_json(provenance_json: Callable[[Provenance], str], e: Edge) -> str:
         f'"confidence":{float.__repr__(e.confidence)},"inferred":{inferred},'
         f'"provenance":[{",".join(map(provenance_json, e.provenance))}]}}'
     )
+
+
+def _edge_provenance(g: KnowledgeGraph) -> Iterator[Provenance]:
+    return chain.from_iterable(e.provenance for e in g.edges.values())
 
 
 def _graph_json(g: KnowledgeGraph) -> str:
@@ -357,7 +391,8 @@ def _graph_json(g: KnowledgeGraph) -> str:
         ),
         ',"edges":',
         *_json_array(map(
-            partial(_edge_json, _once(_provenance_json)), map(g.edges.__getitem__, sorted(g.edges))
+            partial(_edge_json, _provenance_encoder(_edge_provenance(g))),
+            map(g.edges.__getitem__, sorted(g.edges)),
         )),
         "}",
     ])
@@ -369,25 +404,142 @@ def _parse_json(text: str, where: str = "") -> Any:
     return _loads(text, GraphParseError, where, " at offset {pos}: {msg}")
 
 
-def graph_from_dict(payload: Any) -> KnowledgeGraph:
-    records = decode_record(payload, "graph", dict, GraphParseError, "graph")
-    nodes: dict[str, Node] = {}
-    for index, record in enumerate(records.get("nodes", ())):
-        node = decode_record(
-            record, "node", lambda id, attributes=None: Node(id, ContextMap(attributes)),
-            GraphParseError, f"node #{index}",
-        )
-        if node.id in nodes:
-            raise GraphParseError(f"duplicate node id {node.id!r}")
-        nodes[node.id] = node
-    edges: dict[str, Edge] = {}
-    build_edge = partial(_edge, {})
-    for index, record in enumerate(records.get("edges", ())):
-        edge = decode_record(record, "edge", build_edge, GraphParseError, f"edge #{index}")
-        if edge.edge_id in edges:
-            raise GraphParseError(f"duplicate edge id {edge.edge_id!r}")
-        edges[edge.edge_id] = edge
+def _node(id, attributes=None) -> Node:
+    return Node(id, ContextMap(attributes))
+
+
+class _Records(dict):
+    """A graph's nodes or edges by id, each decoded as its record is added,
+    as one list of ``kind`` records ("node" or "edge") is decoded: the first
+    record that fails, named ``kind #N``, or repeats an id, is kept as
+    ``error`` for :func:`_graph` to raise, and no later record is decoded."""
+
+    def __init__(self, kind: str) -> None:
+        super().__init__()
+        self.kind, self.error = kind, None
+        self._build = _node if kind == "node" else partial(_edge, {})
+
+    def add(self, record: Any) -> None:
+        if self.error is not None:
+            return
+        try:
+            item = decode_record(
+                record, self.kind, self._build, GraphParseError, f"{self.kind} #{len(self)}"
+            )
+            key = item.id if self.kind == "node" else item.edge_id
+            if key in self:
+                raise GraphParseError(f"duplicate {self.kind} id {key!r}")
+            self[key] = item
+        except GraphParseError as exc:
+            self.error = exc
+
+
+def _graph(nodes: _Records, edges: _Records) -> KnowledgeGraph:
+    """The graph of ``nodes`` and ``edges``; a kept error raises, a node's
+    before an edge's."""
+    for records in (nodes, edges):
+        if records.error is not None:
+            raise records.error
     return KnowledgeGraph(nodes, edges)
+
+
+# json's own scanner, the one json.loads reads with: the JSON value that
+# starts at an index of a text, and the index past it.
+_scan_value = json.JSONDecoder().scan_once
+_SPACE = frozenset(" \t\n\r")
+_skip_space = re.compile(r"[ \t\n\r]*").match
+_SECTIONS = {"nodes": "node", "edges": "edge"}
+
+
+def _read_json_array(text: str, i: int, add: Callable[[Any], None]) -> int:
+    """``add`` each value of the JSON array whose ``[`` is at ``text[i]``, in
+    order; the index past its ``]``. Text that is no array raises."""
+    scan, skip = _scan_value, _skip_space
+    i += 1
+    if text[i:i + 1] in _SPACE:
+        i = skip(text, i).end()
+    if text.startswith("]", i):
+        return i + 1
+    while True:
+        value, i = scan(text, i)
+        add(value)
+        c = text[i:i + 1]
+        if c in _SPACE:
+            i = skip(text, i).end()
+            c = text[i:i + 1]
+        if c != ",":
+            break
+        i += 1
+        if text[i:i + 1] in _SPACE:
+            i = skip(text, i).end()
+    if c != "]":
+        raise ValueError("no json array")
+    return i + 1
+
+
+def _graph_fields(text: str) -> tuple[Any, dict[str, _Records]]:
+    """The JSON document ``text`` read as a graph: its value, an object
+    holding only its ``nodes`` and ``edges`` fields, and those that are
+    arrays, each as the :class:`_Records` of its items. An array field is
+    held as ``[]`` in the object, and its items are decoded as the scanner
+    reaches them; a repeated field keeps its last value, as ``json.loads``
+    does. Text that is no JSON raises ``ValueError``, ``StopIteration`` or
+    ``RecursionError``."""
+    scan, skip = _scan_value, _skip_space
+    i = skip(text).end()
+    sections: dict[str, _Records] = {}
+    if not text.startswith("{", i):
+        top, i = scan(text, i)
+    else:
+        top = {}
+        i = skip(text, i + 1).end()
+        if text.startswith("}", i):
+            i += 1
+        else:
+            while True:
+                if not text.startswith('"', i):
+                    raise ValueError("no json object")
+                key, i = scan(text, i)
+                i = skip(text, i).end()
+                if not text.startswith(":", i):
+                    raise ValueError("no json object")
+                i = skip(text, i + 1).end()
+                kind = _SECTIONS.get(key)
+                if kind is not None and text.startswith("[", i):
+                    top[key], sections[key] = [], _Records(kind)
+                    i = _read_json_array(text, i, sections[key].add)
+                else:
+                    value, i = scan(text, i)
+                    if kind is not None:
+                        top[key] = value
+                        sections.pop(key, None)
+                i = skip(text, i).end()
+                if text.startswith("}", i):
+                    i += 1
+                    break
+                if not text.startswith(",", i):
+                    raise ValueError("no json object")
+                i = skip(text, i + 1).end()
+    if skip(text, i).end() != len(text):
+        raise ValueError("extra data")
+    return top, sections
+
+
+def _graph_from_json(text: str) -> KnowledgeGraph:
+    """The graph of the graph JSON document ``text``, each node and edge
+    record decoded as json's scanner reaches it, so only one record is alive
+    as a dict at a time. Errors are those of ``json.loads`` and then one
+    decode per record: text that is no JSON raises its syntax error, worded
+    by ``json.loads`` of the whole text, whatever bad record came before it;
+    then a field of the wrong kind, the first bad node, the first bad edge
+    and an edge to a missing node, in that order."""
+    try:
+        top, sections = _graph_fields(text)
+    except (ValueError, StopIteration, RecursionError):
+        _parse_json(text)  # raises, worded as json.loads words it
+        raise
+    decode_record(top, "graph", dict, GraphParseError, "graph")
+    return _graph(sections.get("nodes", _Records("node")), sections.get("edges", _Records("edge")))
 
 
 # --- GraphML -----------------------------------------------------------------
@@ -441,7 +593,7 @@ def _graph_to_graphml(g: KnowledgeGraph) -> bytes:
     naming the first element whose text holds a character outside XML 1.0's
     ``Char``: a C0 control but tab, LF and CR, U+FFFE, U+FFFF, a surrogate."""
     a, c, data = _xml_attribute, _context_json, _graphml_data
-    provenance_json = _once(_provenance_json)
+    provenance_json = _provenance_encoder(_edge_provenance(g))
     parts = [_GRAPHML_HEAD, '  <graph id="G" edgedefault="directed">\n']
     append = parts.append
     for node in map(g.nodes.__getitem__, sorted(g.nodes)):
@@ -509,7 +661,7 @@ def _graph_from_graphml(data: bytes) -> KnowledgeGraph:
         text = fields.get(name)
         return None if text is None else _parse_json(text, f"{where}: {name}: ")
 
-    payload: dict[str, list[dict[str, Any]]] = {"nodes": [], "edges": []}
+    nodes, edges = _Records("node"), _Records("edge")
     for element in graph_el:
         tag = _local_name(element.tag)
         if tag not in ("node", "edge"):
@@ -517,15 +669,13 @@ def _graph_from_graphml(data: bytes) -> KnowledgeGraph:
         fields = data_fields(element)
         where = f"graphml {tag} {element.get('id')!r}"
         if tag == "node":
-            payload["nodes"].append(
-                {"id": element.get("id"), "attributes": json_field(fields, "attributes", where)}
-            )
+            nodes.add({"id": element.get("id"), "attributes": json_field(fields, "attributes", where)})
             continue
         try:
             confidence = float(fields["confidence"]) if "confidence" in fields else None
         except ValueError as exc:
             raise GraphParseError(f"{where}: {exc}") from exc
-        payload["edges"].append(
+        edges.add(
             {
                 "id": element.get("id"),
                 "source": element.get("source"),
@@ -537,7 +687,7 @@ def _graph_from_graphml(data: bytes) -> KnowledgeGraph:
                 "provenance": json_field(fields, "provenance", where),
             }
         )
-    return graph_from_dict(payload)
+    return _graph(nodes, edges)
 
 
 # --- public entry points ------------------------------------------------------
@@ -564,17 +714,15 @@ def deserialize_graph(data: bytes | str | os.PathLike, fmt: str = "json") -> Kno
     if not isinstance(data, bytes):
         try:
             if fmt == "json":
-                # Parsed here, not through the call below, whose argument would
-                # keep the file's bytes alive for the whole parse. The bytes,
-                # then the text, are temporaries, each released once read.
-                return graph_from_dict(
-                    _parse_json(_decode(Path(data).read_bytes(), GraphParseError, "line "))
-                )
+                # Read here, not through the call below, whose argument would
+                # keep the file's bytes alive for the whole read. The bytes
+                # are a temporary, released once decoded.
+                return _graph_from_json(_decode(Path(data).read_bytes(), GraphParseError, "line "))
             return deserialize_graph(Path(data).read_bytes(), fmt)
         except (GraphParseError, GraphIntegrityError) as exc:
             raise type(exc)(f"{data}: {exc}") from exc
     if fmt == "json":
-        return graph_from_dict(_parse_json(_decode(data, GraphParseError, "line ")))
+        return _graph_from_json(_decode(data, GraphParseError, "line "))
     if fmt == "graphml":
         return _graph_from_graphml(data)
     raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")

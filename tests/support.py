@@ -15,10 +15,11 @@ import re
 import xml.etree.ElementTree as ET
 from collections import deque
 from dataclasses import replace
+from functools import partial
 
 from hypothesis import strategies as st
 
-from lightkg import extraction
+from lightkg import extraction, serialize
 from lightkg.aggregation import (
     DEFAULT_POLICY,
     EmptyLabelError,
@@ -34,7 +35,7 @@ from lightkg.graph import (
     Node,
     Provenance,
 )
-from lightkg.serialize import SHAPES
+from lightkg.serialize import SHAPES, GraphParseError, decode_record
 from lightkg.topology import PathEvidence, TopologyConfig
 
 PROV = Provenance("fixture", 0, Extractor.PATTERN)
@@ -481,6 +482,31 @@ def reference_graphml(g: KnowledgeGraph) -> bytes:
         ])
     ET.indent(root, space="  ")
     return ET.tostring(root, encoding="utf-8", xml_declaration=True).replace(b"\r", b"&#13;")
+
+
+def reference_read_graph_json(data: bytes) -> KnowledgeGraph:
+    """The whole-document graph JSON reader: ``json.loads`` of the text, then
+    one ``decode_record`` per node and edge record of the dict it gives,
+    every node before any edge."""
+    payload = serialize._parse_json(serialize._decode(data, GraphParseError, "line "))
+    records = decode_record(payload, "graph", dict, GraphParseError, "graph")
+    nodes: dict[str, Node] = {}
+    for index, record in enumerate(records.get("nodes", ())):
+        node = decode_record(
+            record, "node", lambda id, attributes=None: Node(id, ContextMap(attributes)),
+            GraphParseError, f"node #{index}",
+        )
+        if node.id in nodes:
+            raise GraphParseError(f"duplicate node id {node.id!r}")
+        nodes[node.id] = node
+    edges: dict[str, Edge] = {}
+    build_edge = partial(serialize._edge, {})
+    for index, record in enumerate(records.get("edges", ())):
+        edge = decode_record(record, "edge", build_edge, GraphParseError, f"edge #{index}")
+        if edge.edge_id in edges:
+            raise GraphParseError(f"duplicate edge id {edge.edge_id!r}")
+        edges[edge.edge_id] = edge
+    return KnowledgeGraph(nodes, edges)
 
 
 def _reference_strings(value: list) -> bool:

@@ -8,6 +8,7 @@ import json
 import random
 import sys
 import tempfile
+import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -35,6 +36,7 @@ from lightkg.pipeline import (
     PipelineConfig,
     StageError,
     extract_corpus,
+    extract_stage,
     run_pipeline,
 )
 from lightkg.serialize import FORMATS, deserialize_graph, serialize_graph, triples_to_jsonl
@@ -59,6 +61,15 @@ def write_corpus(tmp_path, lines) -> Path:
     path = tmp_path / "corpus.jsonl"
     path.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
     return path
+
+
+def block_corpus(tmp_path, triples: int, last: str = "") -> Path:
+    """A corpus from which the pattern extractor takes ``triples`` triples,
+    one fact each, 50 sentences to a document, and then the text ``last``."""
+    sentences = [f"Person {i} wrote Work {i} in {1800 + i % 200}." for i in range(triples)]
+    documents = [" ".join(sentences[i:i + 50]) for i in range(0, triples, 50)]
+    documents[-1] += f" {last}"
+    return write_corpus(tmp_path, [{"id": f"d{i:03d}", "text": t} for i, t in enumerate(documents)])
 
 
 def stage_chain(tmp_path, config_path) -> bytes:
@@ -432,6 +443,83 @@ class TestRunPipeline:
         assert sorted(p.name for p in (out / "quarantine").iterdir()) == ["previous"]
         previous = out / "quarantine" / "previous"
         assert {p.name: p.read_bytes() for p in previous.iterdir()} == earlier
+
+    def test_triples_file_is_written_one_block_at_a_time(self, tmp_path, monkeypatch):
+        """A run whose triples fill more than three blocks writes the bytes of
+        the whole-file encoder, and its write holds no more than one block's
+        encoding above the results it writes."""
+        lines, extracted, traced = [], [], {}
+        encode, write, extract = pipeline.triples_to_jsonl, pipeline.triples_jsonl, extract_stage
+
+        def encoding(triples):
+            block = encode(triples)
+            lines.append(block.count(b"\n"))
+            return block
+
+        def writing(results, path):
+            tracemalloc.start()
+            try:
+                write(results, path)
+                traced["peak"] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def extracting(config, documents):
+            results, counts = extract(config, documents)
+            extracted.extend(t for r in results for t in r.triples)
+            return results, counts
+
+        monkeypatch.setattr(pipeline, "triples_to_jsonl", encoding)
+        monkeypatch.setattr(pipeline, "triples_jsonl", writing)
+        monkeypatch.setattr(pipeline, "extract_stage", extracting)
+        corpus = block_corpus(tmp_path, 3 * pipeline.TRIPLES_BLOCK + 100)
+        run_pipeline(pattern_config(gold_path=None), corpus, tmp_path / "out")
+        assert len(extracted) == 3 * pipeline.TRIPLES_BLOCK + 100
+        assert lines == [pipeline.TRIPLES_BLOCK] * 3 + [100]
+        written = (tmp_path / "out" / "triples.jsonl").read_bytes()
+        assert written == triples_to_jsonl(extracted)
+        block_peaks = []
+        for start in range(0, len(extracted), pipeline.TRIPLES_BLOCK):
+            tracemalloc.start()
+            triples_to_jsonl(extracted[start:start + pipeline.TRIPLES_BLOCK])
+            block_peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        # Past the largest block's encoding: the file's buffer and the list
+        # of the block's triples.
+        assert traced["peak"] <= max(block_peaks) + 64 * 1024
+
+    @pytest.mark.parametrize("command", ["run_pipeline", "lightkg extract"])
+    def test_unencodable_triple_past_the_first_block_fails_extract(
+        self, tmp_path, capsys, command
+    ):
+        """The block that holds the surrogate fails the stage. The position is
+        counted from the start of the file, as the whole-file encoder counts it,
+        and nothing is left behind."""
+        corpus = block_corpus(
+            tmp_path, pipeline.TRIPLES_BLOCK + 10, "Ada Lovelace wrote \ud800 notes in 1843."
+        )
+        message = (
+            "'utf-8' codec can't encode character '\\ud800' in position 170514: "
+            "surrogates not allowed"
+        )
+        results, _ = extract_stage(pattern_config(), read_corpus(corpus))
+        with pytest.raises(UnicodeEncodeError) as whole_file:
+            triples_to_jsonl(t for r in results for t in r.triples)
+        assert str(whole_file.value) == message
+        out = tmp_path / "out"
+        if command == "run_pipeline":
+            with pytest.raises(StageError) as err:
+                run_pipeline(pattern_config(), corpus, out)
+            assert err.value.stage == "extract"
+            assert type(err.value.__cause__) is UnicodeEncodeError
+            assert str(err.value.__cause__) == message
+            assert list(out.iterdir()) == []
+        else:
+            out.mkdir()
+            triples = out / "t.jsonl"
+            assert main(["extract", str(corpus), "-o", str(triples)]) == EXIT_INTERNAL
+            assert capsys.readouterr().err == f"internal error: {message}\n"
+            assert list(out.iterdir()) == []
 
     def test_stage_data_is_released_once_no_later_stage_reads_it(self, tmp_path, monkeypatch):
         """Documents and chunks die before the triples write, and every

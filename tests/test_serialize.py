@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import tracemalloc
 import xml.etree.ElementTree as ET
+from pathlib import Path
 from unittest import mock
 from xml.sax.saxutils import escape
 
@@ -449,18 +450,60 @@ def test_triples_jsonl_peak_is_at_most_two_and_a_half_times_its_output():
     assert peak <= 2.5 * len(written)
 
 
+def _triples_many_chunks_each(edges: int, chunks: int, per_edge: int = 14) -> list[ContextTriple]:
+    # Fact k % edges stated ``per_edge`` times, each in another year: triple
+    # k comes from chunk k % chunks, so no fact has two triples of one chunk
+    # while edges * per_edge stays below the least common multiple of
+    # ``edges`` and ``chunks``.
+    return [
+        ContextTriple(
+            f"person {k % edges}", "wrote", f"work {k % edges}",
+            ContextMap({"year": [str(1800 + k // edges)]}),
+            Provenance(f"doc-{k % chunks // 10}", k % chunks % 10, Extractor.PATTERN),
+        )
+        for k in range(edges * per_edge)
+    ]
+
+
+# Graphs a writer's peak is bounded on, with the least output each must give:
+# one provenance record per edge, and 14 records per edge that no other edge
+# shares.
+_WRITER_PEAK_GRAPHS = (
+    (lambda: support.reference_aggregate(_triples_one_chunk_each(5000))[0], 500_000),
+    (lambda: support.reference_aggregate(_triples_many_chunks_each(405, 405 * 14))[0], 450_000),
+)
+
+
 def test_graph_json_peak_is_at_most_two_and_a_half_times_its_output():
-    g, _ = support.reference_aggregate(_triples_one_chunk_each(5000))
-    written, peak = _peak_bytes(serialize_graph, g, "json")
-    assert len(written) >= 500_000
-    assert peak <= 2.5 * len(written)
+    for graph, least in _WRITER_PEAK_GRAPHS:
+        g = graph()
+        written, peak = _peak_bytes(serialize_graph, g, "json")
+        assert len(written) >= least
+        assert peak <= 2.5 * len(written)
+        assert written == support.reference_graph_json(g)
 
 
 def test_graphml_peak_is_at_most_two_and_a_half_times_its_output():
-    g, _ = support.reference_aggregate(_triples_one_chunk_each(5000))
-    written, peak = _peak_bytes(serialize_graph, g, "graphml")
-    assert len(written) >= 500_000
-    assert peak <= 2.5 * len(written)
+    for graph, least in _WRITER_PEAK_GRAPHS:
+        g = graph()
+        written, peak = _peak_bytes(serialize_graph, g, "graphml")
+        assert len(written) >= least
+        assert peak <= 2.5 * len(written)
+        assert written == support.reference_graphml(g)
+
+
+def test_graph_json_read_peak_follows_the_graph_not_the_document():
+    """A graph of ``dup_ingest``'s shape: 405 edges of 14 provenance records,
+    600 distinct. Decoding each record as it is scanned keeps the read under
+    4.5 times the file; the whole-document reader peaks above 7 times it."""
+    g, _ = support.reference_aggregate(_triples_many_chunks_each(405, 600))
+    assert len({p for e in g.edges.values() for p in e.provenance}) == 600
+    data = serialize_graph(g, "json")
+    assert len(data) >= 400_000
+    deserialize_graph(data)  # warm up the decoders before tracing
+    read, peak = _peak_bytes(deserialize_graph, data)
+    assert read == g
+    assert peak <= 4.5 * len(data)
 
 
 def test_graph_file_read_holds_no_copy_of_the_file_past_its_decode(tmp_path):
@@ -561,3 +604,143 @@ def test_one_provenance_built_per_distinct_record_per_read(reader):
         assert built.call_count == len(distinct)
         read(data)
         assert built.call_count == 2 * len(distinct)
+
+
+# --- the graph JSON reader against the whole-document reader ------------------
+
+_GOLDEN = Path(__file__).parent / "data" / "golden"
+_SPACES = st.sampled_from(["", " ", "\n", "\t ", "\r\n  "])
+_VALID_NODES = st.builds(
+    dict, id=st.sampled_from(["a", "b", "c"]),
+    attributes=st.sampled_from([{"sense": ["metal"]}, {}, None]),
+)
+_NODE_RECORDS = st.one_of(
+    _VALID_NODES, _VALID_NODES,
+    st.sampled_from([{"id": 5}, {}, "a", None, [], {"id": "a", "attributes": {"sense": [1]}}]),
+)
+
+
+def _edges(**bad) -> st.SearchStrategy:
+    """Edge records over nodes a and b, and a node that may be missing;
+    ``bad`` adds values of the wrong kind to the optional fields it names."""
+    optional = {
+        "id": [None],
+        "context": [{"year": ["1898"]}, None],
+        "confidence": [0.25, 1, None],
+        "inferred": [True, False, None],
+    }
+    for field, values in bad.items():
+        optional[field] = optional[field] + values
+    return st.fixed_dictionaries(
+        {
+            "source": st.sampled_from(["a", "b"]),
+            "target": st.sampled_from(["a", "b", "b", "ghost"]),
+            "predicate": st.sampled_from(["p", "q", "r"]),
+        },
+        optional={
+            **{field: st.sampled_from(values) for field, values in optional.items()},
+            "provenance": st.lists(st.sampled_from(_PROVENANCE_RECORDS[:5]), max_size=3),
+        },
+    )
+
+
+_EDGE_RECORDS = st.one_of(
+    _edges(), _edges(),
+    _edges(
+        id=["wrong"], context=[{"year": [1898]}], confidence=[True, "high", 2**1100],
+        inferred=[1],
+    ),
+    st.builds(dict, source=st.just("a"), provenance=st.lists(st.sampled_from(_PROVENANCE_RECORDS))),
+    st.sampled_from(["edge", 7, None]),
+)
+# The value of a "nodes" or "edges" field: absent, null, an array or no array.
+_ABSENT = object()
+_SECTION_VALUES = {
+    "nodes": st.one_of(
+        st.just([{"id": "a"}, {"id": "b"}]),
+        st.lists(_NODE_RECORDS, max_size=3).map(lambda nodes: [{"id": "a"}, {"id": "b"}] + nodes),
+        st.lists(_NODE_RECORDS, max_size=4),
+        st.sampled_from([_ABSENT, None, [], 5, {}, "x"]),
+    ),
+    "edges": st.one_of(
+        st.lists(_edges(), min_size=1, max_size=4),
+        st.lists(_EDGE_RECORDS, max_size=5),
+        st.sampled_from([_ABSENT, None, [], 5, {}, "x"]),
+    ),
+}
+
+
+def _json_text(draw, value) -> str:
+    """``value`` as JSON text with drawn whitespace between its tokens; a
+    tuple is an object given as its (key, value) pairs, so a key may repeat."""
+    if isinstance(value, dict):
+        value = tuple(value.items())
+    if isinstance(value, tuple):
+        pairs = [
+            f"{draw(_SPACES)}{json.dumps(k)}{draw(_SPACES)}:{draw(_SPACES)}{_json_text(draw, v)}"
+            f"{draw(_SPACES)}"
+            for k, v in value
+        ]
+        return "{" + (",".join(pairs) or draw(_SPACES)) + "}"
+    if isinstance(value, list):
+        items = [f"{draw(_SPACES)}{_json_text(draw, v)}{draw(_SPACES)}" for v in value]
+        return "[" + (",".join(items) or draw(_SPACES)) + "]"
+    return json.dumps(value)
+
+
+@st.composite
+def _graph_json_documents(draw) -> bytes:
+    """Graph JSON text as another tool may write it: its fields in any order,
+    repeated, or next to unlisted ones; whitespace between any tokens; bad
+    records; and, at times, cut short or followed by a syntax error."""
+    keys = draw(st.lists(st.sampled_from(["nodes", "edges", "meta"]), max_size=4))
+    pairs = [
+        (key, value)
+        for key in draw(st.sampled_from([["nodes", "edges"], ["edges", "nodes"], keys]))
+        for value in [draw(_SECTION_VALUES.get(key, st.sampled_from([1, None, [{"id": 1}]])))]
+        if value is not _ABSENT
+    ]
+    top = draw(st.sampled_from([tuple(pairs)] * 9 + [[dict(pairs)], None, "graph"]))
+    text = draw(_SPACES) + _json_text(draw, top) + draw(_SPACES)
+    cut = draw(st.sampled_from(["whole"] * 4 + ["truncated", "extra data", "broken token"]))
+    if cut == "truncated":
+        text = text[: draw(st.integers(0, len(text)))]
+    elif cut == "extra data":
+        text += draw(st.sampled_from([" x", "{}", ",", "]"]))
+    elif cut == "broken token":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(["@", ",", "}", '"', "nul"])) + text[at:]
+    return text.encode()
+
+
+@settings(max_examples=500)
+@given(data=_graph_json_documents())
+@example(data=b'{"edges": [{"source": "a", "target": "b", "predicate": "p"}],'
+              b' "nodes": [{"id": "b"}, {"id": "a"}]}')
+@example(data=b' \n{ "nodes" :\r\n[ {"id":"a"} ,\t{"id":"b"} ] , "edges":[ ] }\n ')
+@example(data=b'{"meta": {"nodes": 5}, "nodes": [{"id": "a"}], "version": [1, 2]}')
+@example(data=b'{"nodes": null, "edges": []}')
+@example(data=b'{"nodes": [], "edges": null}')
+@example(data=b'{}')
+@example(data=b'{"nodes": [{"id": 5}], "nodes": [{"id": "a"}]}')
+@example(data=b'{"nodes": [{"id": "a"}], "nodes": 5}')
+@example(data=b'{"nodes": [{"id": "a"}, {"id": "a"}], "edges": [7], "nodes": null}')
+@example(data=b'{"nodes": [{"id": 5}], "edges": [{"source": "a"}] ,}')
+@example(data=b'{"edges": [{"source": "a"}], "nodes": [{"id": 5}]')
+@example(data=b'{"edges": [{"source": "a"}], "nodes": [{"id": 5}]}')
+@example(data=b'{"nodes": [{"id": "a"}],'
+              b' "edges": [{"source": "a", "target": "ghost", "predicate": "p"}]}')
+@example(data=b'{"nodes": [{"id": "a"}, {"id": "b"}], "edges": [')
+@example(data=b'{"nodes": [{"id": "a"}]} x')
+@example(data=b'{"nodes": [{"id": "a"},], "edges": []}')
+@example(data=b'[{"nodes": []}]')
+@example(data=b'')
+@example(data=b'\xef\xbb\xbf{}')
+@example(data=b'{"nodes": [{"id": "a"}], "edges": 5, "edges": "x"}')
+@example(data=(_GOLDEN / "pattern_graph.json").read_bytes())
+@example(data=(_GOLDEN / "hub_reinforced.json").read_bytes())
+def test_graph_json_reader_matches_the_whole_document_reader(data):
+    """Each document reads to the graph that ``json.loads`` and one decode
+    per record of the dict it gives read it to, or raises the same class of
+    error with the same message."""
+    assert _outcome(deserialize_graph, data) == _outcome(support.reference_read_graph_json, data)
