@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Iterable
 
 from .client import ModelClientError
 from .evaluation import RELATION_POLICIES, GoldFormatError
@@ -31,6 +30,7 @@ from .pipeline import (
     extract_stage,
     run_pipeline,
     triples_jsonl,
+    write_blocks,
 )
 from .serialize import (
     GraphParseError,
@@ -69,14 +69,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{message}\n{self.format_usage()}")
 
 
-def _write_output(path: str, data: bytes | Callable[[Path], object]) -> None:
-    """Write ``data`` to the file ``path``, or call ``data`` with the path to
-    write it; a missing output directory is a usage error."""
+def _write_output(path: str, blocks: Iterable[bytes]) -> None:
     try:
-        if callable(data):
-            data(Path(path))
-        else:
-            Path(path).write_bytes(data)
+        write_blocks(path, blocks)
     except FileNotFoundError as exc:
         raise _UsageError(f"output directory does not exist: {path}") from exc
 
@@ -134,7 +129,7 @@ def build_parser() -> _Parser:
 def _cmd_extract(args, config: PipelineConfig) -> None:
     documents = read_corpus(configured_file(args.corpus, "corpus"))
     results, counts = extract_stage(config, documents)
-    _write_output(args.output, partial(triples_jsonl, results))
+    _write_output(args.output, triples_jsonl(results))
     triples, rejected = counts["triples"], counts["rejected_lines"]
     print(f"extracted {triples} triples ({rejected} rejected lines) -> {args.output}")
 
@@ -142,7 +137,7 @@ def _cmd_extract(args, config: PipelineConfig) -> None:
 def _cmd_aggregate(args, config: PipelineConfig) -> None:
     triples = triples_from_jsonl(configured_file(args.triples, "triples file"))
     outcome = aggregate_stage(config, [ExtractionResult(triples)])
-    _write_output(args.output, serialize_graph(outcome.graph, format_for_path(args.output)))
+    _write_output(args.output, [serialize_graph(outcome.graph, format_for_path(args.output))])
     print(
         f"aggregated {outcome.graph.node_count} nodes, {outcome.graph.edge_count} edges "
         f"({len(outcome.rejected)} rejected triples) -> {args.output}"
@@ -156,7 +151,7 @@ def _cmd_discover(args, config: PipelineConfig) -> None:
     senses = _input_file(args.senses, config.senses_path, "senses file")
     result = discover_stage(config, graph, rules, senses)
     data, _ = export_stage(config, result, format_for_path(args.output))
-    _write_output(args.output, data)
+    _write_output(args.output, [data])
     inferred = sum(1 for e in result.edges.values() if e.inferred)
     print(f"discovered {inferred} inferred edges -> {args.output}")
 
@@ -169,7 +164,7 @@ def _cmd_eval(args, config: PipelineConfig) -> None:
     report = evaluate_stage(config, graph_path, gold_path, args.policy)
     print(report.render_table())
     if args.output:
-        _write_output(args.output, (report.to_json() + "\n").encode("utf-8"))
+        _write_output(args.output, [(report.to_json() + "\n").encode("utf-8")])
 
 
 def _cmd_pipeline(args, config: PipelineConfig) -> None:

@@ -27,15 +27,17 @@ the peak is the extract stage's, the results of every chunk.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
+import stat
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import islice
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from . import evaluation
 from .aggregation import (
@@ -261,38 +263,44 @@ def extract_stage(config: PipelineConfig, documents) -> tuple[list[ExtractionRes
 TRIPLES_BLOCK = 1024
 
 
-def triples_jsonl(results: Iterable[ExtractionResult], path) -> None:
-    """Write the extract stage's file at ``path``: every triple of
-    ``results``, in order, as ``triples_to_jsonl`` of all of them writes it.
-    The triples are encoded ``TRIPLES_BLOCK`` at a time, each block appended
-    to the file, so one block's encoding is alive at once, not the file's.
+def triples_jsonl(results: Iterable[ExtractionResult]) -> Iterator[bytes]:
+    """The extract stage's file in blocks: every triple of ``results``, in
+    order, encoded ``TRIPLES_BLOCK`` at a time by ``triples_to_jsonl``, so
+    one block's encoding is alive at once, not the file's. Joined, the
+    blocks are ``triples_to_jsonl`` of all the triples.
 
-    A block that cannot be encoded raises its ``UnicodeEncodeError``, with
-    the position counted from the start of the file, and removes the file:
-    no partial file is left behind."""
+    A block that cannot be encoded raises its ``UnicodeEncodeError`` with
+    ``start`` and ``end`` counted from the start of the file; its
+    ``object`` stays the block's text. Past the first block the message so
+    reads ``can't encode characters in position N-N``."""
     triples = (t for r in results for t in r.triples)
+    offset = 0  # characters in the blocks before
+    while block := list(islice(triples, TRIPLES_BLOCK)):
+        try:
+            data = triples_to_jsonl(block)
+        except UnicodeEncodeError as exc:
+            raise UnicodeEncodeError(
+                exc.encoding, exc.object, offset + exc.start, offset + exc.end, exc.reason
+            ) from None
+        offset += len(data) if data.isascii() else len(data.decode("utf-8"))
+        yield data
+        del data  # not alive while the next block is encoded
+
+
+def write_blocks(path, blocks: Iterable[bytes]) -> None:
+    """Write ``blocks`` one after another to the file at ``path``. If the
+    write fails, a regular file at ``path`` is removed, so no partial file is
+    left; a symlink, a device or a FIFO there is left as the write left it.
+    The write's own error is raised, never one of the removal."""
     file = open(path, "wb")
     try:
         with file:
-            while block := list(islice(triples, TRIPLES_BLOCK)):
-                try:
-                    file.write(triples_to_jsonl(block))
-                except UnicodeEncodeError as exc:
-                    file.flush()
-                    raise _from_file_start(exc, Path(path)) from None
+            file.writelines(blocks)
     except BaseException:
-        os.unlink(path)
+        with contextlib.suppress(OSError):
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.unlink(path)
         raise
-
-
-def _from_file_start(exc: UnicodeEncodeError, path: Path) -> UnicodeEncodeError:
-    """``exc``, raised encoding the text of a block that follows the file at
-    ``path``, as encoding the file's text and that block's would raise it."""
-    written = path.read_bytes().decode("utf-8")
-    return UnicodeEncodeError(
-        exc.encoding, written + exc.object, len(written) + exc.start, len(written) + exc.end,
-        exc.reason,
-    )
 
 
 def aggregate_stage(config: PipelineConfig, results) -> AggregationResult:
@@ -372,19 +380,16 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
     aggregated: KnowledgeGraph | None = None
     stage = "configure"
 
-    def staged_path(name: str) -> Path:
-        return out / f".partial-{name}"
-
-    def write_staged(name: str, data: bytes) -> Path:
-        path = staged_path(name)
-        path.write_bytes(data)
+    def write_staged(name: str, blocks: Iterable[bytes]) -> Path:
+        path = out / f".partial-{name}"
+        write_blocks(path, blocks)
         staged[name] = path
         return path
 
     def quarantine() -> None:
         if aggregated is not None:
             try:
-                write_staged("graph_aggregated.json", serialize_graph(aggregated, "json"))
+                write_staged("graph_aggregated.json", [serialize_graph(aggregated, "json")])
             except Exception:
                 # Report it, but raise the stage's own error, not this one.
                 logging.getLogger(__name__).warning(
@@ -422,8 +427,7 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
             for fragment, reason in r.rejected_lines
         ]
         tick = time.perf_counter()
-        triples_jsonl(results, staged_path("triples.jsonl"))
-        staged["triples.jsonl"] = staged_path("triples.jsonl")
+        write_staged("triples.jsonl", triples_jsonl(results))
         timings["write_triples_s"] = time.perf_counter() - tick
 
         stage = "aggregate"
@@ -443,7 +447,7 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
         tick = time.perf_counter()
         graph_name = f"graph.{config.export_format}"
         data, exported_edges = export_stage(config, graph)
-        graph_file = write_staged(graph_name, data)
+        graph_file = write_staged(graph_name, [data])
         del data
         timings["export_s"] = time.perf_counter() - tick
 
@@ -453,7 +457,7 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
             tick = time.perf_counter()
             report = evaluate_stage(config, graph_file, config.gold_path)
             scores, scores_text = report.to_dict(), report.to_json()
-            write_staged("report.json", (scores_text + "\n").encode("utf-8"))
+            write_staged("report.json", [(scores_text + "\n").encode("utf-8")])
             timings["evaluate_s"] = time.perf_counter() - tick
 
         stage = "summarize"
@@ -482,7 +486,7 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
             },
             "evaluation": scores,
         }
-        write_staged("summary.json", _summary_bytes(summary, scores_text))
+        write_staged("summary.json", [_summary_bytes(summary, scores_text)])
         for name, path in staged.items():
             os.replace(path, out / name)
         return summary

@@ -24,10 +24,10 @@ graph, GraphML document or triples file) decodes a provenance record once and
 reuses the :class:`Provenance` for every equal record. Extracted triples
 share few distinct contexts (a ``year`` among a few hundred), so each
 triples JSONL write also encodes a distinct :class:`ContextMap` once. The
-write memos are keyed by value, not by object, and each memo lasts only its
-call. A graph write counts the records first and keeps the text only of one
-that occurs again, so edges that each have their own records cost no second
-copy of them.
+triples write memos are keyed by value, not by object, and each memo lasts
+only its call. A graph write counts the record objects on its edges first
+and keeps the text only of one that occurs again, so edges that each have
+their own records cost no second copy of them.
 
 Memory follows the graph, not the document: a graph write holds at most two
 whole copies of its output (:func:`_graph_json`), and a graph JSON read
@@ -329,21 +329,25 @@ def _once(encode: Callable[[Any], str]) -> Callable[[Any], str]:
     return encoded
 
 
-def _provenance_encoder(records: Iterable[Provenance]) -> Callable[[Provenance], str]:
-    """``_provenance_json``, called once per distinct record as by
-    :func:`_once`, for a write of ``records``; the text of a record is held
-    only if it occurs in ``records`` more than once. So a graph whose edges
-    each have records of their own holds no second copy of them. The counts,
-    keyed by value, are the memo too."""
-    memo: dict[Provenance, int | str] = Counter(records)
+def _provenance_encoder(g: KnowledgeGraph) -> Callable[[Provenance], str]:
+    """``_provenance_json`` for a write of ``g``'s edges: each record object
+    is encoded once, and its text is held only if the object is on ``g``'s
+    edges more than once, so a graph whose edges each have records of their
+    own holds no second copy of them. Records are counted and remembered by
+    object, not by value: an object's id hashes faster than a record, and
+    equal records are one object in a graph that aggregation builds (one
+    record per chunk) or a read returns. Equal records that are separate
+    objects are each encoded, to the same text."""
+    counts = Counter(map(id, chain.from_iterable(e.provenance for e in g.edges.values())))
+    memo: dict[int, str] = {}
 
     def encoded(p: Provenance) -> str:
-        found = memo[p]
-        if type(found) is str:
-            return found
-        text = _provenance_json(p)
-        if found > 1:
-            memo[p] = text
+        key = id(p)
+        text = memo.get(key)
+        if text is None:
+            text = _provenance_json(p)
+            if counts[key] > 1:
+                memo[key] = text
         return text
 
     return encoded
@@ -371,10 +375,6 @@ def _edge_json(provenance_json: Callable[[Provenance], str], e: Edge) -> str:
     )
 
 
-def _edge_provenance(g: KnowledgeGraph) -> Iterator[Provenance]:
-    return chain.from_iterable(e.provenance for e in g.edges.values())
-
-
 def _graph_json(g: KnowledgeGraph) -> str:
     """The compact JSON of ``{"nodes": [...], "edges": [...]}``, nodes sorted
     by id and edges by edge id, each provenance record encoded once.
@@ -391,7 +391,7 @@ def _graph_json(g: KnowledgeGraph) -> str:
         ),
         ',"edges":',
         *_json_array(map(
-            partial(_edge_json, _provenance_encoder(_edge_provenance(g))),
+            partial(_edge_json, _provenance_encoder(g)),
             map(g.edges.__getitem__, sorted(g.edges)),
         )),
         "}",
@@ -593,7 +593,7 @@ def _graph_to_graphml(g: KnowledgeGraph) -> bytes:
     naming the first element whose text holds a character outside XML 1.0's
     ``Char``: a C0 control but tab, LF and CR, U+FFFE, U+FFFF, a surrogate."""
     a, c, data = _xml_attribute, _context_json, _graphml_data
-    provenance_json = _provenance_encoder(_edge_provenance(g))
+    provenance_json = _provenance_encoder(g)
     parts = [_GRAPHML_HEAD, '  <graph id="G" edgedefault="directed">\n']
     append = parts.append
     for node in map(g.nodes.__getitem__, sorted(g.nodes)):

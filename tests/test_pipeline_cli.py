@@ -5,9 +5,12 @@ from __future__ import annotations
 import gc
 import importlib.util
 import json
+import os
 import random
+import stat
 import sys
 import tempfile
+import threading
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -449,17 +452,19 @@ class TestRunPipeline:
         the whole-file encoder, and its write holds no more than one block's
         encoding above the results it writes."""
         lines, extracted, traced = [], [], {}
-        encode, write, extract = pipeline.triples_to_jsonl, pipeline.triples_jsonl, extract_stage
+        encode, write, extract = pipeline.triples_to_jsonl, pipeline.write_blocks, extract_stage
 
         def encoding(triples):
             block = encode(triples)
             lines.append(block.count(b"\n"))
             return block
 
-        def writing(results, path):
+        def writing(path, blocks):
+            if path.name != ".partial-triples.jsonl":
+                return write(path, blocks)
             tracemalloc.start()
             try:
-                write(results, path)
+                write(path, blocks)
                 traced["peak"] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -470,7 +475,7 @@ class TestRunPipeline:
             return results, counts
 
         monkeypatch.setattr(pipeline, "triples_to_jsonl", encoding)
-        monkeypatch.setattr(pipeline, "triples_jsonl", writing)
+        monkeypatch.setattr(pipeline, "write_blocks", writing)
         monkeypatch.setattr(pipeline, "extract_stage", extracting)
         corpus = block_corpus(tmp_path, 3 * pipeline.TRIPLES_BLOCK + 100)
         run_pipeline(pattern_config(gold_path=None), corpus, tmp_path / "out")
@@ -498,21 +503,25 @@ class TestRunPipeline:
         corpus = block_corpus(
             tmp_path, pipeline.TRIPLES_BLOCK + 10, "Ada Lovelace wrote \ud800 notes in 1843."
         )
-        message = (
-            "'utf-8' codec can't encode character '\\ud800' in position 170514: "
-            "surrogates not allowed"
-        )
         results, _ = extract_stage(pattern_config(), read_corpus(corpus))
         with pytest.raises(UnicodeEncodeError) as whole_file:
             triples_to_jsonl(t for r in results for t in r.triples)
-        assert str(whole_file.value) == message
+        assert (whole_file.value.start, whole_file.value.end) == (170514, 170515)
+        # The failing block's text holds the character, not the file's text,
+        # so the message names the position but not the character.
+        message = (
+            "'utf-8' codec can't encode characters in position 170514-170514: "
+            "surrogates not allowed"
+        )
         out = tmp_path / "out"
         if command == "run_pipeline":
             with pytest.raises(StageError) as err:
                 run_pipeline(pattern_config(), corpus, out)
             assert err.value.stage == "extract"
-            assert type(err.value.__cause__) is UnicodeEncodeError
-            assert str(err.value.__cause__) == message
+            cause = err.value.__cause__
+            assert type(cause) is UnicodeEncodeError
+            assert (cause.start, cause.end) == (170514, 170515)
+            assert str(cause) == message
             assert list(out.iterdir()) == []
         else:
             out.mkdir()
@@ -520,6 +529,41 @@ class TestRunPipeline:
             assert main(["extract", str(corpus), "-o", str(triples)]) == EXIT_INTERNAL
             assert capsys.readouterr().err == f"internal error: {message}\n"
             assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("target", ["symlink", "fifo"])
+    def test_failed_extract_leaves_an_output_that_is_no_regular_file(
+        self, tmp_path, capsys, target
+    ):
+        """Only a regular file at ``-o`` is removed when the write fails: a
+        symlink and its file, or a FIFO, stay, and the encode error is the
+        one reported."""
+        corpus = block_corpus(
+            tmp_path, pipeline.TRIPLES_BLOCK + 10, "Ada Lovelace wrote \ud800 notes in 1843."
+        )
+        output, received = tmp_path / "t.jsonl", []
+        if target == "symlink":
+            linked = tmp_path / "linked.jsonl"
+            linked.write_bytes(b"")
+            output.symlink_to(linked)
+        else:
+            os.mkfifo(output)
+            reader = threading.Thread(target=lambda: received.append(output.read_bytes()))
+            reader.daemon = True
+            reader.start()
+        code = main(["extract", str(corpus), "-o", str(output)])
+        assert code == EXIT_INTERNAL
+        assert capsys.readouterr().err.startswith(
+            "internal error: 'utf-8' codec can't encode characters in position 170514-"
+        )
+        results, _ = extract_stage(pattern_config(), read_corpus(corpus))
+        first_block = next(pipeline.triples_jsonl(results))
+        if target == "symlink":
+            assert output.is_symlink()
+            assert linked.read_bytes() == first_block
+        else:
+            reader.join(timeout=60)
+            assert stat.S_ISFIFO(os.lstat(output).st_mode)
+            assert received == [first_block]
 
     def test_stage_data_is_released_once_no_later_stage_reads_it(self, tmp_path, monkeypatch):
         """Documents and chunks die before the triples write, and every
