@@ -10,11 +10,11 @@ file. Prints the run summary counts and the evaluation table.
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
 from lightkg.pipeline import PipelineConfig, evaluate_stage, run_pipeline
+from lightkg.serialize import deserialize_graph, format_for_path
 
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 
@@ -33,13 +33,14 @@ def main() -> int:
     print()
     print(report.render_table())
 
-    graph = json.loads(Path(summary["outputs"]["graph"]).read_text())
-    inferred = [e for e in graph["edges"] if e["inferred"]]
+    graph_path = summary["outputs"]["graph"]
+    graph = deserialize_graph(graph_path, format_for_path(graph_path))
+    inferred = [graph.edges[eid] for eid in sorted(graph.edges) if graph.edges[eid].inferred]
     if inferred:
         print()
         print("inferred edges:")
         for e in inferred:
-            print(f"  {e['source']} -[{e['predicate']}]-> {e['target']}  conf={e['confidence']}")
+            print(f"  {e.source} -[{e.predicate}]-> {e.target}  conf={e.confidence}")
     return 0
 
 

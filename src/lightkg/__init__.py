@@ -59,12 +59,10 @@ from .pipeline import ConfigError, PipelineConfig, StageError, run_pipeline
 from .serialize import GraphParseError, deserialize_graph, serialize_graph
 from .topology import (
     InferenceRule,
-    PathEvidence,
     SenseSignature,
     TopologyConfig,
     disambiguate_entity,
     discover,
-    edge_disjoint_paths,
     infer_implicit_relations,
     reinforce_confidence,
 )

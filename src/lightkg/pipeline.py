@@ -11,7 +11,8 @@ ordered by (source_id, chunk_index), so non-model extractors produce
 byte-identical artifacts on every run. Failures are wrapped in
 :class:`StageError`; whatever was produced so far goes to a quarantine
 directory, never to the primary output names, and an earlier run's files
-under those names move there too.
+under those names move there too. A run that succeeds leaves only its own
+files under those names.
 
 A run's peak memory follows its largest stage, not everything built so far:
 each stage's data is released once no later stage reads it. The documents
@@ -365,11 +366,12 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
     Writes ``graph.json`` (or ``graph.graphml``), ``triples.jsonl``,
     ``summary.json`` and, with a gold file, ``report.json`` into ``out_dir``
     and returns the summary. Each file is written under a temporary name
-    first and moved to its own name only once every stage has succeeded. On
-    failure, partial artifacts go under ``out_dir/quarantine`` instead, an
-    earlier run's outputs move to ``out_dir/quarantine/previous`` so no
-    primary name is left describing another run, and a :class:`StageError`
-    naming the stage is raised.
+    first and moved to its own name only once every stage has succeeded;
+    an earlier run's file under an output name this run does not write is
+    then removed. On failure, partial artifacts go under
+    ``out_dir/quarantine`` instead, an earlier run's outputs move to
+    ``out_dir/quarantine/previous`` so no primary name is left describing
+    another run, and a :class:`StageError` naming the stage is raised.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -489,6 +491,9 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
         write_staged("summary.json", [_summary_bytes(summary, scores_text)])
         for name, path in staged.items():
             os.replace(path, out / name)
+        for name in _PRIMARY_OUTPUTS:
+            if name not in staged:
+                (out / name).unlink(missing_ok=True)
         return summary
     except Exception as exc:
         quarantine()

@@ -27,19 +27,18 @@ builds once per graph and direction mode. Edges are excluded from a search
 against the ``used`` id set during neighbor expansion and hop-edge choice,
 never by rebuilding the index; nodes no used edge touches keep their
 neighbor maps as they are. The set of touched nodes grows with each support
-found, once per :func:`edge_disjoint_paths` call.
+found, once per scored edge.
 
-Reinforcement needs only the lengths of an edge's supports, so it runs the
-same greedy (:func:`_greedy_supports`) on the node and edge id lists the
-search returns, with no :class:`PathEvidence` built and no per-call set-up
-beyond the scored edge's own id and endpoints.
+Reinforcement runs the greedy (:func:`_greedy_supports`) on the node and
+edge id lists the search returns and reads only each support's length, with
+no per-edge set-up beyond the scored edge's own id and endpoints.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .aggregation import DEFAULT_POLICY, EmptyLabelError, NormalizationPolicy, normalize_label
 from .graph import (
@@ -81,17 +80,6 @@ class TopologyConfig:
 
 
 DEFAULT_CONFIG = TopologyConfig()
-
-
-class PathEvidence(NamedTuple):
-    """A simple path given as node ids plus the edge ids connecting them."""
-
-    nodes: tuple[str, ...]
-    edges: tuple[str, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.edges)
 
 
 @dataclass(frozen=True)
@@ -232,42 +220,6 @@ def _shortest_path(
     return nodes, edge_ids
 
 
-def edge_disjoint_paths(
-    g: KnowledgeGraph,
-    source: str,
-    target: str,
-    max_len: int = DEFAULT_CONFIG.max_path_length,
-    undirected: bool = True,
-    exclude_edges: Iterable[str] = (),
-) -> list[PathEvidence]:
-    """Greedy edge-disjoint paths: repeatedly take a shortest path and remove
-    its edges. Returned paths share no edge id; sorted by length, then by
-    node sequence, as found: each search takes the smallest shortest path
-    over an edge set that only shrinks. Not guaranteed maximum (this is
-    evidence counting, not max-flow).
-
-    Ties between equal-length paths break toward the lexicographically
-    smallest node sequence, then the smallest edge id per hop, so results
-    are reproducible; the first path is the shortest.
-    """
-    g.require_node(source)
-    g.require_node(target)
-    if source == target:
-        raise ValueError("source and target must differ")
-    index = g.adjacency(undirected)
-    used = set(exclude_edges)
-    # Endpoints of used edges: only their neighbor maps need filtering.
-    touched: set[str] = set()
-    for eid in used:
-        edge = g.edges.get(eid)
-        if edge is not None:
-            touched.update((edge.source, edge.target))
-    return [
-        PathEvidence(tuple(nodes), tuple(edge_ids))
-        for nodes, edge_ids in _greedy_supports(index, source, target, max_len, used, touched)
-    ]
-
-
 def _greedy_supports(
     index: AdjacencyIndex,
     source: str,
@@ -276,9 +228,12 @@ def _greedy_supports(
     used: set[str],
     touched: set[str],
 ) -> Iterator[tuple[list[str], list[str]]]:
-    """The greedy of :func:`edge_disjoint_paths`, shortest path first, each
-    path as its node ids and edge ids. Each path's edges join ``used`` and
-    its nodes ``touched`` before the next search."""
+    """Greedy edge-disjoint paths, each as its node ids and edge ids:
+    repeatedly take a shortest path avoiding ``used`` and add its edges to
+    ``used`` and its nodes to ``touched``. Paths come shortest first, ties
+    broken toward the lexicographically smallest node sequence, then the
+    smallest edge id per hop, so results are reproducible. Not guaranteed
+    maximum (this is evidence counting, not max-flow)."""
     while (path := _shortest_path(index, source, target, max_len, used, touched)) is not None:
         nodes, edge_ids = path
         used.update(edge_ids)
@@ -314,7 +269,7 @@ def reinforce_confidence(
         miss = 1.0
         if edge.source != edge.target:
             # The greedy finds supports shortest first, so the factors
-            # multiply in the order edge_disjoint_paths returns its paths.
+            # multiply one at a time in length order.
             for _, edge_ids in _greedy_supports(
                 index,
                 edge.source,
@@ -354,55 +309,9 @@ def disambiguate_entity(
 
 # --- rule inference ----------------------------------------------------------------
 
-_WITNESS_PREFIX = "rule:"
-
-
 def encode_witness(rule_name: str, witness_edges: Sequence[str]) -> str:
     """Pack a rule application into an opaque provenance source id."""
-    return f"{_WITNESS_PREFIX}{rule_name}:{'|'.join(witness_edges)}"
-
-
-def decode_witness(source_id: str) -> tuple[str, tuple[str, ...]] | None:
-    """Inverse of :func:`encode_witness`; None when the id is not a witness."""
-    if not source_id.startswith(_WITNESS_PREFIX):
-        return None
-    rest = source_id[len(_WITNESS_PREFIX) :]
-    name, sep, ids = rest.partition(":")
-    if not sep or not name:
-        return None
-    return name, tuple(eid for eid in ids.split("|") if eid)
-
-
-def witness_is_valid(g: KnowledgeGraph, edge: Edge, rule: InferenceRule) -> bool:
-    """Re-check that some witness stored on an inferred edge is a concrete
-    path whose predicate sequence matches the rule and whose endpoints match
-    the edge."""
-    if not edge.inferred or edge.predicate != rule.inferred_predicate:
-        return False
-    for record in edge.provenance:
-        decoded = decode_witness(record.source_id)
-        if decoded is None or decoded[0] != rule.name:
-            continue
-        _, edge_ids = decoded
-        if len(edge_ids) != len(rule.pattern):
-            continue
-        witness = [g.edges.get(eid) for eid in edge_ids]
-        if any(w is None for w in witness):
-            continue
-        if any(w.predicate != p for w, p in zip(witness, rule.pattern)):
-            continue
-        chained = all(
-            witness[i].target == witness[i + 1].source for i in range(len(witness) - 1)
-        )
-        visited = [witness[0].source] + [w.target for w in witness]
-        if (
-            chained
-            and len(set(visited)) == len(visited)
-            and witness[0].source == edge.source
-            and witness[-1].target == edge.target
-        ):
-            return True
-    return False
+    return f"rule:{rule_name}:{'|'.join(witness_edges)}"
 
 
 def infer_implicit_relations(

@@ -16,6 +16,7 @@ import xml.etree.ElementTree as ET
 from collections import deque
 from dataclasses import replace
 from functools import partial
+from typing import NamedTuple
 
 from hypothesis import strategies as st
 
@@ -36,7 +37,7 @@ from lightkg.graph import (
     Provenance,
 )
 from lightkg.serialize import SHAPES, GraphParseError, decode_record
-from lightkg.topology import PathEvidence, TopologyConfig
+from lightkg.topology import DEFAULT_CONFIG, TopologyConfig, _greedy_supports
 
 PROV = Provenance("fixture", 0, Extractor.PATTERN)
 
@@ -50,6 +51,45 @@ def graph_of(*spo) -> KnowledgeGraph:
     :func:`reference_aggregate`; labels should already be canonical."""
     graph, _ = reference_aggregate([triple(*item) for item in spo])
     return graph
+
+
+# --- the library's path search, as the path tests see it -------------------------
+
+
+class PathEvidence(NamedTuple):
+    """A simple path given as node ids plus the edge ids connecting them."""
+
+    nodes: tuple[str, ...]
+    edges: tuple[str, ...]
+
+    @property
+    def length(self) -> int:
+        return len(self.edges)
+
+
+def edge_disjoint_paths(
+    g: KnowledgeGraph,
+    source: str,
+    target: str,
+    max_len: int = DEFAULT_CONFIG.max_path_length,
+    undirected: bool = True,
+    exclude_edges=(),
+) -> list[PathEvidence]:
+    """The paths reinforcement's greedy, ``lightkg.topology._greedy_supports``,
+    finds between ``source`` and ``target`` over ``g``'s shared adjacency
+    index, avoiding ``exclude_edges``: the library code under test, which
+    the oracles below are checked against."""
+    used = set(exclude_edges)
+    touched = {
+        node for eid in used if eid in g.edges
+        for node in (g.edges[eid].source, g.edges[eid].target)
+    }
+    return [
+        PathEvidence(tuple(nodes), tuple(edge_ids))
+        for nodes, edge_ids in _greedy_supports(
+            g.adjacency(undirected), source, target, max_len, used, touched
+        )
+    ]
 
 
 # --- independent graph oracles -------------------------------------------------
@@ -228,8 +268,8 @@ def reference_edge_disjoint_paths(
     exclude_edges=(),
 ) -> list[PathEvidence]:
     """Greedy edge-disjoint paths over :func:`reference_shortest_path`; it
-    can stand in for ``lightkg.topology.edge_disjoint_paths`` when
-    ``max_len`` is given."""
+    can stand in for :func:`edge_disjoint_paths` when ``max_len`` is
+    given."""
     used = set(exclude_edges)
     found: list[PathEvidence] = []
     while (

@@ -372,6 +372,16 @@ class TestRunPipeline:
         assert (out / "graph.json").read_bytes() == (GOLDEN / "pattern_graph.json").read_bytes()
         assert json.loads((out / "report.json").read_text()) == summary["evaluation"]
 
+    def test_successful_rerun_removes_the_earlier_outputs_it_does_not_write(self, tmp_path):
+        out = tmp_path / "out"
+        run_pipeline(pattern_config(export_format="graphml"), DATA / "demo_corpus.jsonl", out)
+        assert (out / "graph.graphml").exists() and (out / "report.json").exists()
+        summary = run_pipeline(pattern_config(gold_path=None), DATA / "demo_corpus.jsonl", out)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "graph.json", "summary.json", "triples.jsonl",
+        ]
+        assert summary["evaluation"] is None
+
     def test_rule_and_sense_labels_normalized_like_graph_labels(self, tmp_path):
         rules = tmp_path / "rules.json"
         rules.write_text(json.dumps([
