@@ -8,11 +8,11 @@ ones. The in-process extractors (pattern, fixture) run chunk by chunk on the
 calling thread; only the model extractor, whose time per chunk is spent
 waiting on HTTP, sends up to ``worker_count`` requests at once. Results are
 ordered by (source_id, chunk_index), so non-model extractors produce
-byte-identical artifacts on every run. Failures are wrapped in
-:class:`StageError`; whatever was produced so far goes to a quarantine
-directory, never to the primary output names, and an earlier run's files
-under those names move there too. A run that succeeds leaves only its own
-files under those names.
+byte-identical artifacts on every run. A run stages its files in a
+directory of its own and publishes them once every stage has succeeded.
+Failures are wrapped in :class:`StageError`; the failed run's directory,
+with an earlier run's outputs under ``previous/``, then replaces the
+quarantine directory, which so holds one failed run's files, never a mix.
 
 A run's peak memory follows its largest stage, not everything built so far:
 each stage's data is released once no later stage reads it. The documents
@@ -32,6 +32,7 @@ import contextlib
 import json
 import logging
 import os
+import shutil
 import stat
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -365,49 +366,47 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
 
     Writes ``graph.json`` (or ``graph.graphml``), ``triples.jsonl``,
     ``summary.json`` and, with a gold file, ``report.json`` into ``out_dir``
-    and returns the summary. Each file is written under a temporary name
-    first and moved to its own name only once every stage has succeeded;
-    an earlier run's file under an output name this run does not write is
-    then removed. On failure, partial artifacts go under
-    ``out_dir/quarantine`` instead, an earlier run's outputs move to
-    ``out_dir/quarantine/previous`` so no primary name is left describing
-    another run, and a :class:`StageError` naming the stage is raised.
+    and returns the summary. Each file is written into the run's own
+    directory, ``out_dir/.run-<hex>``, and moved to its own name only once
+    every stage has succeeded; an earlier run's file under an output name
+    this run does not write is then removed. On failure the run's directory
+    replaces ``out_dir/quarantine``, with an earlier run's outputs under
+    ``previous/`` (or, if there are none, the ``previous/`` of the
+    quarantine it replaces), so no primary name is left describing another
+    run, and a :class:`StageError` naming the stage is raised.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    run = out / f".run-{os.urandom(8).hex()}"
+    run.mkdir()
     started = time.perf_counter()
     timings: dict[str, float] = {}
-    # Output name -> the temporary file in out_dir that holds it.
-    staged: dict[str, Path] = {}
     aggregated: KnowledgeGraph | None = None
     stage = "configure"
-
-    def write_staged(name: str, blocks: Iterable[bytes]) -> Path:
-        path = out / f".partial-{name}"
-        write_blocks(path, blocks)
-        staged[name] = path
-        return path
 
     def quarantine() -> None:
         if aggregated is not None:
             try:
-                write_staged("graph_aggregated.json", [serialize_graph(aggregated, "json")])
+                write_blocks(run / "graph_aggregated.json", [serialize_graph(aggregated, "json")])
             except Exception:
                 # Report it, but raise the stage's own error, not this one.
                 logging.getLogger(__name__).warning(
                     "could not serialize the aggregated graph for quarantine", exc_info=True
                 )
-        earlier = [name for name in _PRIMARY_OUTPUTS if (out / name).exists()]
-        if not (staged or earlier):
-            return
         qdir = out / "quarantine"
-        qdir.mkdir(parents=True, exist_ok=True)
-        for name, path in staged.items():
-            os.replace(path, qdir / name)
+        earlier = [name for name in _PRIMARY_OUTPUTS if (out / name).exists()]
+        if not (earlier or any(run.iterdir())):
+            run.rmdir()
+            return
         if earlier:
-            (qdir / "previous").mkdir(exist_ok=True)
+            (run / "previous").mkdir()
             for name in earlier:
-                os.replace(out / name, qdir / "previous" / name)
+                os.replace(out / name, run / "previous" / name)
+        elif (qdir / "previous").is_dir():
+            os.replace(qdir / "previous", run / "previous")
+        with contextlib.suppress(FileNotFoundError):
+            shutil.rmtree(qdir)
+        os.replace(run, qdir)
 
     try:
         for path in filter(None, (getattr(config, name) for name in _PATH_FIELDS)):
@@ -429,7 +428,7 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
             for fragment, reason in r.rejected_lines
         ]
         tick = time.perf_counter()
-        write_staged("triples.jsonl", triples_jsonl(results))
+        write_blocks(run / "triples.jsonl", triples_jsonl(results))
         timings["write_triples_s"] = time.perf_counter() - tick
 
         stage = "aggregate"
@@ -449,7 +448,7 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
         tick = time.perf_counter()
         graph_name = f"graph.{config.export_format}"
         data, exported_edges = export_stage(config, graph)
-        graph_file = write_staged(graph_name, [data])
+        write_blocks(run / graph_name, [data])
         del data
         timings["export_s"] = time.perf_counter() - tick
 
@@ -457,9 +456,9 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
         if config.gold_path:
             stage = "evaluate"
             tick = time.perf_counter()
-            report = evaluate_stage(config, graph_file, config.gold_path)
+            report = evaluate_stage(config, run / graph_name, config.gold_path)
             scores, scores_text = report.to_dict(), report.to_json()
-            write_staged("report.json", [(scores_text + "\n").encode("utf-8")])
+            write_blocks(run / "report.json", [(scores_text + "\n").encode("utf-8")])
             timings["evaluate_s"] = time.perf_counter() - tick
 
         stage = "summarize"
@@ -488,12 +487,13 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
             },
             "evaluation": scores,
         }
-        write_staged("summary.json", [_summary_bytes(summary, scores_text)])
-        for name, path in staged.items():
-            os.replace(path, out / name)
+        write_blocks(run / "summary.json", [_summary_bytes(summary, scores_text)])
         for name in _PRIMARY_OUTPUTS:
-            if name not in staged:
+            if (run / name).exists():
+                os.replace(run / name, out / name)
+            else:
                 (out / name).unlink(missing_ok=True)
+        run.rmdir()
         return summary
     except Exception as exc:
         quarantine()

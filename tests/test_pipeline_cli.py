@@ -89,6 +89,29 @@ def stage_chain(tmp_path, config_path) -> bytes:
     return final.read_bytes()
 
 
+def tree(directory: Path) -> dict[str, bytes]:
+    """Every file under ``directory``, by its path relative to it, and its bytes."""
+    return {
+        str(p.relative_to(directory)): p.read_bytes()
+        for p in sorted(directory.rglob("*")) if p.is_file()
+    }
+
+
+def broken_file(tmp_path) -> str:
+    """The absolute path of a file of invalid JSON, as a rules or gold file."""
+    path = tmp_path / "broken.json"
+    path.write_text("{broken json\n")
+    return str(path)
+
+
+def run_failing(out: Path, stage: str, corpus=DATA / "demo_corpus.jsonl", **overrides) -> None:
+    """``run_pipeline`` on ``corpus`` with ``pattern_config(**overrides)``,
+    which must fail at ``stage``."""
+    with pytest.raises(StageError) as err:
+        run_pipeline(pattern_config(**overrides), corpus, out)
+    assert err.value.stage == stage
+
+
 def indented_json_bytes(payload) -> bytes:
     """One ``indent=2`` encode of ``payload`` plus a newline, as UTF-8."""
     return (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
@@ -445,7 +468,7 @@ class TestRunPipeline:
                 "'utf-8' codec can't encode character '\\ud800' in position 56: "
                 "surrogates not allowed"
             )
-            assert not list(out.rglob(".partial-*"))
+            assert not list(out.rglob(".run-*"))
 
         failed_run()
         assert list(out.iterdir()) == []
@@ -456,6 +479,95 @@ class TestRunPipeline:
         assert sorted(p.name for p in (out / "quarantine").iterdir()) == ["previous"]
         previous = out / "quarantine" / "previous"
         assert {p.name: p.read_bytes() for p in previous.iterdir()} == earlier
+
+    def test_second_failure_replaces_the_first_failures_quarantine(self, tmp_path):
+        out, broken = tmp_path / "out", broken_file(tmp_path)
+        run_failing(out, "evaluate", gold_path=broken)
+        run_failing(out, "discover", rules_path=broken, gold_path=None)
+        assert sorted(p.name for p in out.iterdir()) == ["quarantine"]
+        assert sorted(p.name for p in (out / "quarantine").iterdir()) == [
+            "graph_aggregated.json", "triples.jsonl",
+        ]
+
+    def test_quarantine_previous_holds_the_last_successful_run_only(self, tmp_path):
+        out, broken = tmp_path / "out", broken_file(tmp_path)
+        run_pipeline(pattern_config(), DATA / "demo_corpus.jsonl", out)
+        run_failing(out, "discover", rules_path=broken)
+        run_pipeline(pattern_config(gold_path=None), DATA / "demo_corpus.jsonl", out)
+        earlier = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        run_failing(out, "discover", rules_path=broken)
+        previous = out / "quarantine" / "previous"
+        assert sorted(p.name for p in previous.iterdir()) == [
+            "graph.json", "summary.json", "triples.jsonl",
+        ]
+        assert tree(previous) == earlier
+
+    def test_failure_after_a_failure_keeps_the_last_successful_outputs(self, tmp_path):
+        out, broken = tmp_path / "out", broken_file(tmp_path)
+        run_pipeline(pattern_config(), DATA / "demo_corpus.jsonl", out)
+        earlier = tree(out)
+        assert len(earlier) == 4
+        run_failing(out, "discover", rules_path=broken)
+        run_failing(out, "discover", rules_path=broken)
+        assert sorted(p.name for p in out.iterdir()) == ["quarantine"]
+        assert tree(out / "quarantine" / "previous") == earlier
+
+    def test_failure_that_writes_nothing_leaves_the_quarantine_as_it_is(self, tmp_path):
+        out, broken = tmp_path / "out", broken_file(tmp_path)
+        run_pipeline(pattern_config(), DATA / "demo_corpus.jsonl", out)
+        run_failing(out, "discover", rules_path=broken)
+        quarantined = tree(out)
+        run_failing(out, "configure", rules_path=str(tmp_path / "missing.json"))
+        assert sorted(p.name for p in out.iterdir()) == ["quarantine"]
+        assert tree(out) == quarantined
+
+    @pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "rerun"])
+    @pytest.mark.parametrize("stage", [
+        "configure", "read-corpus", "extract", "aggregate", "discover", "export",
+        "evaluate", "summarize", None,
+    ])
+    def test_no_run_directory_is_left_behind(self, tmp_path, monkeypatch, stage, earlier):
+        """Whichever stage fails, and when none does, ``out`` keeps no
+        ``.run-*`` directory, and a quarantine has a plain ``mkdir``'s mode."""
+        out, broken = tmp_path / "out", broken_file(tmp_path)
+        corpus = DATA / "demo_corpus.jsonl"
+        if earlier:
+            run_pipeline(pattern_config(), corpus, out)
+        overrides = {
+            "configure": {"rules_path": str(tmp_path / "missing.json")},
+            "discover": {"rules_path": broken},
+            "evaluate": {"gold_path": broken},
+        }.get(stage, {})
+        patched = {
+            "aggregate": "aggregate_stage", "export": "export_stage", "summarize": "_summary_bytes",
+        }
+
+        def fail(*args, **kwargs):
+            raise RuntimeError(f"{stage} broke")
+
+        if stage in patched:
+            monkeypatch.setattr(pipeline, patched[stage], fail)
+        if stage == "read-corpus":
+            corpus = tmp_path / "bad.jsonl"
+            corpus.write_text("this is not json\n")
+        elif stage == "extract":
+            corpus = write_corpus(
+                tmp_path, [{"id": "d1", "text": "Ada Lovelace wrote \ud800 notes in 1843."}]
+            )
+        if stage is None:
+            run_pipeline(pattern_config(), corpus, out)
+        else:
+            run_failing(out, stage, corpus, **overrides)
+        assert not list(out.glob(".run-*"))
+        # A failure before the triples write, with no earlier outputs, has
+        # nothing to quarantine.
+        quarantine = out / "quarantine"
+        nothing_to_quarantine = stage in ("configure", "read-corpus", "extract") and not earlier
+        assert quarantine.exists() == (stage is not None and not nothing_to_quarantine)
+        if quarantine.exists():
+            plain = tmp_path / "plain"
+            plain.mkdir()
+            assert stat.S_IMODE(quarantine.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
 
     def test_triples_file_is_written_one_block_at_a_time(self, tmp_path, monkeypatch):
         """A run whose triples fill more than three blocks writes the bytes of
@@ -470,7 +582,7 @@ class TestRunPipeline:
             return block
 
         def writing(path, blocks):
-            if path.name != ".partial-triples.jsonl":
+            if path.name != "triples.jsonl":
                 return write(path, blocks)
             tracemalloc.start()
             try:
