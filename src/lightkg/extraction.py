@@ -11,12 +11,19 @@ Output grammar, one triple per line::
 
 The context braces are optional; '|', '{' and '}' are forbidden inside
 fields. Lines that fail to parse are recorded and skipped, never fatal.
+
+Both extractors take a label table, a ``dict`` that maps each subject,
+predicate and object string to the one object every triple stores for it
+(``labels.setdefault(s, s)``). A regex group or a parsed field is a fresh
+string, and a corpus states few distinct labels many times, so a table
+shared by the calls of one extract stage keeps each label once. Without
+one, a call keeps a table of its own. No table outlives its caller.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .client import ChatClient, ChatMessage, CompletionParams
@@ -226,7 +233,12 @@ def _parse_context_body(body: str) -> ContextMap:
     return ContextMap(entries)
 
 
-def _parse_line(line: str, provenance: Provenance) -> ContextTriple:
+_NO_CONTEXT = ContextMap()
+
+
+def _parse_line(
+    line: str, provenance: Provenance, include_context: bool, labels: dict[str, str]
+) -> ContextTriple:
     if not line.startswith("("):
         raise _LineRejected("line does not start with '('")
     brace = line.find("{")
@@ -244,21 +256,35 @@ def _parse_line(line: str, provenance: Provenance) -> ContextTriple:
     if not obj:
         raise _LineRejected("empty object")
     rest = line[close + 1 :].strip()
-    context = ContextMap()
+    context = _NO_CONTEXT
     if rest:
         if not (rest.startswith("{") and rest.endswith("}")):
             raise _LineRejected(f"unexpected trailing text {rest!r}")
-        context = _parse_context_body(rest[1:-1])
-    return ContextTriple(subject, predicate, obj, context=context, provenance=provenance)
+        context = _parse_context_body(rest[1:-1])  # parsed even when dropped, to reject it
+        if not include_context:
+            context = _NO_CONTEXT
+    share = labels.setdefault
+    return ContextTriple(
+        share(subject, subject), share(predicate, predicate), share(obj, obj), context, provenance
+    )
 
 
-def parse_extraction_response(raw: str, provenance: Provenance) -> ExtractionResult:
+def parse_extraction_response(
+    raw: str,
+    provenance: Provenance,
+    include_context: bool = True,
+    labels: dict[str, str] | None = None,
+) -> ExtractionResult:
     """Parse a model response into triples; total over arbitrary input.
 
     Every non-blank line is either accepted as one triple or recorded in
     ``rejected_lines`` with a reason. Surface strings are trimmed but not
     canonicalized (that is aggregation's job); context keys are lowercased.
+    With ``include_context`` false a line's context braces are still parsed,
+    and a malformed body still rejects the line, but every triple carries the
+    one shared empty context. Labels are stored through ``labels``.
     """
+    labels = {} if labels is None else labels
     result = ExtractionResult()
     for line in raw.splitlines():
         stripped = line.strip()
@@ -266,7 +292,7 @@ def parse_extraction_response(raw: str, provenance: Provenance) -> ExtractionRes
             continue
         stripped = _LIST_MARKER.sub("", stripped)
         try:
-            result.triples.append(_parse_line(stripped, provenance))
+            result.triples.append(_parse_line(stripped, provenance, include_context, labels))
         except _LineRejected as exc:
             result.rejected_lines.append((line.strip(), str(exc)))
     return result
@@ -277,6 +303,7 @@ def extract_chunk(
     client: ChatClient,
     params: CompletionParams,
     include_context: bool = True,
+    labels: dict[str, str] | None = None,
 ) -> ExtractionResult:
     """Prompt the model for one chunk and parse the reply.
 
@@ -284,18 +311,17 @@ def extract_chunk(
     malformed output and the grammar (``repaired`` flags this). An empty
     triple list is not an error. With ``include_context`` false every
     emitted triple carries an empty context, whatever the model returned.
+    Labels are stored through ``labels``.
     """
     provenance = Provenance(chunk.source_id, chunk.chunk_index, Extractor.MODEL)
     raw = client.complete(build_extraction_prompt(chunk, include_context), params)
-    result = parse_extraction_response(raw, provenance)
+    result = parse_extraction_response(raw, provenance, include_context, labels)
     if not result.triples and raw.strip():
         repair_raw = client.complete(
             build_repair_prompt(chunk, raw, include_context), params
         )
-        result = parse_extraction_response(repair_raw, provenance)
+        result = parse_extraction_response(repair_raw, provenance, include_context, labels)
         result.repaired = True
-    if not include_context:
-        result.triples = [replace(t, context=ContextMap()) for t in result.triples]
     return result
 
 
@@ -334,16 +360,15 @@ def _split_conjunction(text: str) -> list[str]:
     return parts
 
 
-_NO_CONTEXT = ContextMap()
-
-
 # Bounded: \d matches every Unicode decimal digit, so years are not few.
 @lru_cache(maxsize=1024)
 def _year_context(year: str) -> ContextMap:
     return ContextMap({"year": [year]})
 
 
-def pattern_extract(chunk: TextChunk, include_context: bool = True) -> ExtractionResult:
+def pattern_extract(
+    chunk: TextChunk, include_context: bool = True, labels: dict[str, str] | None = None
+) -> ExtractionResult:
     """Deterministic rule-based extractor for offline runs and fixtures.
 
     Per sentence, in order:
@@ -364,6 +389,7 @@ def pattern_extract(chunk: TextChunk, include_context: bool = True) -> Extractio
     again; both give the same list. Triples with equal years share one
     immutable ``year`` context, built once per distinct year and kept in a
     bounded cache across calls; the other triples share one empty context.
+    Labels are stored through ``labels``.
 
     The ``such as`` scan is linear in the sentence. The verb/year scan
     starts only at a line start, so a line it rejects costs about its
@@ -371,11 +397,15 @@ def pattern_extract(chunk: TextChunk, include_context: bool = True) -> Extractio
     """
     provenance = Provenance(chunk.source_id, chunk.chunk_index, Extractor.PATTERN)
     triples: list[ContextTriple] = []
+    share = ({} if labels is None else labels).setdefault
 
     def emit(subject: str, predicate: str, obj: str, context: ContextMap) -> None:
         subject, obj = subject.strip(), obj.strip()
         if subject and obj:
-            triples.append(ContextTriple(subject, predicate, obj, context, provenance))
+            triples.append(ContextTriple(
+                share(subject, subject), share(predicate, predicate), share(obj, obj),
+                context, provenance,
+            ))
 
     sentences = chunk.sentences
     for sentence in split_sentences(chunk.text) if sentences is None else sentences:

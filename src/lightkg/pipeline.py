@@ -22,8 +22,10 @@ keeps only their counts and rejected lines. The aggregated graph stays alive
 to the end, because a later stage's failure quarantines it as
 ``graph_aggregated.json``. No stage holds a whole file in memory on top of
 its data: ``triples.jsonl`` is written ``TRIPLES_BLOCK`` triples at a time,
-and the evaluate stage reads ``graph.json`` back one record at a time. So
-the peak is the extract stage's, the results of every chunk.
+and the evaluate stage reads ``graph.json`` back one record at a time. The
+extract stage, and each read, keeps one object per distinct label string.
+So the peak is either the extract stage's, the results of every chunk, or
+the evaluate stage's, the graph read back next to the aggregated graph.
 """
 
 from __future__ import annotations
@@ -192,11 +194,16 @@ def load_fixtures(path) -> dict[str, str]:
 
 
 def build_extract_runner(config: PipelineConfig) -> Callable[[TextChunk], ExtractionResult]:
-    """Per-chunk extraction callable for the configured extractor."""
+    """Per-chunk extraction callable for the configured extractor. Its
+    calls share one label table, which lives as long as the callable, so
+    the triples of one extract stage hold each label string once."""
+    # The model extractor's pool threads share it: a setdefault with a str key
+    # is one dict operation, which the interpreter lock makes atomic.
+    labels: dict[str, str] = {}
     if config.extractor == "pattern":
 
         def run_pattern(chunk: TextChunk) -> ExtractionResult:
-            return pattern_extract(chunk, config.include_context)
+            return pattern_extract(chunk, config.include_context, labels)
 
         return run_pattern
 
@@ -212,7 +219,7 @@ def build_extract_runner(config: PipelineConfig) -> Callable[[TextChunk], Extrac
         params = replace(params, model_name=env_model)
 
     def run_model(chunk: TextChunk) -> ExtractionResult:
-        return extract_chunk(chunk, client, params, config.include_context)
+        return extract_chunk(chunk, client, params, config.include_context, labels)
 
     return run_model
 

@@ -21,7 +21,9 @@ Every triple of one chunk carries the same provenance record, and an aggregated
 edge repeats the records of its triples, so each graph JSON, GraphML or
 triples JSONL write encodes a distinct :class:`Provenance` once, and each read (one
 graph, GraphML document or triples file) decodes a provenance record once and
-reuses the :class:`Provenance` for every equal record. Extracted triples
+reuses the :class:`Provenance` for every equal record. Through the same
+memo a read keeps one object per distinct node id, subject, predicate and
+object string, so an edge's source and target are its nodes' ids. Extracted triples
 share few distinct contexts (a ``year`` among a few hundred), so each
 triples JSONL write also encodes a distinct :class:`ContextMap` once. The
 triples write memos are keyed by value, not by object, and each memo lasts
@@ -283,8 +285,10 @@ def _provenance(record: Any, memo: dict, index: int | None = None) -> Provenance
 def _edge(memo, source, target, predicate, context=None, confidence=0.5, inferred=False,
           provenance=(), id="") -> Edge:
     provenance = tuple(_provenance(p, memo, i) for i, p in enumerate(provenance))
+    share = memo.setdefault
     return Edge(
-        source, target, predicate, ContextMap(context), confidence, provenance, inferred, id
+        share(source, source), share(target, target), share(predicate, predicate),
+        ContextMap(context), confidence, provenance, inferred, id,
     )
 
 
@@ -404,20 +408,22 @@ def _parse_json(text: str, where: str = "") -> Any:
     return _loads(text, GraphParseError, where, " at offset {pos}: {msg}")
 
 
-def _node(id, attributes=None) -> Node:
-    return Node(id, ContextMap(attributes))
+def _node(memo, id, attributes=None) -> Node:
+    return Node(memo.setdefault(id, id), ContextMap(attributes))
 
 
 class _Records(dict):
     """A graph's nodes or edges by id, each decoded as its record is added,
     as one list of ``kind`` records ("node" or "edge") is decoded: the first
     record that fails, named ``kind #N``, or repeats an id, is kept as
-    ``error`` for :func:`_graph` to raise, and no later record is decoded."""
+    ``error`` for :func:`_graph` to raise, and no later record is decoded.
+    ``memo`` is the read's memo of provenance records and label strings,
+    one for the nodes and the edges of a read."""
 
-    def __init__(self, kind: str) -> None:
+    def __init__(self, kind: str, memo: dict) -> None:
         super().__init__()
         self.kind, self.error = kind, None
-        self._build = _node if kind == "node" else partial(_edge, {})
+        self._build = partial(_node if kind == "node" else _edge, memo)
 
     def add(self, record: Any) -> None:
         if self.error is not None:
@@ -488,6 +494,7 @@ def _graph_fields(text: str) -> tuple[Any, dict[str, _Records]]:
     scan, skip = _scan_value, _skip_space
     i = skip(text).end()
     sections: dict[str, _Records] = {}
+    memo: dict = {}
     if not text.startswith("{", i):
         top, i = scan(text, i)
     else:
@@ -506,7 +513,7 @@ def _graph_fields(text: str) -> tuple[Any, dict[str, _Records]]:
                 i = skip(text, i + 1).end()
                 kind = _SECTIONS.get(key)
                 if kind is not None and text.startswith("[", i):
-                    top[key], sections[key] = [], _Records(kind)
+                    top[key], sections[key] = [], _Records(kind, memo)
                     i = _read_json_array(text, i, sections[key].add)
                 else:
                     value, i = scan(text, i)
@@ -539,7 +546,9 @@ def _graph_from_json(text: str) -> KnowledgeGraph:
         _parse_json(text)  # raises, worded as json.loads words it
         raise
     decode_record(top, "graph", dict, GraphParseError, "graph")
-    return _graph(sections.get("nodes", _Records("node")), sections.get("edges", _Records("edge")))
+    return _graph(
+        sections.get("nodes", _Records("node", {})), sections.get("edges", _Records("edge", {}))
+    )
 
 
 # --- GraphML -----------------------------------------------------------------
@@ -661,7 +670,8 @@ def _graph_from_graphml(data: bytes) -> KnowledgeGraph:
         text = fields.get(name)
         return None if text is None else _parse_json(text, f"{where}: {name}: ")
 
-    nodes, edges = _Records("node"), _Records("edge")
+    memo: dict = {}
+    nodes, edges = _Records("node", memo), _Records("edge", memo)
     for element in graph_el:
         tag = _local_name(element.tag)
         if tag not in ("node", "edge"):
@@ -746,9 +756,10 @@ def triple_to_dict(t: ContextTriple) -> dict[str, Any]:
 
 
 def _triple(memo, subject, predicate, object, provenance, context=None) -> ContextTriple:
+    share = memo.setdefault
     return ContextTriple(
-        subject, predicate, object, ContextMap(context),
-        _provenance(provenance, memo),
+        share(subject, subject), share(predicate, predicate), share(object, object),
+        ContextMap(context), _provenance(provenance, memo),
     )
 
 

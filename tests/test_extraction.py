@@ -27,7 +27,7 @@ from lightkg.extraction import (
     read_corpus,
     split_sentences,
 )
-from lightkg.graph import ContextMap, Extractor, Provenance
+from lightkg.graph import ContextMap, ContextTriple, Extractor, Provenance
 from lightkg.pipeline import PipelineConfig, extract_corpus
 from lightkg.serialize import triples_to_jsonl
 
@@ -210,6 +210,32 @@ class TestExtractChunk:
         result = extract_chunk(ch, client, PARAMS, include_context=False)
         assert len(result.triples) == 1
         assert not result.triples[0].context
+
+    @pytest.mark.parametrize("include_context", [True, False])
+    @pytest.mark.parametrize("reply, triples, rejected", [
+        (
+            "(marie curie | discovered | radium) {year=1898}",
+            [("marie curie", "discovered", "radium", {"year": ["1898"]})],
+            [],
+        ),
+        (
+            "(marie curie | discovered | radium) {year}\n(radium | is_a | metal)",
+            [("radium", "is_a", "metal", {})],
+            [("(marie curie | discovered | radium) {year}", "context entry 'year' is missing '='")],
+        ),
+    ])
+    def test_context_is_parsed_before_it_is_dropped(self, include_context, reply, triples, rejected):
+        # Without context a malformed body still rejects its line, and a
+        # well-formed one is dropped from the triple.
+        ch = chunk(MARIE)
+        client = MockChatClient({prompt_fingerprint(build_extraction_prompt(ch, include_context)): reply})
+        result = extract_chunk(ch, client, PARAMS, include_context)
+        assert result.triples == [
+            ContextTriple(s, p, o, ContextMap(context if include_context else None), PROV)
+            for s, p, o, context in triples
+        ]
+        assert result.rejected_lines == rejected
+        assert result.repaired is False
 
 
 class TestPatternExtract:

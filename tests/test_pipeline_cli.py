@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import importlib.util
+import itertools
 import json
 import os
 import random
@@ -804,7 +805,7 @@ class TestRunPipeline:
         seen = []
         monkeypatch.setattr(
             pipeline, "extract_chunk",
-            lambda chunk, client, params, include_context: seen.append(params.model_name),
+            lambda chunk, client, params, *args: seen.append(params.model_name),
         )
         fixtures = tmp_path / "fixtures.json"
         fixtures.write_text("{}")
@@ -920,6 +921,16 @@ def shuffled_corpus() -> list[CorpusDocument]:
     return documents
 
 
+def repeated_demo_corpus(copies: int = 3) -> list[CorpusDocument]:
+    """The demo corpus ``copies`` times over, each copy under its own ids."""
+    documents = read_corpus(DATA / "demo_corpus.jsonl")
+    return [CorpusDocument(f"{d.doc_id}-{n}", d.text) for n in range(copies) for d in documents]
+
+
+def labels_of(results) -> list[str]:
+    return [s for r in results for t in r.triples for s in (t.subject, t.predicate, t.object)]
+
+
 class TestExtractCorpus:
     @pytest.fixture
     def no_pool(self, monkeypatch):
@@ -934,6 +945,48 @@ class TestExtractCorpus:
         chunks, results = extract_corpus(config, read_corpus(DATA / "demo_corpus.jsonl"))
         assert len(chunks) == len(results) == 2
         assert sum(len(r.triples) for r in results) == 6
+
+    @pytest.mark.parametrize("config_name", ["pattern", "fixture"])
+    def test_equal_labels_of_one_call_are_one_object(self, config_name):
+        config = PipelineConfig.load(DATA / f"demo_config_{config_name}.json")
+        labels = labels_of(extract_corpus(config, repeated_demo_corpus())[1])
+        assert len(labels) > len(set(labels))
+        assert len({id(s) for s in labels}) == len(set(labels))
+
+    @pytest.mark.parametrize("config_name", ["pattern", "fixture"])
+    def test_no_label_is_shared_across_calls(self, config_name):
+        # Catches a label table that outlives its call, or interned labels.
+        config = PipelineConfig.load(DATA / f"demo_config_{config_name}.json")
+        documents = repeated_demo_corpus()
+        first = extract_corpus(config, documents)[1]
+        second = extract_corpus(config, documents)[1]
+        # "is_a" is a constant of the pattern extractor's code, not a slice of the text.
+        sliced = {id(s) for s in labels_of(first) if s != "is_a"}
+        assert sliced and not sliced & {id(s) for s in labels_of(second)}
+
+    def test_pool_threads_share_one_label_table(self, monkeypatch):
+        class CannedClient:
+            calls = itertools.count()
+
+            @classmethod
+            def from_env(cls, retry_count):
+                return cls()
+
+            def complete(self, messages, params):
+                # Each pair of calls, likely in flight at once, brings new labels.
+                n = next(self.calls) // 2
+                return "\n".join(f"(s{n} {i % 7} | p{n} | o{n} {i % 5})" for i in range(50))
+
+        monkeypatch.setattr(pipeline, "HttpChatClient", CannedClient)
+        config = PipelineConfig.from_dict({"extractor": "model", "worker_count": 8})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            labels = labels_of(extract_corpus(config, repeated_demo_corpus(40))[1])
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(labels) == 80 * 50 * 3
+        assert len({id(s) for s in labels}) == len(set(labels))
 
     def test_results_ordered_for_a_shuffled_corpus(self, no_pool):
         config = pattern_config(max_chunk_chars=120)
@@ -1237,7 +1290,7 @@ class TestCli:
         assert not (tmp_path / "t.jsonl").exists()
 
     def test_failing_extractor_is_internal_error(self, tmp_path, monkeypatch, capsys):
-        def fail(chunk, include_context=True):
+        def fail(chunk, *args):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(pipeline, "pattern_extract", fail)

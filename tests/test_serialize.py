@@ -29,6 +29,7 @@ from lightkg.graph import (
 from lightkg.serialize import (
     GraphParseError,
     deserialize_graph,
+    format_for_path,
     serialize_graph,
     triples_from_jsonl,
     triples_to_jsonl,
@@ -609,6 +610,24 @@ def test_one_provenance_built_per_distinct_record_per_read(reader):
 # --- the graph JSON reader against the whole-document reader ------------------
 
 _GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+@pytest.mark.parametrize("name", ["pattern_graph.json", "pattern_graph.graphml"])
+def test_a_graph_read_holds_each_label_once(name):
+    g = deserialize_graph(_GOLDEN / name, format_for_path(name))
+    for e in g.edges.values():
+        assert e.source is g.nodes[e.source].id and e.target is g.nodes[e.target].id
+    predicates = [e.predicate for e in g.edges.values()]
+    assert len(predicates) > len(set(predicates))
+    assert len({id(p) for p in predicates}) == len(set(predicates))
+
+
+def test_a_triples_read_holds_each_label_once():
+    triples = triples_from_jsonl(_GOLDEN / "pattern_triples.jsonl")
+    labels = [s for t in triples for s in (t.subject, t.predicate, t.object)]
+    assert len(labels) > len(set(labels))
+    assert len({id(s) for s in labels}) == len(set(labels))
+
 _SPACES = st.sampled_from(["", " ", "\n", "\t ", "\r\n  "])
 _VALID_NODES = st.builds(
     dict, id=st.sampled_from(["a", "b", "c"]),
