@@ -5,8 +5,14 @@ Graphs are immutable snapshots by construction: :class:`KnowledgeGraph` is a
 frozen dataclass whose constructor copies its node and edge dicts into
 read-only mappings, so every operation elsewhere in the package builds a new
 graph instead of mutating one, and graphs can be shared freely across
-threads. Because a graph never changes, it caches the adjacency index that
-path searches walk (:meth:`KnowledgeGraph.adjacency`).
+threads. Because a graph never changes, it can cache the adjacency index
+that path searches walk (:meth:`KnowledgeGraph.adjacency`), for callers that
+search one graph many times. Confidence reinforcement instead builds an
+index per call (:func:`_adjacency_index`), so that a graph kept alive after
+it, such as the pipeline's aggregated graph, does not carry one.
+
+:class:`Provenance`, :class:`Node` and :class:`Edge` are slotted: a graph
+holds many of them, and none carries a ``__dict__``.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ class GraphIntegrityError(ValueError):
     mismatched id, duplicate)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Provenance:
     """Where a piece of graph content came from."""
 
@@ -152,7 +158,7 @@ class ContextTriple:
                     raise ValueError(f"triple {name} must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     """A graph node under its canonical label, with coexisting attributes."""
 
@@ -171,7 +177,7 @@ def edge_key(source: str, predicate: str, target: str) -> str:
     return digest.hexdigest()[:16]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     """A directed edge with context, confidence, and provenance.
 
@@ -211,9 +217,8 @@ class Edge:
         same source, predicate and target."""
         if not 0.0 <= confidence <= 1.0:
             raise ValueError(f"confidence must be in [0, 1], got {confidence}")
-        # Field by field, in field order, as __init__ sets them: the new edge
-        # shares the attribute layout of all other edges, and no __dict__ is
-        # built for this one. Copying __dict__ would cost both edges memory.
+        # Slot by slot, without __init__, whose __post_init__ would hash the
+        # id again. Edges are slotted, so there is no __dict__ to copy.
         edge = object.__new__(Edge)
         for name in _EDGE_FIELDS:
             value = float(confidence) if name == "confidence" else getattr(self, name)
@@ -299,8 +304,9 @@ class KnowledgeGraph:
 
     def adjacency(self, undirected: bool) -> AdjacencyIndex:
         """This graph's :class:`AdjacencyIndex` for one direction mode, built
-        on first use and kept for the graph's lifetime. Threads racing on a
-        cold cache each build an equal index; the last one stored wins."""
+        on first use and kept for the graph's lifetime, for callers that
+        search one graph many times. Threads racing on a cold cache each
+        build an equal index; the last one stored wins."""
         index = self._adjacency.get(undirected)
         if index is None:
             index = self._adjacency[undirected] = _adjacency_index(self, undirected)

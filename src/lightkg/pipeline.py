@@ -18,14 +18,17 @@ A run's peak memory follows its largest stage, not everything built so far:
 each stage's data is released once no later stage reads it. The documents
 and chunks go before ``triples.jsonl`` is written, and the extraction
 results, with their triples, as soon as aggregation returns; the summary
-keeps only their counts and rejected lines. The aggregated graph stays alive
-to the end, because a later stage's failure quarantines it as
-``graph_aggregated.json``. No stage holds a whole file in memory on top of
-its data: ``triples.jsonl`` is written ``TRIPLES_BLOCK`` triples at a time,
-and the evaluate stage reads ``graph.json`` back one record at a time. The
-extract stage, and each read, keeps one object per distinct label string.
-So the peak is either the extract stage's, the results of every chunk, or
-the evaluate stage's, the graph read back next to the aggregated graph.
+keeps only their counts and rejected lines. The discovered graph goes once
+export has written its file; the summary keeps only its counts. The
+aggregated graph stays alive to the end, because a later stage's failure
+quarantines it as ``graph_aggregated.json``, but without an adjacency index:
+reinforcement builds its own for the call. No stage holds a whole file in
+memory on top of its data: ``triples.jsonl`` is written ``TRIPLES_BLOCK``
+triples at a time, and the evaluate stage reads ``graph.json`` back one
+record at a time. The extract stage, and each read, keeps one object per
+distinct label string. So the peak is either the extract stage's, the results of every chunk, or
+the evaluate stage's, the graph read back next to the aggregated graph and
+nothing else of the run.
 """
 
 from __future__ import annotations
@@ -450,13 +453,16 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
         tick = time.perf_counter()
         graph = discover_stage(config, graph, config.rules_path, config.senses_path)
         timings["discover_s"] = time.perf_counter() - tick
+        counts["nodes"] = graph.node_count
+        counts["edges"] = graph.edge_count
+        counts["inferred_edges"] = sum(1 for e in graph.edges.values() if e.inferred)
 
         stage = "export"
         tick = time.perf_counter()
         graph_name = f"graph.{config.export_format}"
         data, exported_edges = export_stage(config, graph)
         write_blocks(run / graph_name, [data])
-        del data
+        del data, graph  # the evaluate stage reads the file back
         timings["export_s"] = time.perf_counter() - tick
 
         scores, scores_text = None, "null"
@@ -473,13 +479,7 @@ def run_pipeline(config: PipelineConfig, corpus_path, out_dir) -> dict[str, Any]
         summary = {
             "config": config.to_dict(),
             "corpus": str(corpus_path),
-            "counts": {
-                **counts,
-                "nodes": graph.node_count,
-                "edges": graph.edge_count,
-                "inferred_edges": sum(1 for e in graph.edges.values() if e.inferred),
-                "exported_edges": exported_edges,
-            },
+            "counts": {**counts, "exported_edges": exported_edges},
             "rejects": {
                 "lines": rejected_lines,
                 "triples": [

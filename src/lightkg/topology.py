@@ -19,15 +19,17 @@ down the target side's distances, it takes the lexicographically smallest
 node sequence, so equal graphs always yield equal paths. No second search
 runs.
 
-All searches over one graph walk the graph's own
+All searches over one graph walk one
 :class:`~lightkg.graph.AdjacencyIndex` (node -> neighbor -> sorted ids of the
-edges between them), which :meth:`~lightkg.graph.KnowledgeGraph.adjacency`
-builds once per graph and direction mode. Edges are excluded from a search
-(the scored edge itself, and the edges of supports already found) by a check
-against the ``used`` id set during neighbor expansion and hop-edge choice,
-never by rebuilding the index; nodes no used edge touches keep their
-neighbor maps as they are. The set of touched nodes grows with each support
-found, once per scored edge.
+edges between them). Reinforcement builds it once per call and drops it on
+return, so the graph it scores, which the pipeline keeps to the end, carries
+no index; disambiguation, which searches one graph once per node, uses the
+one :meth:`~lightkg.graph.KnowledgeGraph.adjacency` caches on the graph per
+direction mode. Edges are excluded from a search (the scored edge itself,
+and the edges of supports already found) by a check against the ``used`` id
+set during neighbor expansion and hop-edge choice, never by rebuilding the
+index; nodes no used edge touches keep their neighbor maps as they are. The
+set of touched nodes grows with each support found, once per scored edge.
 
 Reinforcement runs the greedy (:func:`_greedy_supports`) on the node and
 edge id lists the search returns and reads only each support's length, with
@@ -40,6 +42,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Sequence
 
+from . import graph
 from .aggregation import DEFAULT_POLICY, EmptyLabelError, NormalizationPolicy, normalize_label
 from .graph import (
     AdjacencyIndex,
@@ -259,7 +262,9 @@ def reinforce_confidence(
     ``direct_edge_weight``. Adding an edge-disjoint support never lowers a
     score. Inferred edges are left untouched.
     """
-    index = g.adjacency(config.undirected_paths)
+    # Built for this call, not cached on g: the pipeline keeps g alive after
+    # discover. Looked up on the module, so a patched builder is seen.
+    index = graph._adjacency_index(g, config.undirected_paths)
     rescored: dict[str, Edge] = {}
     for eid in sorted(g.edges):
         edge = g.edges[eid]

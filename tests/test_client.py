@@ -219,6 +219,7 @@ class TestAgainstLoopbackServer:
             content = client.complete(user("ping"), PARAMS)
         finally:
             server.shutdown()
+            server.server_close()
             thread.join(timeout=5)
         assert content == "(a | likes | b)"
         (call,) = received

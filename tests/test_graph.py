@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given
@@ -24,6 +24,7 @@ from lightkg.graph import (
     content_equal,
     edge_key,
 )
+from lightkg.serialize import serialize_graph
 
 
 class TestContextMap:
@@ -160,6 +161,46 @@ class TestEdge:
         for bad in (1.5, -0.1, float("nan")):
             with pytest.raises(ValueError, match="confidence must be in"):
                 edge.with_confidence(bad)
+
+
+class TestSlottedRecords:
+    """A graph holds many provenance records, nodes and edges, so each is a
+    slotted frozen dataclass, with the fields it always had."""
+
+    PROV = Provenance("doc", 3, Extractor.PATTERN)
+    EDGE = Edge(
+        source="a", target="b", predicate="p", context=ContextMap({"year": ["1898"]}),
+        provenance=(PROV, Provenance("doc", 4)),
+    )
+    RECORDS = {
+        "provenance": (PROV, ("source_id", "chunk_index", "extractor")),
+        "node": (Node("a", ContextMap({"sense": ["x"]})), ("id", "attributes")),
+        "edge": (EDGE, (
+            "source", "target", "predicate", "context", "confidence", "provenance",
+            "inferred", "edge_id",
+        )),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(RECORDS))
+    def test_no_dict_frozen_fields_unchanged(self, kind):
+        record, names = self.RECORDS[kind]
+        assert not hasattr(record, "__dict__")
+        assert tuple(f.name for f in fields(record)) == names
+        for name in names:
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, name, getattr(record, name))
+
+    @pytest.mark.parametrize("confidence", [0.0, 0.25, 0.7, 1.0])
+    def test_with_confidence_is_replace(self, confidence):
+        rescored = self.EDGE.with_confidence(confidence)
+        expected = replace(self.EDGE, confidence=confidence)
+        assert not hasattr(rescored, "__dict__")
+        assert rescored == expected and hash(rescored) == hash(expected)
+        nodes = {"a": Node("a"), "b": Node("b")}
+        for fmt in ("json", "graphml"):
+            assert serialize_graph(
+                KnowledgeGraph(nodes, {rescored.edge_id: rescored}), fmt
+            ) == serialize_graph(KnowledgeGraph(nodes, {expected.edge_id: expected}), fmt)
 
 
 class TestKnowledgeGraph:

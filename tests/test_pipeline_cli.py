@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import support
-from lightkg import pipeline
+from lightkg import evaluation, pipeline
 from lightkg.aggregation import NormalizationPolicy, aggregate, normalize_label
 from lightkg.cli import EXIT_ENDPOINT, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from lightkg.client import ENV_MODEL, CompletionParams, prompt_fingerprint
@@ -741,6 +741,40 @@ class TestRunPipeline:
         assert seen["alive at write"] == []
         assert seen["alive at discover"] == []
 
+    def test_evaluate_reads_its_graph_next_to_the_aggregated_graph_alone(
+        self, tmp_path, monkeypatch
+    ):
+        """When the evaluate stage reads the graph file back, the discovered
+        graph is dead and the aggregated graph, kept for the quarantine,
+        carries no adjacency index."""
+        seen: dict[str, object] = {}
+
+        def discovering(graph, *args, **kwargs):
+            discovered = discover(graph, *args, **kwargs)
+            seen["aggregated"], seen["discovered"] = graph, weakref.ref(discovered)
+            return discovered
+
+        def reading(*args, **kwargs):
+            seen["discovered at read"] = seen["discovered"]()
+            seen["index at read"] = dict(seen["aggregated"]._adjacency)
+            return deserialize_graph(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "discover", discovering)
+        monkeypatch.setattr(evaluation, "deserialize_graph", reading)
+        config = pattern_config()
+        assert config.topology_enabled and config.rules_path and config.senses_path
+        # Reference counting alone must free it: no collection may run.
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            summary = run_pipeline(config, DATA / "demo_corpus.jsonl", tmp_path / "out")
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert summary["counts"]["inferred_edges"] > 0
+        assert seen["discovered at read"] is None
+        assert seen["index at read"] == {}
+
     def test_model_extractor_against_loopback_server(self, tmp_path, monkeypatch):
         import threading
         from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -785,6 +819,7 @@ class TestRunPipeline:
             summary = run_pipeline(config, corpus, tmp_path / "out")
         finally:
             server.shutdown()
+            server.server_close()
             thread.join(timeout=5)
         assert summary["counts"]["triples"] == 2
         g = deserialize_graph((tmp_path / "out" / "graph.json").read_bytes())

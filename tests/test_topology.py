@@ -810,8 +810,10 @@ class TestFactorsRoundLikeTheReference:
 
 
 class TestIndexBuiltOncePerCall:
-    """A graph builds its adjacency index at most once per direction mode,
-    and a graph derived from it builds its own instead of reusing one."""
+    """Reinforcement builds one adjacency index per call and leaves none
+    cached on its graph; repeated searches of one graph build its index at
+    most once per direction mode, and a graph derived from it builds its own
+    instead of reusing one."""
 
     def count_builds(self, monkeypatch) -> list:
         calls = []
@@ -829,8 +831,9 @@ class TestIndexBuiltOncePerCall:
         calls = self.count_builds(monkeypatch)
         reinforce_confidence(g)
         reinforce_confidence(g)
-        assert len(calls) == 1
-        assert calls[0][0] is g and calls[0][1] is True
+        assert [undirected for _, undirected in calls] == [True, True]
+        assert all(built is g for built, _ in calls)
+        assert g._adjacency == {}
 
     def test_attach_senses(self, monkeypatch):
         g = random_sparse_graph(random.Random(12), nodes=80, edges=200)
