@@ -241,11 +241,17 @@ class AdjacencyIndex(NamedTuple):
     backward: dict[str, dict[str, list[str]]]
 
 
-def _adjacency_index(g: KnowledgeGraph, undirected: bool) -> AdjacencyIndex:
+def _adjacency_index(
+    g: KnowledgeGraph, undirected: bool, inferred: bool = True
+) -> AdjacencyIndex:
+    """``g``'s index for one direction mode; with ``inferred`` false it
+    leaves the inferred edges out."""
     succ: dict[str, dict[str, list[str]]] = {}
     pred: dict[str, dict[str, list[str]]] = succ if undirected else {}
     for eid in sorted(g.edges):
         edge = g.edges[eid]
+        if edge.inferred and not inferred:
+            continue
         succ.setdefault(edge.source, {}).setdefault(edge.target, []).append(eid)
         if edge.source != edge.target or not undirected:
             pred.setdefault(edge.target, {}).setdefault(edge.source, []).append(eid)

@@ -13,18 +13,23 @@ Three capabilities, all pure graph-in/graph-out:
 Path search is a bidirectional breadth-first search (frontiers expanded from
 both endpoints, meeting in the middle) run to the end of the level on which
 they meet; on the last level that could still meet within the length bound,
-only the meeting nodes are recorded. The path is then read off the search's
-own levels: walking back from the meeting nodes over the source side, and
-down the target side's distances, it takes the lexicographically smallest
-node sequence, so equal graphs always yield equal paths. No second search
-runs.
+only the meeting nodes are recorded. The search returns its layers: the
+nodes a shortest path can hold at each position, found by walking back from
+the meeting nodes over the source side, and the target side's distances
+past them. The path is walked off those layers, taking the lexicographically
+smallest node sequence, so equal graphs always yield equal paths. Once a
+path's edges are used, every further path of that length lies in the same
+layers, so one search serves all of an edge's supports of one length; the
+walk steps back from a node left with no unused way forward, and drops it
+from its layer for good.
 
 All searches over one graph walk one
 :class:`~lightkg.graph.AdjacencyIndex` (node -> neighbor -> sorted ids of the
-edges between them). Reinforcement builds it once per call and drops it on
-return, so the graph it scores, which the pipeline keeps to the end, carries
-no index; disambiguation, which searches one graph once per node, uses the
-one :meth:`~lightkg.graph.KnowledgeGraph.adjacency` caches on the graph per
+edges between them). Reinforcement builds it once per call, without the
+inferred edges, and drops it on return, so the graph it scores, which the
+pipeline keeps to the end, carries no index; disambiguation, which searches
+one graph once per node, uses the one
+:meth:`~lightkg.graph.KnowledgeGraph.adjacency` caches on the graph per
 direction mode. Edges are excluded from a search (the scored edge itself,
 and the edges of supports already found) by a check against the ``used`` id
 set during neighbor expansion and hop-edge choice, never by rebuilding the
@@ -32,7 +37,7 @@ index; nodes no used edge touches keep their neighbor maps as they are. The
 set of touched nodes grows with each support found, once per scored edge.
 
 Reinforcement runs the greedy (:func:`_greedy_supports`) on the node and
-edge id lists the search returns and reads only each support's length, with
+edge id lists the walk returns and reads only each support's length, with
 no per-edge set-up beyond the scored edge's own id and endpoints.
 """
 
@@ -131,18 +136,18 @@ class SenseSignature:
 _NO_LINKS: dict[str, list[str]] = {}
 
 
-def _shortest_path(
+def _shortest_layers(
     index: AdjacencyIndex,
     source: str,
     target: str,
     max_len: int,
     used: set[str],
     touched: set[str],
-) -> tuple[list[str], list[str]] | None:
-    """Shortest source-to-target path of at most ``max_len`` hops avoiding
-    the ``used`` edge ids, as its node ids and edge ids; ``touched`` must
-    hold every endpoint of a used edge (other nodes walk their neighbor maps
-    unfiltered)."""
+) -> tuple[int, dict[int, set[str]], dict[str, int]] | None:
+    """The layers of the shortest source-to-target paths of at most
+    ``max_len`` hops avoiding the ``used`` edge ids, as ``(length, levels,
+    dist_t)`` for :func:`_walk`; ``touched`` must hold every endpoint of a
+    used edge (other nodes walk their neighbor maps unfiltered)."""
     forward, backward = index
     # Bidirectional BFS, always growing the smaller frontier, run to the end
     # of the level on which the frontiers meet. No node was in both maps
@@ -182,12 +187,13 @@ def _shortest_path(
             frontier_s = grown
         else:
             frontier_t = grown
-    length = depth_s + depth_t
 
     # The nodes a shortest path can hold at positions 1..depth_s: the meeting
     # nodes, then, walking back, the source-side nodes one level up with an
     # unused edge into the set below. Past depth_s, a node at position i
-    # qualifies when dist_t says it is length - i hops from the target.
+    # qualifies when dist_t says it is length - i hops from the target. A
+    # node qualifies at one position at most: at two, it would lie on a
+    # shorter path.
     levels = {depth_s: set(meet)}
     for position in range(depth_s - 1, 0, -1):
         levels[position] = {
@@ -196,14 +202,31 @@ def _shortest_path(
             for u, ids in backward[w].items()
             if dist_s.get(u) == position and not (w in touched and used.issuperset(ids))
         }
+    return depth_s + depth_t, levels, dist_t
 
-    # Greedy walk: at each position take the smallest qualifying neighbor,
-    # over its smallest unused edge id. This yields the lexicographically
-    # smallest node sequence among all shortest paths, and since the
-    # remaining distance strictly decreases the walk never revisits a node.
+
+def _walk(
+    index: AdjacencyIndex,
+    source: str,
+    layers: tuple[int, dict[int, set[str]], dict[str, int]],
+    used: set[str],
+) -> tuple[list[str], list[str]] | None:
+    """The lexicographically smallest path through ``layers`` avoiding the
+    ``used`` edge ids, as its node ids and edge ids, or None.
+
+    At each position take the smallest qualifying neighbor, over its smallest
+    unused edge id. Since the remaining distance strictly decreases the walk
+    never revisits a node. On layers fresh from :func:`_shortest_layers`
+    every qualifying node has a way forward; once more edges are used, a
+    node may have none, and the walk drops it from its layer and steps back.
+    A node's ways to the target depend only on the node and its position,
+    and ``used`` only grows, so a dropped node stays dropped for later walks
+    of the same layers."""
+    forward = index.forward
+    length, levels, dist_t = layers
     nodes = [source]
-    edge_ids = []
-    for position in range(1, length + 1):
+    edge_ids: list[str] = []
+    while (position := len(nodes)) <= length:
         level = levels.get(position)
         best = hop = None
         for v, ids in forward.get(nodes[-1], _NO_LINKS).items():
@@ -214,12 +237,18 @@ def _shortest_path(
                     if eid not in used:
                         best, hop = v, eid
                         break
-        if best is None:
-            raise RuntimeError(
-                f"path reconstruction failed between {source!r} and {target!r}"
-            )
-        nodes.append(best)
-        edge_ids.append(hop)
+        if best is not None:
+            nodes.append(best)
+            edge_ids.append(hop)
+        elif position == 1:
+            return None
+        else:
+            dead = nodes.pop()
+            edge_ids.pop()
+            if position - 1 in levels:
+                levels[position - 1].discard(dead)
+            else:
+                del dist_t[dead]
     return nodes, edge_ids
 
 
@@ -236,12 +265,25 @@ def _greedy_supports(
     ``used`` and its nodes to ``touched``. Paths come shortest first, ties
     broken toward the lexicographically smallest node sequence, then the
     smallest edge id per hop, so results are reproducible. Not guaranteed
-    maximum (this is evidence counting, not max-flow)."""
-    while (path := _shortest_path(index, source, target, max_len, used, touched)) is not None:
-        nodes, edge_ids = path
-        used.update(edge_ids)
-        touched.update(nodes)
-        yield path
+    maximum (this is evidence counting, not max-flow).
+
+    Every path of one length is walked off one search's layers (see the
+    module docstring); a new search runs only when they hold no more paths,
+    and none after layers ``max_len`` long."""
+    while (layers := _shortest_layers(index, source, target, max_len, used, touched)) is not None:
+        path = _walk(index, source, layers, used)
+        if path is None:
+            raise RuntimeError(
+                f"path reconstruction failed between {source!r} and {target!r}"
+            )
+        while path is not None:
+            nodes, edge_ids = path
+            used.update(edge_ids)
+            touched.update(nodes)
+            yield path
+            path = _walk(index, source, layers, used)
+        if layers[0] == max_len:
+            return
 
 
 # --- structural features ----------------------------------------------------------
@@ -260,11 +302,12 @@ def reinforce_confidence(
 
     clamped to [floor, ceiling]. No supports leaves the edge at
     ``direct_edge_weight``. Adding an edge-disjoint support never lowers a
-    score. Inferred edges are left untouched.
+    score. Inferred edges are left untouched, and no support walks one: an
+    edge inferred by an earlier run does not lift the edges it came from.
     """
     # Built for this call, not cached on g: the pipeline keeps g alive after
     # discover. Looked up on the module, so a patched builder is seen.
-    index = graph._adjacency_index(g, config.undirected_paths)
+    index = graph._adjacency_index(g, config.undirected_paths, inferred=False)
     rescored: dict[str, Edge] = {}
     for eid in sorted(g.edges):
         edge = g.edges[eid]
@@ -329,7 +372,9 @@ def infer_implicit_relations(
     ``prod(edge confidences) * discount ** (len(pattern) - 1)`` and carries
     the witness path in its provenance. Single pass: edges added here are
     not matched again. Existing non-inferred edges are never modified; a
-    pre-existing identical inferred edge keeps the max confidence.
+    pre-existing identical inferred edge keeps the max confidence and gains
+    the witness unless it already holds it, so inferring again over the same
+    edges adds nothing.
     """
     outgoing: dict[tuple[str, str], list[Edge]] = {}
     starts: dict[str, list[Edge]] = {}
@@ -390,7 +435,9 @@ def infer_implicit_relations(
             edges[eid] = replace(
                 existing,
                 confidence=max(existing.confidence, confidence),
-                provenance=existing.provenance + (provenance,),
+                provenance=existing.provenance
+                if provenance in existing.provenance
+                else existing.provenance + (provenance,),
             )
         # an existing non-inferred edge wins: leave it alone
     return KnowledgeGraph(g.nodes, edges)

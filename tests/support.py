@@ -284,8 +284,9 @@ def reference_edge_disjoint_paths(
 def reference_reinforce_confidence(g: KnowledgeGraph, config: TopologyConfig) -> KnowledgeGraph:
     """Reinforcement as its docstring states it: each non-inferred edge gets
     a noisy-OR over the supports :func:`reference_edge_disjoint_paths` finds
-    with that edge excluded, one factor per path in path order, clamped to
-    [floor, ceiling]."""
+    with that edge and every inferred edge excluded, one factor per path in
+    path order, clamped to [floor, ceiling]."""
+    inferred = [eid for eid, edge in g.edges.items() if edge.inferred]
     edges = {}
     for eid, edge in g.edges.items():
         if edge.inferred:
@@ -293,7 +294,7 @@ def reference_reinforce_confidence(g: KnowledgeGraph, config: TopologyConfig) ->
             continue
         supports = [] if edge.source == edge.target else reference_edge_disjoint_paths(
             g, edge.source, edge.target, config.max_path_length,
-            undirected=config.undirected_paths, exclude_edges=(eid,),
+            undirected=config.undirected_paths, exclude_edges=(eid, *inferred),
         )
         miss = 1.0
         for path in supports:
@@ -314,7 +315,8 @@ def reference_infer(g: KnowledgeGraph, rules) -> KnowledgeGraph:
     the first. Per inferred id the highest confidence wins, then the
     smallest witness (the path's edge ids in order), then the earlier rule.
     An existing non-inferred edge of that id stays as it is; an existing
-    inferred one keeps the larger confidence and gains the witness."""
+    inferred one keeps the larger confidence and gains the witness if it
+    does not hold it yet."""
     best: dict[str, tuple] = {}
     for rule in rules:
         steps = [[e for e in g.edges.values() if e.predicate == p] for p in rule.pattern]
@@ -343,10 +345,13 @@ def reference_infer(g: KnowledgeGraph, rules) -> KnowledgeGraph:
                 confidence=confidence, provenance=(provenance,), inferred=True,
             )
         elif existing.inferred:
+            witnesses = list(existing.provenance)
+            if provenance not in witnesses:
+                witnesses.append(provenance)
             edges[eid] = replace(
                 existing,
                 confidence=max(existing.confidence, confidence),
-                provenance=existing.provenance + (provenance,),
+                provenance=tuple(witnesses),
             )
     return KnowledgeGraph(g.nodes, edges)
 

@@ -1085,6 +1085,15 @@ class TestCli:
         final = stage_chain(tmp_path, DATA / "demo_config_pattern.json")
         assert final == (GOLDEN / "pattern_graph.json").read_bytes()
 
+    @pytest.mark.parametrize("name", ["pattern_graph.json", "pattern_graph.graphml"])
+    def test_discover_rerun_on_its_own_output_changes_nothing(self, tmp_path, name):
+        # The golden graph holds an inferred edge; a rerun must neither count
+        # it as support for the edges it came from nor repeat its witness.
+        out = tmp_path / name
+        config = ["-c", str(DATA / "demo_config_pattern.json")]
+        assert main(["discover", str(GOLDEN / name), *config, "-o", str(out)]) == EXIT_OK
+        assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
     @pytest.mark.parametrize(
         "overrides",
         [

@@ -391,6 +391,14 @@ class TestInferImplicitRelations:
         third = infer_implicit_relations(again, [self.lineage_rule(discount=0.1)])
         assert third.edges[edge.edge_id].confidence == pytest.approx(0.25 * 0.9, abs=1e-12)
 
+    def test_inferring_again_adds_no_witness_twice(self):
+        g = support.graph_of(("curie", "mentor", "meitner"), ("meitner", "colleague", "fermi"))
+        once = infer_implicit_relations(g, [self.lineage_rule()])
+        twice = infer_implicit_relations(once, [self.lineage_rule()])
+        assert twice == once == support.reference_infer(once, [self.lineage_rule()])
+        edge = twice.edges[edge_key("curie", "scientific_lineage", "fermi")]
+        assert len(edge.provenance) == 1
+
     def test_cycle_does_not_loop_forever(self):
         g = support.graph_of(("a", "part_of", "b"), ("b", "part_of", "a"))
         rule = InferenceRule("parts", ("part_of", "part_of"), "part_of", 1.0)
@@ -756,30 +764,64 @@ class TestSharedIndexMatchesReference:
         assert backward == pytest.approx(1.0 - 0.5 * 0.3 * miss_4**3)
 
 
-class TestOneSearchPerSupport:
-    """Reinforcement reads each support path off its own bidirectional
-    search, with no second breadth-first search to rebuild it."""
+class TestOneSearchPerSupportLength:
+    """Reinforcement walks one search's layers again for each further
+    support of that length, and searches anew only when they hold no more."""
 
-    def test_reinforce_confidence_runs_one_search_per_support(self, monkeypatch):
-        # Each edge's search loop finds its supports one search each, then
-        # runs one last search that finds none.
-        g = random_sparse_graph(random.Random(15), nodes=40, edges=90)
-        expected = sum(
-            1 + len(support.edge_disjoint_paths(g, e.source, e.target, exclude_edges=(eid,)))
-            for eid, e in g.edges.items()
-            if e.source != e.target
-        )
+    @staticmethod
+    def count_searches(monkeypatch) -> list:
         calls = []
-        original = topology._shortest_path
+        original = topology._shortest_layers
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(topology, "_shortest_path", counting)
+        monkeypatch.setattr(topology, "_shortest_layers", counting)
+        return calls
+
+    def test_reinforce_confidence_runs_one_search_per_support_length(self, monkeypatch):
+        # Per edge: one search per distinct support length, then one last
+        # search that finds none, unless the last length is max_path_length.
+        g = random_sparse_graph(random.Random(15), nodes=40, edges=90)
+        max_len = DEFAULT_CONFIG.max_path_length
+        expected = 0
+        last_lengths = set()
+        for eid, e in g.edges.items():
+            if e.source == e.target:
+                continue
+            lengths = [
+                path.length
+                for path in support.reference_edge_disjoint_paths(
+                    g, e.source, e.target, max_len, exclude_edges=(eid,)
+                )
+            ]
+            expected += len(set(lengths)) + (lengths[-1:] != [max_len])
+            last_lengths.add(lengths[-1] if lengths else None)
+        assert {None, max_len} < last_lengths
+        calls = self.count_searches(monkeypatch)
         reinforce_confidence(g)
-        assert expected > g.edge_count
         assert len(calls) == expected
+
+    def test_walk_steps_back_from_a_node_with_no_unused_way_forward(self, monkeypatch):
+        # The first support s-a-x-t uses one of the two s-a edges. The next
+        # walk of the same layers enters a over the other one, finds a-x
+        # used and steps back to b.
+        g = support.graph_of(
+            ("s", "p", "t"), ("s", "p", "a"), ("s", "q", "a"), ("a", "p", "x"),
+            ("x", "p", "t"), ("s", "p", "b"), ("b", "p", "y"), ("y", "p", "t"),
+        )
+        direct = edge_key("s", "p", "t")
+        expected = support.reference_edge_disjoint_paths(
+            g, "s", "t", DEFAULT_CONFIG.max_path_length, exclude_edges=(direct,)
+        )
+        assert [path.nodes for path in expected] == [("s", "a", "x", "t"), ("s", "b", "y", "t")]
+        calls = self.count_searches(monkeypatch)
+        assert support.edge_disjoint_paths(g, "s", "t", exclude_edges=(direct,)) == expected
+        assert len(calls) == 2
+        scored = reinforce_confidence(g)
+        assert scored == support.reference_reinforce_confidence(g, DEFAULT_CONFIG)
+        assert scored.edges[direct].confidence == pytest.approx(1.0 - 0.5 * (1.0 - 0.7**3) ** 2)
 
 
 class TestFactorsRoundLikeTheReference:
@@ -819,9 +861,9 @@ class TestIndexBuiltOncePerCall:
         calls = []
         build = graph_module._adjacency_index
 
-        def counting(g, undirected):
+        def counting(g, undirected, **options):
             calls.append((g, undirected))
-            return build(g, undirected)
+            return build(g, undirected, **options)
 
         monkeypatch.setattr(graph_module, "_adjacency_index", counting)
         return calls
