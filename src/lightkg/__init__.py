@@ -51,7 +51,6 @@ from .graph import (
     KnowledgeGraph,
     Node,
     Provenance,
-    UnknownNodeError,
     content_equal,
     edge_key,
 )

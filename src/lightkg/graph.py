@@ -2,14 +2,12 @@
 attributes, confidence scores, and provenance.
 
 Graphs are immutable snapshots by construction: :class:`KnowledgeGraph` is a
-frozen dataclass whose constructor copies its node and edge dicts into
-read-only mappings, so every operation elsewhere in the package builds a new
-graph instead of mutating one, and graphs can be shared freely across
-threads. Because a graph never changes, it can cache the adjacency index
-that path searches walk (:meth:`KnowledgeGraph.adjacency`), for callers that
-search one graph many times. Confidence reinforcement instead builds an
-index per call (:func:`_adjacency_index`), so that a graph kept alive after
-it, such as the pipeline's aggregated graph, does not carry one.
+frozen dataclass holding only its nodes and edges, which its constructor
+copies into read-only mappings, so every operation elsewhere in the package
+builds a new graph instead of mutating one, and graphs can be shared freely
+across threads. A graph caches nothing: confidence reinforcement builds the
+adjacency index its path searches walk (:func:`_adjacency_index`) once per
+call, over the stated edges alone, and drops it on return.
 
 :class:`Provenance`, :class:`Node` and :class:`Edge` are slotted: a graph
 holds many of them, and none carries a ``__dict__``.
@@ -30,10 +28,6 @@ class Extractor(str, Enum):
     MODEL = "model"
     PATTERN = "pattern"
     INFERRED = "inferred"
-
-
-class UnknownNodeError(KeyError):
-    """An operation referenced a node id that is not in the graph."""
 
 
 class GraphIntegrityError(ValueError):
@@ -241,16 +235,14 @@ class AdjacencyIndex(NamedTuple):
     backward: dict[str, dict[str, list[str]]]
 
 
-def _adjacency_index(
-    g: KnowledgeGraph, undirected: bool, inferred: bool = True
-) -> AdjacencyIndex:
-    """``g``'s index for one direction mode; with ``inferred`` false it
-    leaves the inferred edges out."""
+def _adjacency_index(g: KnowledgeGraph, undirected: bool) -> AdjacencyIndex:
+    """``g``'s index for one direction mode, over its stated edges: the
+    inferred edges are left out."""
     succ: dict[str, dict[str, list[str]]] = {}
     pred: dict[str, dict[str, list[str]]] = succ if undirected else {}
     for eid in sorted(g.edges):
         edge = g.edges[eid]
-        if edge.inferred and not inferred:
+        if edge.inferred:
             continue
         succ.setdefault(edge.source, {}).setdefault(edge.target, []).append(eid)
         if edge.source != edge.target or not undirected:
@@ -270,10 +262,6 @@ class KnowledgeGraph:
 
     nodes: Mapping[str, Node] = field(default_factory=dict)
     edges: Mapping[str, Edge] = field(default_factory=dict)
-    # Undirected flag -> index, built on first use (see ``adjacency``).
-    _adjacency: dict[bool, AdjacencyIndex] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", MappingProxyType(dict(self.nodes)))
@@ -301,22 +289,6 @@ class KnowledgeGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def require_node(self, node_id: str) -> Node:
-        node = self.nodes.get(node_id)
-        if node is None:
-            raise UnknownNodeError(node_id)
-        return node
-
-    def adjacency(self, undirected: bool) -> AdjacencyIndex:
-        """This graph's :class:`AdjacencyIndex` for one direction mode, built
-        on first use and kept for the graph's lifetime, for callers that
-        search one graph many times. Threads racing on a cold cache each
-        build an equal index; the last one stored wins."""
-        index = self._adjacency.get(undirected)
-        if index is None:
-            index = self._adjacency[undirected] = _adjacency_index(self, undirected)
-        return index
 
 
 def content_equal(a: KnowledgeGraph, b: KnowledgeGraph) -> bool:

@@ -1,6 +1,9 @@
 """Structure-driven scoring and inference over an aggregated graph.
 
-Three capabilities, all pure graph-in/graph-out:
+Three capabilities, all pure graph-in/graph-out, and all reading only the
+stated edges: an edge an earlier run inferred is output only, never a
+support, a sense neighbour or a rule step, so running them again on their
+own output changes nothing:
 
 - confidence reinforcement: an edge supported by independent (edge-disjoint)
   alternative paths between its endpoints scores higher, combined noisy-OR
@@ -27,14 +30,12 @@ All searches over one graph walk one
 :class:`~lightkg.graph.AdjacencyIndex` (node -> neighbor -> sorted ids of the
 edges between them). Reinforcement builds it once per call, without the
 inferred edges, and drops it on return, so the graph it scores, which the
-pipeline keeps to the end, carries no index; disambiguation, which searches
-one graph once per node, uses the one
-:meth:`~lightkg.graph.KnowledgeGraph.adjacency` caches on the graph per
-direction mode. Edges are excluded from a search (the scored edge itself,
-and the edges of supports already found) by a check against the ``used`` id
-set during neighbor expansion and hop-edge choice, never by rebuilding the
-index; nodes no used edge touches keep their neighbor maps as they are. The
-set of touched nodes grows with each support found, once per scored edge.
+pipeline keeps to the end, carries no index. Edges are excluded from a
+search (the scored edge itself, and the edges of supports already found) by
+a check against the ``used`` id set during neighbor expansion and hop-edge
+choice, never by rebuilding the index; nodes no used edge touches keep their
+neighbor maps as they are. The set of touched nodes grows with each support
+found, once per scored edge.
 
 Reinforcement runs the greedy (:func:`_greedy_supports`) on the node and
 edge id lists the walk returns and reads only each support's length, with
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping, Sequence
+from typing import AbstractSet, Iterator, Mapping, Sequence
 
 from . import graph
 from .aggregation import DEFAULT_POLICY, EmptyLabelError, NormalizationPolicy, normalize_label
@@ -305,9 +306,9 @@ def reinforce_confidence(
     score. Inferred edges are left untouched, and no support walks one: an
     edge inferred by an earlier run does not lift the edges it came from.
     """
-    # Built for this call, not cached on g: the pipeline keeps g alive after
+    # Built for this call, not kept on g: the pipeline keeps g alive after
     # discover. Looked up on the module, so a patched builder is seen.
-    index = graph._adjacency_index(g, config.undirected_paths, inferred=False)
+    index = graph._adjacency_index(g, config.undirected_paths)
     rescored: dict[str, Edge] = {}
     for eid in sorted(g.edges):
         edge = g.edges[eid]
@@ -336,15 +337,13 @@ def reinforce_confidence(
 
 
 def disambiguate_entity(
-    g: KnowledgeGraph, node_id: str, senses: Sequence[SenseSignature]
+    near: AbstractSet[str], senses: Sequence[SenseSignature]
 ) -> list[tuple[str, float]]:
-    """Rank candidate senses by cue coverage among the node's direct
-    neighbours, over edges of either direction: score(sense) = |cues among
-    them| / |cues|; descending, with ties broken by input order."""
-    g.require_node(node_id)
+    """Rank candidate senses of a node by cue coverage among ``near``, its
+    neighbours' ids: score(sense) = |cues in near| / |cues|; descending, with
+    ties broken by input order."""
     if not senses:
         raise ValueError("senses must be non-empty")
-    near = g.adjacency(True).forward.get(node_id, {}).keys() - {node_id}
     ranked = sorted(
         (
             (sense.sense_label, len(sense.cue_labels & near) / len(sense.cue_labels), position)
@@ -370,16 +369,19 @@ def infer_implicit_relations(
 
     The new edge runs from path start to path end with confidence
     ``prod(edge confidences) * discount ** (len(pattern) - 1)`` and carries
-    the witness path in its provenance. Single pass: edges added here are
-    not matched again. Existing non-inferred edges are never modified; a
-    pre-existing identical inferred edge keeps the max confidence and gains
-    the witness unless it already holds it, so inferring again over the same
-    edges adds nothing.
+    the witness path in its provenance. Paths run over stated edges only:
+    an inferred edge, whether added here or by an earlier run, is never a
+    step, so rules do not chain and inferring again over the output adds
+    nothing. Existing non-inferred edges are never modified; a pre-existing
+    identical inferred edge keeps the max confidence and gains the witness
+    unless it already holds it.
     """
     outgoing: dict[tuple[str, str], list[Edge]] = {}
     starts: dict[str, list[Edge]] = {}
     for eid in sorted(g.edges):
         edge = g.edges[eid]
+        if edge.inferred:
+            continue
         outgoing.setdefault((edge.source, edge.predicate), []).append(edge)
         starts.setdefault(edge.predicate, []).append(edge)
 
@@ -470,12 +472,23 @@ def discover(
 def _attach_senses(
     g: KnowledgeGraph, senses_by_node: Mapping[str, Sequence[SenseSignature]]
 ) -> KnowledgeGraph:
-    nodes = dict(g.nodes)
-    for label in sorted(senses_by_node):
-        senses = senses_by_node[label]
-        if label not in nodes or not senses:
+    """Give each node with senses its top-ranked one, if that scores above
+    zero. A node's neighbours are the other ends of its stated edges of
+    either direction, self-loops aside, collected in one pass over the
+    edges."""
+    near: dict[str, set[str]] = {
+        label: set() for label, senses in senses_by_node.items() if senses and label in g.nodes
+    }
+    for edge in g.edges.values():
+        if edge.inferred or edge.source == edge.target:
             continue
-        top_label, top_score = disambiguate_entity(g, label, senses)[0]
+        if edge.source in near:
+            near[edge.source].add(edge.target)
+        if edge.target in near:
+            near[edge.target].add(edge.source)
+    nodes = dict(g.nodes)
+    for label, neighbours in near.items():
+        top_label, top_score = disambiguate_entity(neighbours, senses_by_node[label])[0]
         if top_score > 0:
             node = nodes[label]
             nodes[label] = replace(

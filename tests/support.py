@@ -35,6 +35,7 @@ from lightkg.graph import (
     KnowledgeGraph,
     Node,
     Provenance,
+    _adjacency_index,
 )
 from lightkg.serialize import SHAPES, GraphParseError, decode_record
 from lightkg.topology import DEFAULT_CONFIG, TopologyConfig, _greedy_supports
@@ -76,9 +77,9 @@ def edge_disjoint_paths(
     exclude_edges=(),
 ) -> list[PathEvidence]:
     """The paths reinforcement's greedy, ``lightkg.topology._greedy_supports``,
-    finds between ``source`` and ``target`` over ``g``'s shared adjacency
-    index, avoiding ``exclude_edges``: the library code under test, which
-    the oracles below are checked against."""
+    finds between ``source`` and ``target`` over an adjacency index of
+    ``g``'s stated edges, avoiding ``exclude_edges``: the library code under
+    test, which the oracles below are checked against."""
     used = set(exclude_edges)
     touched = {
         node for eid in used if eid in g.edges
@@ -87,7 +88,7 @@ def edge_disjoint_paths(
     return [
         PathEvidence(tuple(nodes), tuple(edge_ids))
         for nodes, edge_ids in _greedy_supports(
-            g.adjacency(undirected), source, target, max_len, used, touched
+            _adjacency_index(g, undirected), source, target, max_len, used, touched
         )
     ]
 
@@ -95,8 +96,13 @@ def edge_disjoint_paths(
 # --- independent graph oracles -------------------------------------------------
 
 
+def inferred_edge_ids(g: KnowledgeGraph) -> list[str]:
+    return [eid for eid, edge in g.edges.items() if edge.inferred]
+
+
 def edge_pairs(g: KnowledgeGraph) -> list[tuple[str, str]]:
-    return [(e.source, e.target) for e in g.edges.values()]
+    """(source, target) of each stated edge: the ones a path search walks."""
+    return [(e.source, e.target) for e in g.edges.values() if not e.inferred]
 
 
 def oracle_shortest_len(
@@ -286,7 +292,7 @@ def reference_reinforce_confidence(g: KnowledgeGraph, config: TopologyConfig) ->
     a noisy-OR over the supports :func:`reference_edge_disjoint_paths` finds
     with that edge and every inferred edge excluded, one factor per path in
     path order, clamped to [floor, ceiling]."""
-    inferred = [eid for eid, edge in g.edges.items() if edge.inferred]
+    inferred = inferred_edge_ids(g)
     edges = {}
     for eid, edge in g.edges.items():
         if edge.inferred:
@@ -309,17 +315,21 @@ def reference_reinforce_confidence(g: KnowledgeGraph, config: TopologyConfig) ->
 
 def reference_infer(g: KnowledgeGraph, rules) -> KnowledgeGraph:
     """Rule inference as its docstring states it, by brute force: every
-    sequence of edges whose predicates spell a rule's pattern and that is a
-    directed simple path yields an edge from its first node to its last,
-    with the product of its confidences times ``discount`` per hop beyond
-    the first. Per inferred id the highest confidence wins, then the
-    smallest witness (the path's edge ids in order), then the earlier rule.
+    sequence of stated (non-inferred) edges whose predicates spell a rule's
+    pattern and that is a directed simple path yields an edge from its first
+    node to its last, with the product of its confidences times ``discount``
+    per hop beyond the first. Per inferred id the highest confidence wins,
+    then the smallest witness (the path's edge ids in order), then the
+    earlier rule.
     An existing non-inferred edge of that id stays as it is; an existing
     inferred one keeps the larger confidence and gains the witness if it
     does not hold it yet."""
     best: dict[str, tuple] = {}
     for rule in rules:
-        steps = [[e for e in g.edges.values() if e.predicate == p] for p in rule.pattern]
+        steps = [
+            [e for e in g.edges.values() if e.predicate == p and not e.inferred]
+            for p in rule.pattern
+        ]
         for path in itertools.product(*steps):
             nodes = [path[0].source] + [e.target for e in path]
             if len(set(nodes)) < len(nodes) or any(
@@ -354,6 +364,35 @@ def reference_infer(g: KnowledgeGraph, rules) -> KnowledgeGraph:
                 provenance=tuple(witnesses),
             )
     return KnowledgeGraph(g.nodes, edges)
+
+
+def reference_attach_senses(g: KnowledgeGraph, senses_by_node) -> KnowledgeGraph:
+    """Sense attachment by cue coverage, from its definition: for each node
+    of ``g`` with senses, a sense scores the share of its cues that share a
+    stated (non-inferred) edge with the node, in either direction, the node
+    itself never counting. The first highest-scoring sense, in input order,
+    joins the node's ``sense`` values if it scores above zero."""
+    nodes = dict(g.nodes)
+    for label, senses in senses_by_node.items():
+        if label not in g.nodes or not senses:
+            continue
+        top, top_score = None, -1.0
+        for sense in senses:
+            hits = sum(
+                cue != label
+                and any(
+                    not e.inferred and {e.source, e.target} == {label, cue}
+                    for e in g.edges.values()
+                )
+                for cue in sense.cue_labels
+            )
+            score = hits / len(sense.cue_labels)
+            if score > top_score:
+                top, top_score = sense.sense_label, score
+        if top_score > 0:
+            node = nodes[label]
+            nodes[label] = Node(label, node.attributes.with_value("sense", top))
+    return KnowledgeGraph(nodes, g.edges)
 
 
 def add_triple(facts: dict, item: ContextTriple, policy=DEFAULT_POLICY) -> dict:

@@ -34,6 +34,7 @@ from lightkg.topology import (
     InferenceRule,
     SenseSignature,
     disambiguate_entity,
+    discover,
     infer_implicit_relations,
     reinforce_confidence,
 )
@@ -262,20 +263,19 @@ def test_criterion_4_rule_inference():
 
 
 def test_criterion_5_disambiguation():
-    """Neighborhood cues rank the company sense at 1.0 over fruit at 0.0."""
+    """Neighborhood cues rank the company sense at 1.0 over fruit at 0.0,
+    and discover attaches it."""
     g = support.graph_of(("apple", "is_a", "company"), ("apple", "makes", "smartphone"))
-    ranking = disambiguate_entity(
-        g,
-        "apple",
-        [
-            SenseSignature("fruit", frozenset({"fruit", "tree"})),
-            SenseSignature("company", frozenset({"company", "smartphone"})),
-        ],
-    )
+    senses = [
+        SenseSignature("fruit", frozenset({"fruit", "tree"})),
+        SenseSignature("company", frozenset({"company", "smartphone"})),
+    ]
+    ranking = disambiguate_entity({"company", "smartphone"}, senses)
+    attached = discover(g, senses_by_node={"apple": senses}).nodes["apple"].attributes.get("sense")
     report(
         "criterion 5: entity disambiguation",
-        ranking == [("company", 1.0), ("fruit", 0.0)],
-        f"ranking={ranking}",
+        ranking == [("company", 1.0), ("fruit", 0.0)] and attached == {"company"},
+        f"ranking={ranking}, attached={sorted(attached)}",
     )
 
 

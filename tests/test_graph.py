@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
@@ -20,7 +18,6 @@ from lightkg.graph import (
     KnowledgeGraph,
     Node,
     Provenance,
-    UnknownNodeError,
     content_equal,
     edge_key,
 )
@@ -217,12 +214,6 @@ class TestKnowledgeGraph:
         with pytest.raises(GraphIntegrityError):
             KnowledgeGraph({"a": Node("b")}, {})
 
-    def test_require_node(self):
-        g = support.graph_of(("a", "p", "b"))
-        assert g.require_node("a").id == "a"
-        with pytest.raises(UnknownNodeError):
-            g.require_node("zzz")
-
 
 class TestImmutableSnapshot:
     def test_item_assignment_raises(self):
@@ -252,44 +243,21 @@ class TestImmutableSnapshot:
         assert sorted(g.nodes) == ["a", "b"]
         assert list(g.edges) == [edge.edge_id]
 
-    def test_adjacency_built_once_per_mode(self):
-        g = support.graph_of(("a", "p", "b"), ("c", "q", "a"))
-        ab, ca = edge_key("a", "p", "b"), edge_key("c", "q", "a")
-        directed = g.adjacency(undirected=False)
-        assert directed.forward == {"a": {"b": [ab]}, "c": {"a": [ca]}}
-        assert directed.backward == {"b": {"a": [ab]}, "a": {"c": [ca]}}
-        undirected = g.adjacency(undirected=True)
-        assert undirected.forward is undirected.backward
-        assert undirected.forward == {
-            "a": {"b": [ab], "c": [ca]},
-            "b": {"a": [ab]},
-            "c": {"a": [ca]},
-        }
-        assert g.adjacency(undirected=False) is directed
-        assert g.adjacency(undirected=True) is undirected
+    def test_holds_only_nodes_and_edges(self):
+        assert [f.name for f in fields(KnowledgeGraph)] == ["nodes", "edges"]
 
-    def test_threads_racing_on_a_cold_cache_get_equal_indexes(self):
-        edges = [(f"n{i}", "p", f"n{(i * 7 + 3) % 40}") for i in range(40)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(20):
-                g = support.graph_of(*edges)
-                with ThreadPoolExecutor(max_workers=4) as pool:
-                    futures = [pool.submit(g.adjacency, True) for _ in range(8)]
-                    built = [f.result(timeout=10) for f in futures]
-                expected = graph_module._adjacency_index(g, True)
-                assert all(index == expected for index in built)
-                assert g.adjacency(True) == expected
-        finally:
-            sys.setswitchinterval(interval)
 
-    def test_cached_index_is_not_compared_or_shown(self):
-        g1 = support.graph_of(("a", "p", "b"))
-        g2 = support.graph_of(("a", "p", "b"))
-        g1.adjacency(undirected=True)
-        assert g1 == g2
-        assert repr(g1) == repr(g2)
+def test_adjacency_index_per_mode_over_stated_edges():
+    g = support.graph_of(("a", "p", "b"), ("c", "q", "a"))
+    inferred = Edge("b", "c", "r", inferred=True)
+    g = KnowledgeGraph(g.nodes, {**g.edges, inferred.edge_id: inferred})
+    ab, ca = edge_key("a", "p", "b"), edge_key("c", "q", "a")
+    directed = graph_module._adjacency_index(g, undirected=False)
+    assert directed.forward == {"a": {"b": [ab]}, "c": {"a": [ca]}}
+    assert directed.backward == {"b": {"a": [ab]}, "a": {"c": [ca]}}
+    undirected = graph_module._adjacency_index(g, undirected=True)
+    assert undirected.forward is undirected.backward
+    assert undirected.forward == {"a": {"b": [ab], "c": [ca]}, "b": {"a": [ab]}, "c": {"a": [ca]}}
 
 
 class TestContentEqual:

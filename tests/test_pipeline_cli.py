@@ -745,18 +745,16 @@ class TestRunPipeline:
         self, tmp_path, monkeypatch
     ):
         """When the evaluate stage reads the graph file back, the discovered
-        graph is dead and the aggregated graph, kept for the quarantine,
-        carries no adjacency index."""
+        graph is dead."""
         seen: dict[str, object] = {}
 
         def discovering(graph, *args, **kwargs):
             discovered = discover(graph, *args, **kwargs)
-            seen["aggregated"], seen["discovered"] = graph, weakref.ref(discovered)
+            seen["discovered"] = weakref.ref(discovered)
             return discovered
 
         def reading(*args, **kwargs):
             seen["discovered at read"] = seen["discovered"]()
-            seen["index at read"] = dict(seen["aggregated"]._adjacency)
             return deserialize_graph(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "discover", discovering)
@@ -773,7 +771,6 @@ class TestRunPipeline:
                 gc.enable()
         assert summary["counts"]["inferred_edges"] > 0
         assert seen["discovered at read"] is None
-        assert seen["index at read"] == {}
 
     def test_model_extractor_against_loopback_server(self, tmp_path, monkeypatch):
         import threading

@@ -20,7 +20,7 @@ from lightkg.graph import (
     Extractor,
     KnowledgeGraph,
     Node,
-    UnknownNodeError,
+    content_equal,
     edge_key,
 )
 from lightkg.serialize import serialize_graph
@@ -285,14 +285,25 @@ class TestReinforceConfidence:
 
 
 class TestDisambiguate:
+    """Senses ranked over a neighbour set, and attached over a graph's stated
+    edges as :func:`support.reference_attach_senses` defines it."""
+
+    @staticmethod
+    def attach(g: KnowledgeGraph, senses_by_node) -> KnowledgeGraph:
+        attached = topology._attach_senses(g, senses_by_node)
+        assert attached == support.reference_attach_senses(g, senses_by_node)
+        return attached
+
     def test_company_sense_wins(self):
         g = support.graph_of(("apple", "is_a", "company"), ("apple", "makes", "smartphone"))
         senses = [
             SenseSignature("fruit", frozenset({"fruit", "tree"})),
             SenseSignature("company", frozenset({"company", "smartphone"})),
         ]
-        ranking = disambiguate_entity(g, "apple", senses)
+        ranking = disambiguate_entity({"company", "smartphone"}, senses)
         assert ranking == [("company", 1.0), ("fruit", 0.0)]
+        attached = self.attach(g, {"apple": senses})
+        assert attached.nodes["apple"].attributes.get("sense") == frozenset({"company"})
 
     def test_isolated_node_scores_zero(self):
         g = support.graph_of(("a", "p", "b"))
@@ -300,8 +311,8 @@ class TestDisambiguate:
         nodes["lone"] = Node("lone")
         g = KnowledgeGraph(nodes, dict(g.edges))
         senses = [SenseSignature("s1", frozenset({"a"})), SenseSignature("s2", frozenset({"b"}))]
-        ranking = disambiguate_entity(g, "lone", senses)
-        assert [score for _, score in ranking] == [0.0, 0.0]
+        assert [score for _, score in disambiguate_entity(set(), senses)] == [0.0, 0.0]
+        assert self.attach(g, {"lone": senses}) == g
 
     def test_ties_keep_input_order(self):
         g = support.graph_of(("x", "p", "cue"))
@@ -309,7 +320,8 @@ class TestDisambiguate:
             SenseSignature("first", frozenset({"cue"})),
             SenseSignature("second", frozenset({"cue"})),
         ]
-        assert disambiguate_entity(g, "x", senses) == [("first", 1.0), ("second", 1.0)]
+        assert disambiguate_entity({"cue"}, senses) == [("first", 1.0), ("second", 1.0)]
+        assert self.attach(g, {"x": senses}).nodes["x"].attributes.get("sense") == {"first"}
 
     def test_two_hop_node_is_not_a_neighbour(self):
         g = support.graph_of(("x", "p", "mid"), ("far", "p", "mid"))
@@ -317,28 +329,52 @@ class TestDisambiguate:
             SenseSignature("deep", frozenset({"far"})),
             SenseSignature("near", frozenset({"mid"})),
         ]
-        assert disambiguate_entity(g, "x", senses) == [("near", 1.0), ("deep", 0.0)]
-        assert disambiguate_entity(g, "mid", senses) == [("deep", 1.0), ("near", 0.0)]
+        attached = self.attach(g, {"x": senses, "mid": senses})
+        assert attached.nodes["x"].attributes.get("sense") == {"near"}
+        assert attached.nodes["mid"].attributes.get("sense") == {"deep"}
+
+    def test_inferred_edge_and_self_loop_are_not_neighbours(self):
+        g = support.graph_of(("apple", "grows_on", "tree1"), ("apple", "is", "apple"))
+        related = Edge("apple", "fruit", "related", inferred=True)
+        g = KnowledgeGraph({**g.nodes, "fruit": Node("fruit")}, {**g.edges, related.edge_id: related})
+        senses = {"apple": [SenseSignature("food", frozenset({"fruit", "apple"}))]}
+        assert self.attach(g, senses) == g
 
     @settings(max_examples=150)
     @given(g=support.graphs(max_nodes=7, max_edges=12))
     def test_neighborhood_matches_bfs_oracle(self, g):
-        # One single-cue sense per node: a sense scores 1 exactly when its
-        # node lies one undirected hop from the scored node.
+        # One single-cue sense per node, in id order, for every node: the
+        # attached sense is the smallest node one undirected hop away over
+        # the stated edges, and none when there is no such node.
         pairs = support.edge_pairs(g)
+        senses = [SenseSignature(n, frozenset({n})) for n in sorted(g.nodes)]
+        attached = self.attach(g, {node_id: senses for node_id in g.nodes})
         for node_id in g.nodes:
-            senses = [SenseSignature(n, frozenset({n})) for n in sorted(g.nodes)]
-            scores = dict(disambiguate_entity(g, node_id, senses))
-            for n in g.nodes:
-                dist = support.oracle_shortest_len(pairs, node_id, n, True)
-                assert scores[n] == (1.0 if dist == 1 else 0.0)
+            near = [
+                n for n in sorted(g.nodes) if support.oracle_shortest_len(pairs, node_id, n, True) == 1
+            ]
+            expected = g.nodes[node_id].attributes.get("sense") | set(near[:1])
+            assert attached.nodes[node_id].attributes.get("sense") == expected
+
+    @settings(max_examples=150)
+    @given(
+        g=support.multigraphs(),
+        cues=st.lists(
+            st.lists(st.sets(st.sampled_from("abcdefg"), min_size=1, max_size=3), max_size=3),
+            min_size=7,
+            max_size=7,
+        ),
+    )
+    def test_attach_senses_matches_reference(self, g, cues):
+        senses_by_node = {
+            node_id: [SenseSignature(f"s{i}", frozenset(c)) for i, c in enumerate(node_cues)]
+            for node_id, node_cues in zip("abcdefg", cues)
+        }
+        self.attach(g, senses_by_node)
 
     def test_preconditions(self):
-        g = support.graph_of(("a", "p", "b"))
         with pytest.raises(ValueError):
-            disambiguate_entity(g, "a", [])
-        with pytest.raises(UnknownNodeError):
-            disambiguate_entity(g, "zzz", [SenseSignature("s", frozenset({"x"}))])
+            disambiguate_entity({"a"}, [])
 
 
 class TestInferImplicitRelations:
@@ -546,6 +582,56 @@ class TestDiscover:
         result = discover(g, senses_by_node={"ghost": [SenseSignature("s", frozenset({"a"}))]})
         assert result.nodes == g.nodes
 
+    def test_rules_do_not_chain_through_an_earlier_runs_edge(self):
+        g = support.graph_of(("x", "a", "y"), ("y", "b", "z"), ("z", "d", "w"))
+        rules = [InferenceRule("r1", ("a", "b"), "c"), InferenceRule("r2", ("c", "d"), "e")]
+        once = discover(g, rules)
+        assert [
+            (e.source, e.predicate, e.target) for e in once.edges.values() if e.inferred
+        ] == [("x", "c", "z")]
+        assert content_equal(discover(once, rules), once)
+
+    def test_senses_do_not_read_an_earlier_runs_edge(self):
+        g = support.graph_of(("apple", "grows_on", "tree1"), ("tree1", "is", "fruit"))
+        rules = [InferenceRule("r3", ("grows_on", "is"), "related")]
+        senses = {"apple": [SenseSignature("food", frozenset({"fruit"}))]}
+        once = discover(g, rules, senses)
+        assert edge_key("apple", "related", "fruit") in once.edges
+        assert "sense" not in once.nodes["apple"].attributes
+        assert content_equal(discover(once, rules, senses), once)
+
+    @pytest.mark.parametrize("undirected", [True, False])
+    @settings(max_examples=150)
+    @given(
+        g=support.multigraphs(),
+        rules=st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(["p", "q", "r"]), min_size=2, max_size=3),
+                st.sampled_from(["p", "q", "r"]),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        senses=st.dictionaries(
+            st.sampled_from("abcdefg"),
+            st.lists(st.sets(st.sampled_from("abcdefg"), min_size=1, max_size=2), max_size=2),
+        ),
+    )
+    def test_rerun_on_its_own_output_changes_nothing(self, g, rules, senses, undirected):
+        """Rule heads are pattern predicates, so rules chain when inferred
+        edges are steps; sense cues are nodes, which an inferred edge can
+        make neighbours."""
+        rules = [
+            InferenceRule(f"r{i}", tuple(pattern), head) for i, (pattern, head) in enumerate(rules)
+        ]
+        senses = {
+            node: [SenseSignature(f"s{i}", frozenset(cues)) for i, cues in enumerate(entries)]
+            for node, entries in senses.items()
+        }
+        config = TopologyConfig(undirected_paths=undirected)
+        once = discover(g, rules, senses, config)
+        assert content_equal(discover(once, rules, senses, config), once)
+
     @settings(max_examples=75)
     @given(g=support.graphs(max_nodes=6, max_edges=8))
     def test_never_destroys_content(self, g):
@@ -688,12 +774,15 @@ class TestSharedIndexMatchesReference:
         exclude = data.draw(
             st.lists(st.sampled_from(sorted(g.edges) + ["not-an-edge"]), max_size=3)
         )
+        inferred = support.inferred_edge_ids(g)
         expected = support.reference_edge_disjoint_paths(
-            g, source, target, max_len, undirected, exclude
+            g, source, target, max_len, undirected, [*exclude, *inferred]
         )
         actual = support.edge_disjoint_paths(g, source, target, max_len, undirected, exclude)
         assert actual == expected
-        shortest = support.reference_shortest_path(g, source, target, max_len, undirected, ())
+        shortest = support.reference_shortest_path(
+            g, source, target, max_len, undirected, inferred
+        )
         assert support.edge_disjoint_paths(g, source, target, max_len, undirected)[:1] == (
             [shortest] if shortest else []
         )
@@ -709,7 +798,7 @@ class TestSharedIndexMatchesReference:
         max_len = data.draw(st.integers(1, 5))
         exclude = data.draw(st.lists(st.sampled_from(sorted(g.edges) or ["none"]), max_size=3))
         expected = support.reference_edge_disjoint_paths(
-            g, source, target, max_len, undirected, exclude
+            g, source, target, max_len, undirected, [*exclude, *support.inferred_edge_ids(g)]
         )
         actual = support.edge_disjoint_paths(g, source, target, max_len, undirected, exclude)
         assert actual == expected
@@ -852,18 +941,16 @@ class TestFactorsRoundLikeTheReference:
 
 
 class TestIndexBuiltOncePerCall:
-    """Reinforcement builds one adjacency index per call and leaves none
-    cached on its graph; repeated searches of one graph build its index at
-    most once per direction mode, and a graph derived from it builds its own
-    instead of reusing one."""
+    """Reinforcement builds one adjacency index per call, over the graph it
+    scores, and keeps none; sense attachment builds none."""
 
     def count_builds(self, monkeypatch) -> list:
         calls = []
         build = graph_module._adjacency_index
 
-        def counting(g, undirected, **options):
+        def counting(g, undirected):
             calls.append((g, undirected))
-            return build(g, undirected, **options)
+            return build(g, undirected)
 
         monkeypatch.setattr(graph_module, "_adjacency_index", counting)
         return calls
@@ -875,7 +962,6 @@ class TestIndexBuiltOncePerCall:
         reinforce_confidence(g)
         assert [undirected for _, undirected in calls] == [True, True]
         assert all(built is g for built, _ in calls)
-        assert g._adjacency == {}
 
     def test_attach_senses(self, monkeypatch):
         g = random_sparse_graph(random.Random(12), nodes=80, edges=200)
@@ -885,22 +971,10 @@ class TestIndexBuiltOncePerCall:
         }
         calls = self.count_builds(monkeypatch)
         topology._attach_senses(g, senses)
-        assert len(calls) == 1 and calls[0][0] is g
-
-    def test_repeated_searches_build_one_index_per_mode(self, monkeypatch):
-        g = random_sparse_graph(random.Random(13), nodes=40, edges=90)
-        pairs = [("n000", "n001"), ("n002", "n003"), ("n004", "n005")]
-        senses = [SenseSignature("s", frozenset({"n006", "n007"}))]
-        calls = self.count_builds(monkeypatch)
-        for _ in range(2):
-            for undirected in (True, False):
-                for source, target in pairs:
-                    support.edge_disjoint_paths(g, source, target, undirected=undirected)
-            disambiguate_entity(g, "n000", senses)
-        assert sorted(undirected for _, undirected in calls) == [False, True]
-        assert all(built is g for built, _ in calls)
+        assert calls == []
 
     def test_reinforce_then_attach_senses_builds_one_per_graph(self, monkeypatch):
+        # One index in all: the reinforced graph gets none.
         g = random_sparse_graph(random.Random(14), nodes=80, edges=200)
         senses = {
             node_id: [SenseSignature("s", frozenset({"n000", "n001"}))]
@@ -909,5 +983,4 @@ class TestIndexBuiltOncePerCall:
         calls = self.count_builds(monkeypatch)
         reinforced = reinforce_confidence(g)
         topology._attach_senses(reinforced, senses)
-        assert len(calls) == 2
-        assert calls[0][0] is g and calls[1][0] is reinforced
+        assert len(calls) == 1 and calls[0][0] is g
